@@ -151,10 +151,6 @@ class Constraint:
     poly: MultilinearPoly
 
 
-#: inequality family tags, in the order encodings emit them
-FAMILIES = ("std", "g1", "g2", "t1", "t2", "region", "box", "lin1", "lin2", "lin0", "threshold")
-
-
 @dataclass(frozen=True)
 class ConstraintSet:
     equalities: tuple[Constraint, ...]

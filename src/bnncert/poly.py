@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Tuple, Union
 
-__all__ = ["Var", "VariableId", "MultilinearPoly"]
+__all__ = ["Var", "MultilinearPoly"]
 
 Scalar = Union[int, float, Fraction]
 
@@ -36,9 +36,6 @@ class Var(NamedTuple):
     def __repr__(self) -> str:  # compact enough to appear in rendered polynomials
         return f"x[{self.layer},{self.index}]"
 
-
-# The name used in interface documentation; same type.
-VariableId = Var
 
 # A monomial is a sorted tuple of (variable, exponent>=1) pairs; () is the
 # constant monomial.

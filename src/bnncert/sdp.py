@@ -20,6 +20,7 @@ relaxation against the LP bound (`sdp_below_lp_witness`,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -216,30 +217,33 @@ def assemble_moment_sdp(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _svec_map(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row/column of each svec position (row-major upper triangle) and the
+    factor that entry carries: 1 on the diagonal, sqrt(2) off it."""
+    rows, cols = np.triu_indices(s)
+    maps = (rows, cols, np.where(rows == cols, 1.0, SQRT2))
+    for a in maps:  # shared by every caller through the cache
+        a.setflags(write=False)
+    return maps
+
+
 def svec(M: np.ndarray) -> np.ndarray:
-    """Symmetric vectorization, row-major upper triangle, off-diagonals * sqrt(2)."""
-    s = M.shape[0]
-    out = np.empty(s * (s + 1) // 2)
-    k = 0
-    for p in range(s):
-        out[k] = M[p, p]
-        k += 1
-        for q in range(p + 1, s):
-            out[k] = M[p, q] * SQRT2
-            k += 1
-    return out
+    """Symmetric vectorization, row-major upper triangle, off-diagonals * sqrt(2).
+
+    Broadcasts over leading axes: `M[..., s, s]` maps to `[..., s(s+1)/2]`.
+    """
+    rows, cols, scale = _svec_map(M.shape[-1])
+    return M[..., rows, cols] * scale
 
 
 def smat(vec: np.ndarray, s: int) -> np.ndarray:
-    """Inverse of `svec`."""
-    M = np.empty((s, s))
-    k = 0
-    for p in range(s):
-        M[p, p] = vec[k]
-        k += 1
-        for q in range(p + 1, s):
-            M[p, q] = M[q, p] = vec[k] / SQRT2
-            k += 1
+    """Inverse of `svec`; broadcasts `vec[..., s(s+1)/2]` to `[..., s, s]`."""
+    rows, cols, scale = _svec_map(s)
+    vals = vec / scale
+    M = np.empty(vec.shape[:-1] + (s, s))
+    M[..., rows, cols] = vals
+    M[..., cols, rows] = vals
     return M
 
 

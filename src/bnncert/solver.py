@@ -7,21 +7,24 @@ onto the cone product; the scaled dual variable is, by construction, always a
 member of the dual cone (clipping for the nonnegative rows, an eigenvalue
 floor for PSD blocks), so the final iterate doubles as a certificate:
 nonnegative multipliers for the scalar rows and one Gram matrix per clique
-block.
+block.  The PSD blocks are grouped by size once per solve; each iteration
+then projects every group with one stacked `eigh` (cliques come in one or
+two sizes), with the same result as a per-block loop.
 
 `rigorous_lower_bound` turns that approximate certificate into a bound that
 holds despite floating-point error: the certificate combination is expanded
-in exact rational arithmetic (binary64 values are dyadic rationals), reduced
-modulo x^2 = 1, and the leftover polynomial is bounded coefficient-wise using
-|x| <= 1 for every variable; approximate PSD-ness of the Gram blocks is
-covered by an eigenvalue-deficit term.  Everything here is deterministic:
-same problem, same options, bit-identical output.
+in exact rational arithmetic (binary64 values are dyadic rationals) into one
+accumulator, reduced modulo x^2 = 1 term by term, and the leftover polynomial
+is bounded coefficient-wise using |x| <= 1 for every variable.  A Gram block
+costs nothing when a fraction-free integer LDL^T proves it PSD, and pays an
+eigenvalue-deficit term otherwise.  Everything here is deterministic: same
+problem, same options, bit-identical output.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -36,7 +39,7 @@ from bnncert.encode import (
     build_cliques,
     linear_inequalities,
 )
-from bnncert.poly import MultilinearPoly, Var
+from bnncert.poly import Var
 from bnncert.sdp import ConicProblem, smat, svec
 
 __all__ = [
@@ -119,22 +122,32 @@ class RigorousBound:
 # ---------------------------------------------------------------------------
 
 
+def _psd_groups(problem: ConicProblem) -> list[tuple[int, np.ndarray]]:
+    """PSD blocks grouped by size: (size, rows) with `rows[b]` the cone rows
+    of the group's b-th block, so `w[rows]` gathers the group's svecs."""
+    starts: dict[int, list[int]] = {}
+    for size, start in zip(problem.psd_sizes, problem.block_offsets()):
+        starts.setdefault(size, []).append(start)
+    return [
+        (size, np.add.outer(offsets, np.arange(size * (size + 1) // 2)))
+        for size, offsets in starts.items()
+    ]
+
+
 def _project_cone(
-    w: np.ndarray, n_nonneg: int, psd_sizes: Sequence[int]
+    w: np.ndarray, n_nonneg: int, groups: Sequence[tuple[int, np.ndarray]]
 ) -> np.ndarray:
+    """Projection onto (R+)^n_nonneg x PSD blocks; one stacked `eigh` per
+    group of equal-size blocks (see `_psd_groups`)."""
     s = w.copy()
     if n_nonneg:
         np.maximum(w[:n_nonneg], 0.0, out=s[:n_nonneg])
-    pos = n_nonneg
-    for size in psd_sizes:
-        ln = size * (size + 1) // 2
-        M = smat(w[pos : pos + ln], size)
-        lam, V = np.linalg.eigh(M)
+    for size, rows in groups:
+        lam, V = np.linalg.eigh(smat(w[rows], size))
         np.maximum(lam, 0.0, out=lam)
-        P = (V * lam) @ V.T
-        P = (P + P.T) * 0.5
-        s[pos : pos + ln] = svec(P)
-        pos += ln
+        P = (V * lam[:, None, :]) @ V.transpose(0, 2, 1)
+        P = (P + P.transpose(0, 2, 1)) * 0.5
+        s[rows] = svec(P)
     return s
 
 
@@ -218,7 +231,8 @@ def solve_conic(problem: ConicProblem, opts: Optional[SolveOptions] = None) -> S
 
     rho = opts.rho
     y = np.zeros(n)
-    s = _project_cone(b, problem.n_nonneg, problem.psd_sizes)
+    groups = _psd_groups(problem)
+    s = _project_cone(b, problem.n_nonneg, groups)
     u = np.zeros(m)
 
     bnorm = 1.0 + np.linalg.norm(b0)
@@ -246,7 +260,7 @@ def solve_conic(problem: ConicProblem, opts: Optional[SolveOptions] = None) -> S
         y = solve_normal(rhs)
         Ay = A @ y
         w = b - Ay - u
-        s = _project_cone(w, problem.n_nonneg, problem.psd_sizes)
+        s = _project_cone(w, problem.n_nonneg, groups)
         u = s - w  # = u + Ay + s - b
 
         if it % opts.check_every == 0 or it == opts.max_iter:
@@ -355,48 +369,65 @@ def _float_up(x: Fraction) -> float:
 
 
 def _exact_psd_check(G: np.ndarray) -> bool:
-    """Exact rational LDL^T with PSD pivoting rules; True proves G >= 0."""
-    n = G.shape[0]
-    M = [[Fraction(G[i, j]) for j in range(n)] for i in range(n)]
+    """Exact LDL^T with PSD pivoting rules; True proves G >= 0.
+
+    G (upper triangle, the entries the certificate reads) is scaled by one
+    power of two to integers, then eliminated fraction-free (Bareiss): every
+    step divides exactly by the previous pivot, so entries stay integers and
+    each pivot is the LDL^T pivot times a positive leading minor.  A negative
+    pivot disproves PSD-ness; a zero pivot needs a zero row and is skipped,
+    and the previous divisor carries over.
+    """
+    ratios = [[x.as_integer_ratio() for x in row] for row in G.tolist()]
+    scale = max((den for row in ratios for _, den in row), default=1)
+    M = [[num * (scale // den) for num, den in row] for row in ratios]
+    n = len(M)
+    prev = 1
     for k in range(n):
-        pivot = M[k][k]
+        row_k = M[k]
+        pivot = row_k[k]
         if pivot < 0:
             return False
         if pivot == 0:
-            if any(M[k][j] != 0 for j in range(k + 1, n)):
+            if any(row_k[k + 1 :]):
                 return False
             continue
-        row_k = M[k]
         for i in range(k + 1, n):
-            if M[i][k] == 0:
-                continue
-            factor = M[i][k] / pivot
+            f = row_k[i]
             row_i = M[i]
-            for j in range(k + 1, n):
-                if row_k[j]:
-                    row_i[j] -= factor * row_k[j]
+            row_i[i:] = [
+                (pivot * a - f * b) // prev for a, b in zip(row_i[i:], row_k[i:])
+            ]
+        prev = pivot
     return True
 
 
-def _gram_polynomial(G: np.ndarray, variables: Sequence[Var]) -> MultilinearPoly:
-    """(1, x_clique)^T G (1, x_clique) as an exact polynomial."""
-    terms: dict = {}
+def _reduce_mono(mono: tuple) -> tuple:
+    """A monomial modulo x^2 = 1 for every binary (layer >= 1) variable."""
+    return tuple(
+        (v, e % 2 if v.layer else e) for v, e in mono if not v.layer or e % 2
+    )
 
-    def add(mono, coeff: Fraction) -> None:
-        if coeff:
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
 
-    s = G.shape[0]
-    add((), Fraction(G[0, 0]))
-    for p in range(1, s):
-        v = variables[p - 1]
-        add(((v, 1),), 2 * Fraction(G[0, p]))
-        add(((v, 2),), Fraction(G[p, p]))
-        for q in range(p + 1, s):
-            wv = variables[q - 1]
-            mono = tuple(sorted(((v, 1), (wv, 1))))
-            add(mono, 2 * Fraction(G[p, q]))
-    return MultilinearPoly(terms)
+def _accumulate(acc: dict, terms, factor) -> None:
+    """acc += factor * sum(terms), exactly, with monomials reduced."""
+    for mono, coeff in terms:
+        if not isinstance(coeff, (int, Fraction)):
+            coeff = Fraction(coeff)
+        key = _reduce_mono(mono)
+        acc[key] = acc.get(key, 0) + coeff * factor
+
+
+def _gram_terms(G: np.ndarray, variables: Sequence[Var]):
+    """Terms of (1, x_clique)^T G (1, x_clique), exact, upper triangle of G."""
+    rows = G.tolist()
+    yield (), Fraction(rows[0][0])
+    for p, v in enumerate(variables, start=1):
+        yield ((v, 1),), 2 * Fraction(rows[0][p])
+        yield ((v, 2),), Fraction(rows[p][p])
+        for q in range(p + 1, len(rows)):
+            pair = tuple(sorted(((v, 1), (variables[q - 1], 1))))
+            yield pair, 2 * Fraction(rows[p][q])
 
 
 def rigorous_lower_bound(
@@ -412,7 +443,7 @@ def rigorous_lower_bound(
     remainder coefficient-wise (every variable and variable product has
     magnitude at most 1 on the feasible set).  Gram blocks pay an eigenvalue
     deficit (block size) * max(0, -lambda_min_lower); exactly PSD blocks are
-    recognized by an exact rational factorization and pay zero.  The reported
+    recognized by an exact integer factorization and pay zero.  The reported
     value is finally capped at the solve's primal objective.
     """
     sig = np.asarray(result.sigmas, dtype=float)
@@ -426,26 +457,21 @@ def rigorous_lower_bound(
         raise ValueError(
             f"certificate has {sig.shape[0]} multipliers for {len(ineqs)} rows"
         )
-    remainder = instance.objective.to_exact()
-    for mult, con in zip(sig, ineqs):
+    remainder: dict = {}
+    _accumulate(remainder, instance.objective.terms.items(), 1)
+    for mult, con in zip(sig.tolist(), ineqs):
         if mult > 0:
-            remainder = remainder - con.poly.to_exact() * Fraction(mult)
+            _accumulate(remainder, con.poly.terms.items(), -Fraction(mult))
     if grams:
         if cliques is None:
             cliques = build_cliques(instance.net)
         if len(grams) != len(cliques):
             raise ValueError(f"{len(grams)} Gram blocks for {len(cliques)} cliques")
         for G, clique in zip(grams, cliques):
-            remainder = remainder - _gram_polynomial(G, clique.variables)
-    remainder = remainder.reduce_binary_squares()
+            _accumulate(remainder, _gram_terms(G, clique.variables), -1)
 
-    anchor_exact = remainder.constant_term()
-    anchor_exact = anchor_exact if isinstance(anchor_exact, Fraction) else Fraction(anchor_exact)
-    coeff_budget = Fraction(0)
-    for mono, coeff in remainder.terms.items():
-        if mono:
-            coeff = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-            coeff_budget += abs(coeff)
+    anchor_exact = Fraction(remainder.pop((), 0))
+    coeff_budget = Fraction(sum(abs(coeff) for coeff in remainder.values()))
 
     deficits: list[float] = []
     eps = float(np.finfo(float).eps)

@@ -113,6 +113,24 @@ def test_tightened_certifies_where_lp_cannot_encode(example1_files, tmp_path):
     assert target["lower_bound"] > 0
 
 
+def test_metrics_never_turn_a_decided_query_into_an_error(example1_files, tmp_path):
+    # the README example: the LP cannot encode radius 0.2, so --metrics
+    # records the comparison as unavailable instead of aborting
+    readme = ("--eps", "0.2", "--method", "sdp1-tight", "--tol", "1e-4", "--max-iter", "20000")
+    rc_plain, plain = run_json(example1_files, tmp_path, *readme)
+    rc, rep = run_json(example1_files, tmp_path, *readme, "--metrics")
+    assert rc == rc_plain == 0
+    assert rep["verdict"] == plain["verdict"] == "robust"
+    for rep_t in (rep["targets"], plain["targets"]):
+        for target in rep_t:
+            target.pop("wall_time")
+    assert rep["targets"] == plain["targets"]
+    (imp,) = rep["metrics"]["improvement"].values()
+    assert imp["lp_bound"] is None
+    assert imp["relative_improvement"] is None
+    assert imp["sample_upper"] >= rep["targets"][0]["lower_bound"]
+
+
 def test_standard_relaxation_weaker_than_tightened(example1_files, tmp_path):
     rc, rep = run_json(example1_files, tmp_path, "--eps", "0.2", "--method", "sdp1")
     assert rc == 2

@@ -162,6 +162,32 @@ def test_svec_smat_roundtrip(seed):
     assert np.vdot(svec(A), svec(B)) == pytest.approx(np.tensordot(A, B), rel=1e-12)
 
 
+def svec_loop(M):
+    """Reference layout: row-major upper triangle, off-diagonals * sqrt(2)."""
+    s = M.shape[0]
+    return np.array(
+        [M[p, q] * (1.0 if p == q else math.sqrt(2.0)) for p in range(s) for q in range(p, s)]
+    )
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 10, 14])
+def test_svec_smat_stacked_equal_per_matrix(s):
+    rng = np.random.default_rng(s)
+    A = rng.normal(size=(2, 3, s, s))
+    A = (A + np.swapaxes(A, -1, -2)) / 2
+    V = svec(A)
+    assert V.shape == (2, 3, s * (s + 1) // 2)
+    M = smat(V, s)
+    assert M.shape == A.shape
+    for i in range(2):
+        for j in range(3):
+            np.testing.assert_array_equal(V[i, j], svec_loop(A[i, j]))
+            np.testing.assert_array_equal(V[i, j], svec(A[i, j]))
+            np.testing.assert_array_equal(M[i, j], smat(V[i, j], s))
+            np.testing.assert_array_equal(M[i, j], M[i, j].T)
+    np.testing.assert_allclose(M, A, atol=1e-12)
+
+
 # -- analytic witnesses -------------------------------------------------------
 
 

@@ -6,26 +6,38 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, strategies as st
 
 from bnncert import (
     ConicProblem,
+    MultilinearPoly,
     PerturbationRegion,
     SolveOptions,
     Var,
     assemble_moment_sdp,
     build_cliques,
     encode_lp,
+    encode_standard,
     encode_tightened,
     objective_targeted,
     rigorous_lower_bound,
     sdp_below_lp_witness,
+    smat,
     solve_conic,
     solve_lp,
+    stabilize,
     svec,
     to_conic,
 )
 from bnncert.oracle import exact_verify
-from bnncert.solver import lp_to_conic
+from bnncert.solver import (
+    _exact_psd_check,
+    _float_down,
+    _float_up,
+    _project_cone,
+    _psd_groups,
+    lp_to_conic,
+)
 
 from conftest import make_example1, random_net, random_region
 
@@ -289,3 +301,201 @@ def test_solve_options_validate():
         SolveOptions(max_iter=0)
     with pytest.raises(ValueError):
         SolveOptions(rho=-1.0)
+
+
+# -- cone projection ------------------------------------------------------------
+
+
+def project_cone_loop(w, n_nonneg, psd_sizes):
+    """Reference: one eigh per block, in block order."""
+    s = w.copy()
+    s[:n_nonneg] = np.maximum(w[:n_nonneg], 0.0)
+    pos = n_nonneg
+    for size in psd_sizes:
+        ln = size * (size + 1) // 2
+        lam, V = np.linalg.eigh(smat(w[pos : pos + ln], size))
+        lam = np.maximum(lam, 0.0)
+        P = (V * lam) @ V.T
+        s[pos : pos + ln] = svec((P + P.T) * 0.5)
+        pos += ln
+    return s
+
+
+MIXED_SIZES = (3, 10, 3, 14, 10)
+
+
+def mixed_cone_point(seed):
+    """7 nonnegative rows, then PSD blocks of interleaved sizes, and a point."""
+    n_nonneg = 7
+    dim = n_nonneg + sum(s * (s + 1) // 2 for s in MIXED_SIZES)
+    problem = ConicProblem(
+        A=sp.csc_matrix((dim, 0)), b=np.zeros(dim), c=np.zeros(0), c0=0.0,
+        n_nonneg=n_nonneg, psd_sizes=MIXED_SIZES, ids_order=(),
+    )
+    return n_nonneg, _psd_groups(problem), np.random.default_rng(seed).normal(size=dim)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_project_cone_matches_per_block_eigh(seed):
+    n_nonneg, groups, w = mixed_cone_point(seed)
+    assert sorted(size for size, _ in groups) == [3, 10, 14]
+    out = _project_cone(w, n_nonneg, groups)
+    np.testing.assert_array_equal(out, project_cone_loop(w, n_nonneg, MIXED_SIZES))
+
+
+def test_project_cone_lands_in_the_cone_and_is_idempotent():
+    n_nonneg, groups, w = mixed_cone_point(3)
+    once = _project_cone(w, n_nonneg, groups)
+    assert np.all(once[:n_nonneg] >= 0.0)
+    for size, rows in groups:
+        blocks = smat(once[rows], size)
+        lam_min = np.linalg.eigvalsh(blocks)[:, 0]
+        assert np.all(lam_min >= -1e-12 * np.linalg.norm(blocks, axis=(1, 2)))
+    twice = _project_cone(once, n_nonneg, groups)
+    np.testing.assert_allclose(twice, once, rtol=0, atol=1e-12)
+
+
+# -- exact layer: integer PSD proof and certificate expansion -------------------
+
+
+def fraction_ldl_psd(G):
+    """Reference: exact rational LDL^T with the PSD pivoting rules."""
+    n = G.shape[0]
+    M = [[Fraction(G[i, j]) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        pivot = M[k][k]
+        if pivot < 0:
+            return False
+        if pivot == 0:
+            if any(M[k][j] != 0 for j in range(k + 1, n)):
+                return False
+            continue
+        for i in range(k + 1, n):
+            if M[i][k] == 0:
+                continue
+            factor = M[i][k] / pivot
+            for j in range(k + 1, n):
+                M[i][j] -= factor * M[k][j]
+    return True
+
+
+def integer_gram(rng, n):
+    """B B^T for an integer B of rank < n, rows repeated so that a zero
+    pivot (with a zero row) turns up mid-elimination."""
+    r = int(rng.integers(1, n)) if n > 1 else 1
+    B = rng.integers(-3, 4, size=(n, r)).astype(float)
+    B[rng.integers(n)] = B[rng.integers(n)]
+    return B @ B.T
+
+
+def psd_case(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "rank_deficient":
+        return integer_gram(rng, n)
+    if kind == "zero_diagonal":
+        G = integer_gram(rng, n)
+        k = int(rng.integers(n))
+        G[k, k] = 0.0
+        if rng.integers(2):  # a zero row: PSD-ness rests on the others
+            G[k, :] = G[:, k] = 0.0
+        return G
+    if kind == "tiny_negative":
+        G = integer_gram(rng, n)
+        k = int(rng.integers(n))
+        G[k, k] -= 2.0**-50
+        return G
+    if kind == "wide_range":
+        B = rng.normal(size=(n, n)) * 2.0 ** rng.integers(-30, 21, size=(n, 1))
+        G = B @ B.T
+        G[rng.random(size=(n, n)) < 0.2] = 0.0
+        G = np.triu(G) + np.triu(G, 1).T
+        G.flat[:: n + 1] += 2.0 ** rng.integers(-60, 41, size=n)
+        return G
+    if kind == "negative_zero":
+        G = integer_gram(rng, n)
+        k = int(rng.integers(n))
+        G[k, :] = G[:, k] = 0.0
+        G[G == 0.0] = -0.0
+        return G
+    raise AssertionError(kind)
+
+
+PSD_KINDS = ("rank_deficient", "zero_diagonal", "tiny_negative", "wide_range", "negative_zero")
+
+
+@pytest.mark.parametrize("kind", PSD_KINDS)
+@given(n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+def test_integer_psd_check_agrees_with_fraction_ldl(kind, n, seed):
+    G = psd_case(kind, n, seed)
+    assert _exact_psd_check(G) == fraction_ldl_psd(G)
+
+
+def test_integer_psd_check_edge_cases():
+    assert _exact_psd_check(np.array([[1.0, 1.0, 2.0], [1.0, 1.0, 2.0], [2.0, 2.0, 5.0]]))
+    bumped = np.array([[1.0, 1.0], [1.0, 1.0 - 2.0**-50]])
+    assert not _exact_psd_check(bumped)
+    assert not _exact_psd_check(np.array([[0.0, 1.0], [1.0, 3.0]]))
+    assert _exact_psd_check(np.array([[-0.0, 0.0], [-0.0, 2.0**-60]]))
+    assert _exact_psd_check(np.array([[2.0**40, 2.0**-10], [2.0**-10, 2.0**-60]]))
+    assert _exact_psd_check(np.zeros((0, 0)))
+
+
+def gram_polynomial(G, variables):
+    """Reference: (1, x_clique)^T G (1, x_clique) as an exact polynomial."""
+    terms = {(): Fraction(G[0, 0])}
+    for p in range(1, G.shape[0]):
+        v = variables[p - 1]
+        terms[((v, 1),)] = 2 * Fraction(G[0, p])
+        terms[((v, 2),)] = Fraction(G[p, p])
+        for q in range(p + 1, G.shape[0]):
+            terms[((v, 1), (variables[q - 1], 1))] = 2 * Fraction(G[p, q])
+    return MultilinearPoly(terms)
+
+
+def chain_expansion(result, instance, cliques):
+    """Reference: the certificate expanded as a chain of exact polynomials."""
+    remainder = instance.objective.to_exact()
+    for mult, con in zip(result.sigmas, instance.constraints.inequalities):
+        if mult > 0:
+            remainder = remainder - con.poly.to_exact() * Fraction(mult)
+    for G, clique in zip(result.grams, cliques):
+        remainder = remainder - gram_polynomial(G, clique.variables)
+    remainder = remainder.reduce_binary_squares()
+    anchor = Fraction(remainder.constant_term())
+    budget = sum((abs(Fraction(c)) for m, c in remainder.terms.items() if m), Fraction(0))
+    deficits = []
+    for G in result.grams:
+        if fraction_ldl_psd(G):
+            deficits.append(0.0)
+            continue
+        lam = float(np.linalg.eigvalsh(G)[0])
+        widen = G.shape[0] * np.finfo(float).eps * float(np.linalg.norm(G, "fro"))
+        deficits.append(G.shape[0] * max(0.0, -(lam - widen)))
+    return _float_down(anchor), _float_up(budget), tuple(deficits)
+
+
+def expansion_instances():
+    yield make_example1(), PerturbationRegion.linf([0, 0.5, 0], 0.5), 2, 1
+    rng = np.random.default_rng(42)
+    net = stabilize(random_net(rng, (10, 8, 8, 3)))
+    yield net, random_region(rng, 10), 1, 3
+
+
+@pytest.mark.parametrize("encoder", [encode_standard, encode_tightened])
+def test_certificate_expansion_matches_polynomial_chain(encoder):
+    for net, region, label, target in expansion_instances():
+        inst = encoder(net, region, objective_targeted(net, label, target))
+        cliques = build_cliques(net)
+        res = solve_conic(
+            to_conic(assemble_moment_sdp(inst, cliques)), SolveOptions(tol=1e-4, max_iter=150)
+        )
+        sig = res.sigmas.copy()
+        sig[::3] = -np.abs(sig[::3]) - 1e-3  # clamped to zero by the bound
+        grams = list(res.grams)
+        grams[0] = grams[0] - 1e-3 * np.eye(grams[0].shape[0])  # pays a deficit
+        for cert in (res, dataclasses.replace(res, sigmas=sig, grams=tuple(grams))):
+            rb = rigorous_lower_bound(cert, inst, cliques)
+            assert (rb.anchor, rb.coefficient_residual, rb.eigenvalue_deficits) == (
+                chain_expansion(cert, inst, cliques)
+            )
+        assert rb.eigenvalue_deficits[0] > 0
