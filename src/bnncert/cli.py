@@ -19,7 +19,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,6 +27,7 @@ import numpy as np
 from bnncert.encode import (
     PerturbationRegion,
     StabilizationNeeded,
+    VerificationInstance,
     build_cliques,
     encode_lp,
     encode_milp,
@@ -39,14 +40,30 @@ from bnncert.model import (
     FoldedBnn,
     fold_batchnorm,
     forward,
+    forward_labels,
     load_inputs,
     load_model,
     stabilize,
     weight_sparsity,
 )
-from bnncert.oracle import exact_verify, relative_improvement, sample_upper_bound
-from bnncert.sdp import assemble_moment_sdp, export_sdpa, to_conic
-from bnncert.solver import SolveOptions, rigorous_lower_bound, solve_conic, solve_lp
+from bnncert.oracle import (
+    exact_verify,
+    relative_improvement,
+    sample_region,
+    sample_upper_bound,
+)
+from bnncert.poly import MultilinearPoly
+from bnncert.sdp import ConicProblem, assemble_moment_sdp, export_sdpa, to_conic
+from bnncert.solver import (
+    ConicSetup,
+    RigorousBound,
+    SolveOptions,
+    SolveResult,
+    conic_setup,
+    lp_to_conic,
+    rigorous_lower_bound,
+    solve_conic,
+)
 
 __all__ = ["TargetReport", "VerdictReport", "main", "run_verify", "run_export"]
 
@@ -147,15 +164,15 @@ def _find_counterexample(
     n_samples: int,
     seed: int,
 ) -> Optional[np.ndarray]:
-    """Seeded sampling attack: any region point whose forward label differs."""
+    """Seeded sampling attack: the first region point whose forward label
+    differs.  All samples are labelled in one batched pass; a mismatch is
+    confirmed with `forward` before it is returned."""
     if forward(net, region.center).label != true_label:
         return region.center.copy()
     if region.radius == 0:
         return None
-    from bnncert.oracle import _sample_region  # deterministic given the seed
-
-    rng = np.random.default_rng(seed)
-    for x0 in _sample_region(region, n_samples, rng):
+    points = sample_region(region, n_samples, np.random.default_rng(seed))
+    for x0 in points[forward_labels(net, points) != true_label]:
         if forward(net, x0).label != true_label:
             return x0
     return None
@@ -184,34 +201,88 @@ def _margin_targets(net: FoldedBnn, x0: np.ndarray, label: int) -> list[TargetRe
     return out
 
 
-def _bound_one_target(
+@dataclass(frozen=True)
+class _Relaxation:
+    """One query's relaxation in conic form, shared by its attack targets:
+    from one target to the next only the objective changes, so the encoding,
+    the moment assembly, the conic form and the solver setup are built once."""
+
+    instance: VerificationInstance
+    problem: ConicProblem
+    setup: ConicSetup
+    cliques: Optional[list]
+
+    def bound(
+        self, objective: MultilinearPoly, k: int, opts: SolveOptions, settle: bool
+    ) -> tuple[SolveResult, RigorousBound]:
+        """Solve for target k; with `settle`, stop at the first iterate whose
+        rigorous bound is positive.  Each iterate is rigorized at most once."""
+        constraints = replace(self.instance.constraints, objective=objective)
+        instance = replace(self.instance, constraints=constraints, target=k)
+        bounds: dict[int, RigorousBound] = {}
+
+        def certified(res: SolveResult) -> bool:
+            bounds[res.iterations] = rigorous_lower_bound(res, instance, self.cliques)
+            return bounds[res.iterations].value > 0
+
+        res = solve_conic(
+            self.problem.with_objective(objective),
+            opts,
+            self.setup,
+            certified if settle else None,
+        )
+        rb = bounds.get(res.iterations)
+        if rb is None:
+            rb = rigorous_lower_bound(res, instance, self.cliques)
+        return res, rb
+
+
+def _relax(
     net: FoldedBnn,
     region: PerturbationRegion,
     label: int,
     k: int,
+    objective: MultilinearPoly,
     method: str,
     opts: SolveOptions,
-) -> TargetReport:
-    objective = objective_targeted(net, label, k)
-    t0 = time.perf_counter()
+) -> _Relaxation:
+    """Encode the query for `method` (with target k's objective) and prepare
+    its conic problem for every target."""
     if method == "lp":
         instance = encode_lp(net, region, objective, true_label=label, target=k)
-        res = solve_lp(instance, opts)
-        rb = rigorous_lower_bound(res, instance)
-        lower, approx = rb.value, res.primal_objective
-        iters, sstat = res.iterations, res.status
-    elif method in ("sdp1", "sdp1-tight"):
+        cliques = None
+        problem = lp_to_conic(instance)
+    else:
         encoder = encode_standard if method == "sdp1" else encode_tightened
         instance = encoder(net, region, objective, true_label=label, target=k)
         cliques = build_cliques(net)
-        res = solve_conic(to_conic(assemble_moment_sdp(instance, cliques)), opts)
-        rb = rigorous_lower_bound(res, instance, cliques)
+        problem = to_conic(assemble_moment_sdp(instance, cliques))
+    return _Relaxation(instance, problem, conic_setup(problem, opts.scaling), cliques)
+
+
+def _bound_one_target(
+    net: FoldedBnn,
+    region: PerturbationRegion,
+    k: int,
+    objective: MultilinearPoly,
+    method: str,
+    opts: SolveOptions,
+    relaxation: Optional[_Relaxation],
+) -> tuple[TargetReport, Optional[np.ndarray]]:
+    """The target's report, plus the engine's attack point when the engine
+    found a non-positive margin there (still to be forward-checked)."""
+    t0 = time.perf_counter()
+    witness = None
+    if relaxation is not None:
+        res, rb = relaxation.bound(objective, k, opts, settle=True)
         lower, approx = rb.value, res.primal_objective
         iters, sstat = res.iterations, res.status
     elif method == "oracle":
         result = exact_verify(net, region, objective)
         lower = approx = result.value
         iters, sstat = None, "exact"
+        if lower <= 0:
+            witness = result.witness
     elif method == "sample-ub":
         sb = sample_upper_bound(net, region, objective, n_samples=512, seed=opts.seed)
         report = TargetReport(
@@ -223,11 +294,11 @@ def _bound_one_target(
             wall_time=time.perf_counter() - t0,
             solver_status="sampling",
         )
-        return report
+        return report, (sb.x0 if sb.value < 0 else None)
     else:
         raise ValueError(f"unknown method {method!r}")
     status = "robust" if lower > 0 else "unknown"
-    return TargetReport(
+    report = TargetReport(
         target=k,
         method=method,
         lower_bound=lower,
@@ -237,6 +308,7 @@ def _bound_one_target(
         iterations=iters,
         solver_status=sstat,
     )
+    return report, witness
 
 
 def _collect_metrics(
@@ -254,24 +326,33 @@ def _collect_metrics(
         "stabilization_log": list(net.log),
     }
     if method in ("sdp1", "sdp1-tight") and region.radius > 0:
-        improvements = {}
-        for entry in targets:
-            if entry.lower_bound is None:
-                continue
-            objective = objective_targeted(net, label, entry.target)
-            ub = sample_upper_bound(
-                net, region, objective, n_samples=512, seed=opts.seed
-            ).value
+        objectives = {
+            entry.target: objective_targeted(net, label, entry.target)
+            for entry in targets
+            if entry.lower_bound is not None
+        }
+        lp: Optional[_Relaxation] = None
+        if objectives:
+            k, objective = next(iter(objectives.items()))
             try:
-                lp_inst = encode_lp(
-                    net, region, objective, true_label=label, target=entry.target
-                )
+                lp = _relax(net, region, label, k, objective, "lp", opts)
             except StabilizationNeeded:
                 # the LP cannot encode this region; the comparison is simply
                 # not available, the verdict stands
+                pass
+        improvements = {}
+        for entry in targets:
+            if entry.target not in objectives:
+                continue
+            objective = objectives[entry.target]
+            ub = sample_upper_bound(
+                net, region, objective, n_samples=512, seed=opts.seed
+            ).value
+            if lp is None:
                 tau_lp = rel = None
             else:
-                tau_lp = rigorous_lower_bound(solve_lp(lp_inst, opts), lp_inst).value
+                # solved to tolerance: the comparison wants the LP optimum
+                tau_lp = lp.bound(objective, entry.target, opts, settle=False)[1].value
                 rel = relative_improvement(entry.lower_bound, tau_lp, ub)
             improvements[str(entry.target)] = {
                 "lp_bound": tau_lp,
@@ -295,30 +376,24 @@ def run_verify(args) -> int:
         counterexample = _find_counterexample(net, region, label, 200, args.seed)
         targets = []
         if counterexample is None:
-            for k in range(1, net.n_classes + 1):
-                if k == label:
-                    continue
-                entry = _bound_one_target(net, region, label, k, args.method, opts)
-                # a negative exact bound pinpoints an attack pattern; confirm
-                # it with a forward pass before downgrading the verdict
-                if args.method == "oracle" and entry.lower_bound is not None and entry.lower_bound <= 0:
-                    witness = exact_verify(
-                        net, region, objective_targeted(net, label, k)
-                    ).witness
-                    if forward(net, witness).label != label:
-                        entry.status = "falsified"
-                        counterexample = witness
-                if args.method == "sample-ub" and entry.approximate is not None and entry.approximate < 0:
-                    sb = sample_upper_bound(
-                        net,
-                        region,
-                        objective_targeted(net, label, k),
-                        n_samples=512,
-                        seed=args.seed,
-                    )
-                    if forward(net, sb.x0).label != label:
-                        entry.status = "falsified"
-                        counterexample = sb.x0
+            objectives = {
+                k: objective_targeted(net, label, k)
+                for k in range(1, net.n_classes + 1)
+                if k != label
+            }
+            relaxation = None
+            if args.method in ("lp", "sdp1", "sdp1-tight"):
+                k, objective = next(iter(objectives.items()))
+                relaxation = _relax(net, region, label, k, objective, args.method, opts)
+            for k, objective in objectives.items():
+                entry, witness = _bound_one_target(
+                    net, region, k, objective, args.method, opts, relaxation
+                )
+                # an engine's attack point downgrades the verdict only once
+                # a forward pass confirms it
+                if witness is not None and forward(net, witness).label != label:
+                    entry.status = "falsified"
+                    counterexample = witness
                 targets.append(entry)
 
     if counterexample is not None:

@@ -27,6 +27,7 @@ __all__ = [
     "RawBnn",
     "fold_batchnorm",
     "forward",
+    "forward_labels",
     "forward_raw",
     "load_inputs",
     "load_model",
@@ -360,6 +361,23 @@ def forward(net: FoldedBnn, x0: Sequence[float]) -> ForwardTrace:
         label=label,
         zero_preactivation_flags=tuple(flags),
     )
+
+
+def forward_labels(net: FoldedBnn, xs: np.ndarray) -> np.ndarray:
+    """1-based labels of the rows of `xs`, one matrix product per layer.
+
+    The semantics of `forward` (sign(0) := +1, argmax ties to the lowest
+    class).  Layer-1 sums may round in another order than the one-row
+    product in `forward`, so a caller that needs a proof of a label -- a
+    counterexample -- re-checks that row with `forward`.
+    """
+    cur = np.asarray(xs, dtype=float)
+    if cur.ndim != 2 or cur.shape[1] != net.widths[0]:
+        raise ValueError(f"inputs of shape {cur.shape} do not match n0 = {net.widths[0]}")
+    for i in range(1, net.depth + 1):
+        cur = _sign_pm1(cur @ net.weight(i).T + net.bias(i))
+    logits = cur @ net.weight(net.depth + 1).T + net.bias(net.depth + 1)
+    return np.argmax(logits, axis=1) + 1
 
 
 def forward_raw(raw: RawBnn, x0: Sequence[float]) -> int:

@@ -44,6 +44,7 @@ __all__ = [
     "milp_feasible_patterns",
     "pattern_assignment",
     "relative_improvement",
+    "sample_region",
     "sample_upper_bound",
 ]
 
@@ -460,9 +461,10 @@ def milp_feasible_patterns(
 # ---------------------------------------------------------------------------
 
 
-def _sample_region(
+def sample_region(
     region: PerturbationRegion, n: int, rng: np.random.Generator
 ) -> np.ndarray:
+    """`n` points of the region, one per row, drawn from `rng` in row order."""
     if region.kind == "linf":
         return rng.uniform(region.lower, region.upper, size=(n, region.dim))
     dim = region.dim
@@ -498,7 +500,7 @@ def sample_upper_bound(
     if region.radius == 0:
         pts = np.tile(region.center, (1, 1))
     else:
-        pts = _sample_region(region, n_samples, rng)
+        pts = sample_region(region, n_samples, rng)
     best_val = None
     best_x = None
     for x0 in pts:

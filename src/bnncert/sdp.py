@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -285,6 +285,30 @@ class ConicProblem:
             offsets.append(pos)
             pos += s * (s + 1) // 2
         return offsets
+
+    def with_objective(self, objective: MultilinearPoly) -> "ConicProblem":
+        """This problem with the cost c0 + c^T y of `objective`.
+
+        A, b and the cones are shared (the same objects), so one solver
+        setup serves every objective.  Column j is the j-th non-constant key
+        of `ids_order`; binary squares reduce to 1 first.
+        """
+        column = {key: j for j, key in enumerate(k for k in self.ids_order if k)}
+        const = Fraction(0)
+        coeffs: dict[int, Fraction] = {}
+        for mono, coeff in objective.reduce_binary_squares().terms.items():
+            coeff = coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
+            key = tuple(v for v, e in mono for _ in range(e))
+            if not key:
+                const += coeff
+            elif key in column:
+                coeffs[column[key]] = coeffs.get(column[key], 0) + coeff
+            else:
+                raise ValueError(f"objective monomial {key} is not a problem column")
+        c = np.zeros(self.n_vars)
+        for j, coeff in coeffs.items():
+            c[j] = float(coeff)
+        return replace(self, c=c, c0=float(const))
 
     def split_cone_vector(self, vec: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Split a cone-space vector into (nonneg part, PSD matrices)."""

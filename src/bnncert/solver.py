@@ -7,9 +7,17 @@ onto the cone product; the scaled dual variable is, by construction, always a
 member of the dual cone (clipping for the nonnegative rows, an eigenvalue
 floor for PSD blocks), so the final iterate doubles as a certificate:
 nonnegative multipliers for the scalar rows and one Gram matrix per clique
-block.  The PSD blocks are grouped by size once per solve; each iteration
-then projects every group with one stacked `eigh` (cliques come in one or
-two sizes), with the same result as a per-block loop.
+block.  The PSD blocks are grouped by size; each iteration then projects
+every group with one stacked `eigh` (cliques come in one or two sizes), with
+the same result as a per-block loop.
+
+Everything that depends only on `A` -- the equilibration, the scaled matrix,
+the normal-equation factorization and the size groups -- is a `ConicSetup`,
+built once by `conic_setup` and shared by problems that differ only in their
+objective (the attack targets of one query).  A caller that only needs a
+verdict passes `solve_conic` a `settled` callback: at each convergence check
+whose float screen could certify, the current iterate is offered to it, and
+the solve stops with status "settled" as soon as it accepts.
 
 `rigorous_lower_bound` turns that approximate certificate into a bound that
 holds despite floating-point error: the certificate combination is expanded
@@ -26,12 +34,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from bnncert.encode import (
     Clique,
@@ -43,9 +50,11 @@ from bnncert.poly import Var
 from bnncert.sdp import ConicProblem, smat, svec
 
 __all__ = [
+    "ConicSetup",
     "RigorousBound",
     "SolveOptions",
     "SolveResult",
+    "conic_setup",
     "lp_to_conic",
     "rigorous_lower_bound",
     "solve_conic",
@@ -69,6 +78,8 @@ class SolveOptions:
             raise ValueError("max_iter must be at least 1")
         if not self.rho > 0:
             raise ValueError("rho must be positive")
+        if self.check_every < 1:
+            raise ValueError("check_every must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -82,7 +93,7 @@ class SolveResult:
     `rigorous_lower_bound`.
     """
 
-    status: str  # optimal | max_iter | infeasible_certificate
+    status: str  # optimal | settled | max_iter | infeasible_certificate
     primal_objective: float
     dual_objective: float
     iterations: int
@@ -202,36 +213,95 @@ def _make_solver(AtA: sp.csc_matrix):
         dense = AtA.toarray()
         chol = scipy.linalg.cho_factor(dense, lower=True)
         return lambda rhs: scipy.linalg.cho_solve(chol, rhs)
-    lu = spla.splu(AtA.tocsc())
+    # imported here: only problems this large need it, and importing it
+    # costs about 4 MB of resident memory
+    from scipy.sparse.linalg import splu
+
+    lu = splu(AtA.tocsc())
     return lambda rhs: lu.solve(rhs)
 
 
-def solve_conic(problem: ConicProblem, opts: Optional[SolveOptions] = None) -> SolveResult:
+@dataclass(frozen=True)
+class ConicSetup:
+    """The part of a solve that depends only on `A` and the cones.
+
+    Problems that differ only in `c` and `c0` (the attack targets of one
+    query) share `A`, and with it one setup: the equilibration (E, D), the
+    scaled A and A^T, the normal-equation factorization and the PSD size
+    groups.  `A0` is the unscaled matrix the setup was built from.
+    """
+
+    A0: sp.spmatrix = field(repr=False)
+    scaling: bool
+    E: np.ndarray = field(repr=False)
+    D: np.ndarray = field(repr=False)
+    A: sp.csr_matrix = field(repr=False)
+    At: sp.csr_matrix = field(repr=False)
+    solve_normal: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    groups: list = field(repr=False)
+
+
+def conic_setup(problem: ConicProblem, scaling: bool = True) -> ConicSetup:
+    """Equilibrate and factor `problem.A` once for any number of solves."""
+    A0 = problem.A
+    m, n = A0.shape
+    if scaling and m and n:
+        E, D = _equilibrate(problem)
+    else:
+        E, D = np.ones(m), np.ones(n)
+    A = (sp.diags(E) @ A0 @ sp.diags(D)).tocsr()
+    At = A.T.tocsr()
+    return ConicSetup(
+        A0=A0,
+        scaling=scaling,
+        E=E,
+        D=D,
+        A=A,
+        At=At,
+        solve_normal=_make_solver((At @ A).tocsc()),
+        groups=_psd_groups(problem),
+    )
+
+
+def solve_conic(
+    problem: ConicProblem,
+    opts: Optional[SolveOptions] = None,
+    setup: Optional[ConicSetup] = None,
+    settled: Optional[Callable[[SolveResult], bool]] = None,
+) -> SolveResult:
     """Alternating projections with an exact affine step; deterministic.
 
     Residuals and the duality gap in the returned result are recomputed on
     the original (unscaled) problem from the final iterates, so re-deriving
     them from the result's vectors reproduces them exactly.
+
+    `setup`, from `conic_setup` on a problem with this very `A`, skips the
+    per-solve equilibration and factorization; without it one is built
+    here.  The iterates are the same either way.
+
+    `settled`, when given, is asked at a convergence check whether the
+    current iterate already decides the caller's question; the solve then
+    stops with status "settled" and returns that very result.  It is only
+    asked when the float screen min(pobj, dobj - ||c + A^T z||_1) is
+    positive: the float image of the rigorous bound's cap, anchor and
+    coefficient residual, so a non-positive screen means the rigorous bound
+    cannot be positive either (up to rounding, which the callback's own
+    exact check decides).
     """
     opts = opts or SolveOptions()
+    if setup is None:
+        setup = conic_setup(problem, opts.scaling)
+    elif setup.A0 is not problem.A or setup.scaling != opts.scaling:
+        raise ValueError("the conic setup was built for another problem or scaling")
     A0, b0, c0vec = problem.A, problem.b, problem.c
+    E, D, A, At = setup.E, setup.D, setup.A, setup.At
+    solve_normal, groups = setup.solve_normal, setup.groups
     m, n = A0.shape
-
-    if opts.scaling and m and n:
-        E, D = _equilibrate(problem)
-    else:
-        E, D = np.ones(m), np.ones(n)
-    A = sp.diags(E) @ A0 @ sp.diags(D)
-    A = A.tocsr()
     b = E * b0
     c = D * c0vec
 
-    At = A.T.tocsr()
-    solve_normal = _make_solver((At @ A).tocsc())
-
     rho = opts.rho
     y = np.zeros(n)
-    groups = _psd_groups(problem)
     s = _project_cone(b, problem.n_nonneg, groups)
     u = np.zeros(m)
 
@@ -246,15 +316,36 @@ def solve_conic(problem: ConicProblem, opts: Optional[SolveOptions] = None) -> S
 
     def true_residuals(y_o, s_o, z_o):
         pres = np.linalg.norm(A0 @ y_o + s_o - b0) / bnorm
-        dres = np.linalg.norm(c0vec + A0.T @ z_o) / cnorm
+        dual_res = c0vec + A0.T @ z_o
+        dres = np.linalg.norm(dual_res) / cnorm
         pobj = problem.c0 + float(c0vec @ y_o)
         dobj = problem.c0 - float(b0 @ z_o)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        return pres, dres, gap, pobj, dobj
+        return pres, dres, gap, pobj, dobj, dual_res
+
+    def result(status, it, y_o, s_o, z_o):
+        pres, dres, gap, pobj, dobj, _ = true_residuals(y_o, s_o, z_o)
+        sig, grams = problem.split_cone_vector(z_o)
+        s_nonneg, s_psd = problem.split_cone_vector(s_o)
+        return SolveResult(
+            status=status,
+            primal_objective=pobj,
+            dual_objective=dobj,
+            iterations=it,
+            primal_residual=pres,
+            dual_residual=dres,
+            gap=gap,
+            y=y_o,
+            slack_nonneg=s_nonneg,
+            slack_psd=tuple(s_psd),
+            sigmas=sig,
+            grams=tuple(grams),
+            options=opts,
+            problem=problem,
+        )
 
     status = "max_iter"
     it = 0
-    pres = dres = gap = math.inf
     for it in range(1, opts.max_iter + 1):
         rhs = At @ (b - s - u) - c / rho
         y = solve_normal(rhs)
@@ -265,10 +356,14 @@ def solve_conic(problem: ConicProblem, opts: Optional[SolveOptions] = None) -> S
 
         if it % opts.check_every == 0 or it == opts.max_iter:
             y_o, s_o, z_o = unscaled(y, s, u)
-            pres, dres, gap, pobj, dobj = true_residuals(y_o, s_o, z_o)
+            pres, dres, gap, pobj, dobj, dual_res = true_residuals(y_o, s_o, z_o)
             if pres <= opts.tol and dres <= opts.tol and gap <= opts.tol:
                 status = "optimal"
                 break
+            if settled is not None and min(pobj, dobj - float(np.abs(dual_res).sum())) > 0:
+                candidate = result("settled", it, y_o, s_o, z_o)
+                if settled(candidate):
+                    return candidate
             if it % 200 == 0:
                 # certified infeasibility: a dual ray
                 znorm = np.linalg.norm(z_o)
@@ -288,26 +383,7 @@ def solve_conic(problem: ConicProblem, opts: Optional[SolveOptions] = None) -> S
                     u *= 2.0
                     rho *= 0.5
 
-    y_o, s_o, z_o = unscaled(y, s, u)
-    pres, dres, gap, pobj, dobj = true_residuals(y_o, s_o, z_o)
-    sig, grams = problem.split_cone_vector(z_o)
-    s_nonneg, s_psd = problem.split_cone_vector(s_o)
-    return SolveResult(
-        status=status,
-        primal_objective=pobj,
-        dual_objective=dobj,
-        iterations=it,
-        primal_residual=pres,
-        dual_residual=dres,
-        gap=gap,
-        y=y_o,
-        slack_nonneg=s_nonneg,
-        slack_psd=tuple(s_psd),
-        sigmas=sig,
-        grams=tuple(grams),
-        options=opts,
-        problem=problem,
-    )
+    return result(status, it, *unscaled(y, s, u))
 
 
 # ---------------------------------------------------------------------------
@@ -320,26 +396,15 @@ def lp_to_conic(instance: VerificationInstance) -> ConicProblem:
     if instance.encoding_kind != "lp":
         raise ValueError("expected an LP instance")
     variables, A_ge, d = linear_inequalities(instance)
-    coeffs: dict[Var, Fraction] = {}
-    const = Fraction(0)
-    for mono, coeff in instance.objective.terms.items():
-        if not mono:
-            const += Fraction(coeff)
-        else:
-            coeffs[mono[0][0]] = Fraction(coeff)
-    c = np.zeros(len(variables))
-    for i, v in enumerate(variables):
-        if v in coeffs:
-            c[i] = float(coeffs[v])
     return ConicProblem(
         A=sp.csc_matrix(-A_ge),
         b=-d,
-        c=c,
-        c0=float(const),
+        c=np.zeros(len(variables)),
+        c0=0.0,
         n_nonneg=A_ge.shape[0],
         psd_sizes=(),
         ids_order=tuple((v,) for v in variables),
-    )
+    ).with_objective(instance.objective)
 
 
 def solve_lp(

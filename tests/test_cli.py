@@ -2,11 +2,17 @@
 
 import json
 
+import numpy as np
 import pytest
 
+import bnncert.cli as cli
 from bnncert.cli import main
+from bnncert.encode import PerturbationRegion
 from bnncert.model import fold_batchnorm, forward, load_model, stabilize
+from bnncert.oracle import sample_region
 from bnncert.sdp import read_sdpa
+
+from conftest import make_example1, random_net
 
 
 def run(example1_files, *extra):
@@ -256,3 +262,87 @@ def test_export_validation_errors(example1_files, tmp_path, capsys):
     assert main(args + ["--eps", "0"]) == 3
     assert main(args + ["--eps", "1.0", "--target", "2"]) == 3
     capsys.readouterr()
+
+
+def test_readme_example_settles_at_default_options(example1_files, tmp_path):
+    # the first iterate with a positive rigorous bound ends the solve; its
+    # bound is a certificate, not the relaxation optimum (the oracle's 3)
+    rc, rep = run_json(example1_files, tmp_path, "--eps", "0.2", "--method", "sdp1-tight")
+    assert rc == 0
+    assert rep["verdict"] == "robust"
+    (target,) = rep["targets"]
+    assert target["solver_status"] == "settled"
+    assert target["iterations"] <= 300
+    assert 0 < target["lower_bound"] <= 3.0
+
+
+def test_unsettled_solve_never_asks_the_callback(example1_files, tmp_path, monkeypatch):
+    asked = []
+    solve = cli.solve_conic
+
+    def spy(problem, opts, setup, settled):
+        def counted(res):
+            asked.append(res.iterations)
+            return settled(res)
+
+        return solve(problem, opts, setup, counted)
+
+    monkeypatch.setattr(cli, "solve_conic", spy)
+    rc, rep = run_json(
+        example1_files, tmp_path, "--eps", "0.2", "--method", "sdp1",
+        "--tol", "1e-4", "--max-iter", "2000",
+    )
+    assert rc == 2
+    (target,) = rep["targets"]
+    assert target["iterations"] == 50
+    assert target["solver_status"] == "optimal"
+    assert target["lower_bound"] == pytest.approx(-1.0, abs=1e-4)
+    assert asked == []
+
+
+def test_oracle_witness_is_not_recomputed(example1_files, tmp_path, monkeypatch):
+    calls = []
+    exact = cli.exact_verify
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "exact_verify", spy)
+    rc, rep = run_json(example1_files, tmp_path, "--eps", "0.7", "--method", "oracle")
+    assert rc == 1
+    assert rep["targets"][0]["status"] == "falsified"
+    assert len(calls) == len(rep["targets"]) == 1
+
+
+def attack_loop(net, region, label, n, seed):
+    """Reference: the sampling attack as one `forward` per sample."""
+    if forward(net, region.center).label != label:
+        return region.center
+    for x0 in sample_region(region, n, np.random.default_rng(seed)):
+        if forward(net, x0).label != label:
+            return x0
+    return None
+
+
+def test_batched_attack_returns_the_loop_counterexample():
+    found = 0
+    nets = [(make_example1(), np.array([0.0, 0.5, 0.0]), 2)]
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        net = stabilize(random_net(rng, (10, 8, 8, 3)))
+        x = rng.uniform(-0.2, 0.2, 10)
+        nets.append((net, x, forward(net, x).label))
+    for net, x, label in nets:
+        for norm in ("linf", "l2"):
+            for eps in (0.3, 0.7, 1.0):
+                region = getattr(PerturbationRegion, norm)(x, eps)
+                for seed in (0, 1):
+                    got = cli._find_counterexample(net, region, label, 200, seed)
+                    want = attack_loop(net, region, label, 200, seed)
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        found += 1
+                        assert got.tobytes() == want.tobytes()
+                        assert forward(net, got).label != label
+    assert found >= 10

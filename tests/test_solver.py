@@ -32,6 +32,7 @@ from bnncert import (
 from bnncert.oracle import exact_verify
 from bnncert.solver import (
     _exact_psd_check,
+    conic_setup,
     _float_down,
     _float_up,
     _project_cone,
@@ -301,6 +302,9 @@ def test_solve_options_validate():
         SolveOptions(max_iter=0)
     with pytest.raises(ValueError):
         SolveOptions(rho=-1.0)
+    for every in (0, -5):
+        with pytest.raises(ValueError, match="check_every"):
+            SolveOptions(check_every=every)
 
 
 # -- cone projection ------------------------------------------------------------
@@ -499,3 +503,123 @@ def test_certificate_expansion_matches_polynomial_chain(encoder):
                 chain_expansion(cert, inst, cliques)
             )
         assert rb.eigenvalue_deficits[0] > 0
+
+
+# -- shared setup across targets, and stopping at a settled verdict ------------
+
+
+def seeded_query():
+    """A stabilized 10-8-8-3 net, a region and the true label 1."""
+    rng = np.random.default_rng(42)
+    net = stabilize(random_net(rng, (10, 8, 8, 3)))
+    return net, random_region(rng, 10), 1
+
+
+def test_shared_setup_matches_fresh_solve_for_every_target():
+    net, region, label = seeded_query()
+    cliques = build_cliques(net)
+    objectives = {k: objective_targeted(net, label, k) for k in (2, 3)}
+    shared = to_conic(assemble_moment_sdp(encode_tightened(net, region, objectives[2]), cliques))
+    setup = conic_setup(shared)
+    opts = SolveOptions(tol=1e-4, max_iter=150)
+    for f in objectives.values():
+        fresh_problem = to_conic(assemble_moment_sdp(encode_tightened(net, region, f), cliques))
+        problem = shared.with_objective(f)
+        assert problem.A is shared.A
+        assert problem.c.tobytes() == fresh_problem.c.tobytes()
+        assert problem.c0 == fresh_problem.c0
+        fresh = solve_conic(fresh_problem, opts)
+        reused = solve_conic(problem, opts, setup)
+        assert reused.iterations == fresh.iterations
+        assert reused.status == fresh.status
+        assert reused.y.tobytes() == fresh.y.tobytes()
+        assert reused.sigmas.tobytes() == fresh.sigmas.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(reused.grams, fresh.grams))
+
+
+def test_lp_with_objective_matches_lp_to_conic(example1):
+    region = PerturbationRegion.linf([0, 0.5, 0], 1.0)
+    shared = lp_to_conic(encode_lp(example1, region, objective_targeted(example1, 2, 1)))
+    f = objective_targeted(example1, 1, 2)
+    fresh = lp_to_conic(encode_lp(example1, region, f))
+    problem = shared.with_objective(f)
+    assert problem.c.tobytes() == fresh.c.tobytes() and problem.c0 == fresh.c0
+    assert (problem.A != fresh.A).nnz == 0
+
+
+def test_setup_of_another_problem_is_rejected():
+    setup = conic_setup(analytic_sdp())
+    with pytest.raises(ValueError, match="setup"):
+        solve_conic(analytic_sdp(), setup=setup)  # equal, but another A
+    with pytest.raises(ValueError, match="setup"):
+        problem = analytic_sdp()
+        solve_conic(problem, SolveOptions(scaling=False), conic_setup(problem))
+
+
+def shifted_sdp(shift: float) -> ConicProblem:
+    """`analytic_sdp` plus a constant: optimum shift - 1."""
+    return dataclasses.replace(analytic_sdp(), c0=shift)
+
+
+def test_settled_stops_at_the_first_accepted_iterate():
+    problem = shifted_sdp(3.0)
+    seen = []
+
+    def settled(res):
+        seen.append(res)
+        return len(seen) == 2
+
+    res = solve_conic(problem, SolveOptions(check_every=5), settled=settled)
+    assert res.status == "settled"
+    assert res is seen[-1]
+    assert res.iterations == 10  # the second check
+    assert res.primal_objective > 0
+
+
+def test_declined_callback_leaves_the_iterates_unchanged():
+    problem = shifted_sdp(3.0)
+    calls = []
+    plain = solve_conic(problem)
+    asked = solve_conic(problem, settled=lambda res: calls.append(res) or False)
+    assert calls  # the screen was positive, the callback declined
+    assert asked.status == plain.status == "optimal"
+    assert asked.iterations == plain.iterations
+    assert asked.y.tobytes() == plain.y.tobytes()
+    assert asked.sigmas.tobytes() == plain.sigmas.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(asked.grams, plain.grams))
+
+
+def test_callback_is_not_asked_while_the_screen_is_not_positive():
+    def settled(res):
+        raise AssertionError("asked with a non-positive screen")
+
+    res = solve_conic(shifted_sdp(0.5), settled=settled)  # optimum -0.5
+    assert res.status == "optimal"
+
+
+def screen_instances():
+    net = make_example1()
+    region = PerturbationRegion.linf([0, 0.5, 0], 0.5)
+    f = objective_targeted(net, 2, 1)
+    yield encode_tightened(net, region, f), 100
+    yield encode_standard(net, region, f), 2000
+    yield encode_lp(net, PerturbationRegion.linf([0, 0.5, 0], 0.7), f), 2000
+    q_net, q_region, label = seeded_query()
+    yield encode_tightened(q_net, q_region, objective_targeted(q_net, label, 3)), 100
+
+
+def test_float_screen_matches_rigorous_anchor_minus_residual():
+    """dobj - ||c + A^T z||_1 is the float image of anchor - residual."""
+    for inst, max_iter in screen_instances():
+        cliques = None if inst.encoding_kind == "lp" else build_cliques(inst.net)
+        problem = (
+            lp_to_conic(inst)
+            if cliques is None
+            else to_conic(assemble_moment_sdp(inst, cliques))
+        )
+        res = solve_conic(problem, SolveOptions(tol=1e-4, max_iter=max_iter))
+        z = np.concatenate([res.sigmas] + [svec(G) for G in res.grams])
+        screen = res.dual_objective - float(np.abs(problem.c + problem.A.T @ z).sum())
+        rb = rigorous_lower_bound(res, inst, cliques)
+        scale = max(1.0, abs(rb.anchor), rb.coefficient_residual)
+        assert abs(screen - (rb.anchor - rb.coefficient_residual)) <= 1e-9 * scale
