@@ -10,6 +10,14 @@ strictly positive rigorous bound for every target, "falsified" demands an
 explicit region point whose forward label differs.  Sampling always runs
 opportunistically first (seeded, cheap) so an easily-falsified query never
 burns solver time.
+
+Targets are bounded in class order, and bounding stops as soon as the
+verdict cannot change: after a forward-checked counterexample (any method),
+or after an `lp`/`sdp1`/`sdp1-tight` target that is not certified (these
+engines return no witness, so the verdict can then only be "unknown").  The
+remaining targets keep their place in the report with status "skipped".
+`oracle` and `sample-ub` go on past an unconfirmed non-robust target, since
+a later target may still falsify.
 """
 
 from __future__ import annotations
@@ -55,10 +63,12 @@ from bnncert.oracle import (
 from bnncert.poly import MultilinearPoly
 from bnncert.sdp import ConicProblem, assemble_moment_sdp, export_sdpa, to_conic
 from bnncert.solver import (
+    CertificatePlan,
     ConicSetup,
     RigorousBound,
     SolveOptions,
     SolveResult,
+    certificate_plan,
     conic_setup,
     lp_to_conic,
     rigorous_lower_bound,
@@ -82,7 +92,7 @@ class TargetReport:
     method: str
     lower_bound: Optional[float]
     approximate: Optional[float]
-    status: str  # robust | falsified | unknown
+    status: str  # robust | falsified | unknown | skipped (verdict already decided)
     wall_time: float
     iterations: Optional[int] = None
     solver_status: Optional[str] = None
@@ -205,12 +215,14 @@ def _margin_targets(net: FoldedBnn, x0: np.ndarray, label: int) -> list[TargetRe
 class _Relaxation:
     """One query's relaxation in conic form, shared by its attack targets:
     from one target to the next only the objective changes, so the encoding,
-    the moment assembly, the conic form and the solver setup are built once."""
+    the moment assembly, the conic form, the solver setup and the
+    certificate plan are built once."""
 
     instance: VerificationInstance
     problem: ConicProblem
     setup: ConicSetup
     cliques: Optional[list]
+    plan: CertificatePlan
 
     def bound(
         self, objective: MultilinearPoly, k: int, opts: SolveOptions, settle: bool
@@ -221,8 +233,11 @@ class _Relaxation:
         instance = replace(self.instance, constraints=constraints, target=k)
         bounds: dict[int, RigorousBound] = {}
 
+        def rigorize(res: SolveResult) -> RigorousBound:
+            return rigorous_lower_bound(res, instance, self.cliques, self.plan)
+
         def certified(res: SolveResult) -> bool:
-            bounds[res.iterations] = rigorous_lower_bound(res, instance, self.cliques)
+            bounds[res.iterations] = rigorize(res)
             return bounds[res.iterations].value > 0
 
         res = solve_conic(
@@ -233,7 +248,7 @@ class _Relaxation:
         )
         rb = bounds.get(res.iterations)
         if rb is None:
-            rb = rigorous_lower_bound(res, instance, self.cliques)
+            rb = rigorize(res)
         return res, rb
 
 
@@ -257,7 +272,13 @@ def _relax(
         instance = encoder(net, region, objective, true_label=label, target=k)
         cliques = build_cliques(net)
         problem = to_conic(assemble_moment_sdp(instance, cliques))
-    return _Relaxation(instance, problem, conic_setup(problem, opts.scaling), cliques)
+    return _Relaxation(
+        instance,
+        problem,
+        conic_setup(problem, opts.scaling),
+        cliques,
+        certificate_plan(instance, cliques),
+    )
 
 
 def _bound_one_target(
@@ -385,7 +406,11 @@ def run_verify(args) -> int:
             if args.method in ("lp", "sdp1", "sdp1-tight"):
                 k, objective = next(iter(objectives.items()))
                 relaxation = _relax(net, region, label, k, objective, args.method, opts)
+            decided = False
             for k, objective in objectives.items():
+                if decided:
+                    targets.append(TargetReport(k, args.method, None, None, "skipped", 0.0))
+                    continue
                 entry, witness = _bound_one_target(
                     net, region, k, objective, args.method, opts, relaxation
                 )
@@ -395,6 +420,11 @@ def run_verify(args) -> int:
                     entry.status = "falsified"
                     counterexample = witness
                 targets.append(entry)
+                # a relaxation returns no witness: once one of its targets is
+                # not certified, the verdict can only be "unknown"
+                decided = counterexample is not None or (
+                    relaxation is not None and entry.status != "robust"
+                )
 
     if counterexample is not None:
         verdict = "falsified"
@@ -435,6 +465,9 @@ def run_verify(args) -> int:
     print(f"model {args.model} (sha256 {report.model_sha256[:12]}...), widths {net.widths}")
     print(f"input #{args.index}, true label {label}, {args.norm} radius {eps:g}")
     for t in targets:
+        if t.status == "skipped":
+            print(f"  target {t.target}: [{t.method}] skipped, verdict already decided")
+            continue
         lb = "-" if t.lower_bound is None else f"{t.lower_bound:.6g}"
         ap = "-" if t.approximate is None else f"{t.approximate:.6g}"
         print(

@@ -27,6 +27,7 @@ __all__ = [
     "RawBnn",
     "fold_batchnorm",
     "forward",
+    "forward_activations",
     "forward_labels",
     "forward_raw",
     "load_inputs",
@@ -378,6 +379,34 @@ def forward_labels(net: FoldedBnn, xs: np.ndarray) -> np.ndarray:
         cur = _sign_pm1(cur @ net.weight(i).T + net.bias(i))
     logits = cur @ net.weight(net.depth + 1).T + net.bias(net.depth + 1)
     return np.argmax(logits, axis=1) + 1
+
+
+def forward_activations(net: FoldedBnn, xs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Hidden activations of the rows of `xs`, one int64 matrix per layer,
+    with exactly the signs `forward` gives each row.
+
+    Layer 1 is one matrix product.  Its sums may round in another order
+    than `forward`'s, but both lie within (n0 + 1) * eps/2 * (sum|x| + |b|)
+    of the exact value, so a sign can differ only where a pre-activation is
+    within twice that of zero; those rows are recomputed with `forward`'s
+    expression.  Deeper layers sum integers, which no order rounds, plus one
+    bias rounding.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != net.widths[0]:
+        raise ValueError(f"inputs of shape {xs.shape} do not match n0 = {net.widths[0]}")
+    w, b = net.weight(1), net.bias(1)
+    z = xs @ w.T + b
+    slack = 2.0 * (xs.shape[1] + 2) * np.finfo(float).eps
+    near = np.abs(z) <= slack * (np.abs(xs).sum(axis=1, keepdims=True) + np.abs(b))
+    cur = _sign_pm1(z)
+    for r in np.flatnonzero(near.any(axis=1)):
+        cur[r] = _sign_pm1(w @ xs[r] + b)
+    acts = [cur]
+    for i in range(2, net.depth + 1):
+        cur = _sign_pm1(cur @ net.weight(i).T + net.bias(i))
+        acts.append(cur)
+    return tuple(acts)
 
 
 def forward_raw(raw: RawBnn, x0: Sequence[float]) -> int:

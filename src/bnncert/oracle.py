@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from bnncert.encode import PerturbationRegion, VerificationInstance, substitute_pattern
-from bnncert.model import FoldedBnn, forward
+from bnncert.model import FoldedBnn, forward, forward_activations
 from bnncert.poly import MultilinearPoly, Var
 
 __all__ = [
@@ -490,7 +490,10 @@ def sample_upper_bound(
 
     Every sample is a true network execution, so the result is always an
     upper bound on the exact optimum (for radius 0 the single sample is the
-    center).  Deterministic for a fixed seed.
+    center).  Deterministic for a fixed seed.  The samples' activations come
+    from one batched pass with `forward`'s signs; an objective without input
+    variables is evaluated once per distinct activation pattern.  Ties keep
+    the first minimizing sample.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -501,20 +504,27 @@ def sample_upper_bound(
         pts = np.tile(region.center, (1, 1))
     else:
         pts = sample_region(region, n_samples, rng)
-    best_val = None
-    best_x = None
-    for x0 in pts:
-        tr = forward(net, x0)
-        assignment: dict[Var, float] = {
-            Var(0, k + 1): float(x0[k]) for k in range(net.input_dim)
-        }
-        for i, act in enumerate(tr.activations, start=1):
-            for j, s in enumerate(act, start=1):
-                assignment[Var(i, j)] = float(s)
-        val = float(objective.evaluate(assignment))
-        if best_val is None or val < best_val:
-            best_val, best_x = val, x0
-    return SampleBound(value=best_val, x0=np.asarray(best_x), n_samples=n_samples, seed=seed)
+    acts = np.hstack(forward_activations(net, pts))
+    hidden = [Var(i, j) for i, width in enumerate(net.hidden_widths, start=1)
+              for j in range(1, width + 1)]
+    inputs = [Var(0, k) for k in range(1, net.input_dim + 1)]
+
+    def value(x0, pattern) -> float:
+        assignment = dict(zip(inputs, map(float, x0)))
+        assignment.update(zip(hidden, map(float, pattern)))
+        return float(objective.evaluate(assignment))
+
+    if any(v.layer == 0 for v in objective.variables()):
+        values = np.array([value(x0, pattern) for x0, pattern in zip(pts, acts)])
+    else:
+        # constant on each activation pattern: evaluate each pattern once
+        patterns, which = np.unique(acts, axis=0, return_inverse=True)
+        per_pattern = np.array([value((), pattern) for pattern in patterns])
+        values = per_pattern[which.reshape(-1)]
+    best = int(np.argmin(values))  # the first minimum in sample order
+    return SampleBound(
+        value=float(values[best]), x0=pts[best], n_samples=n_samples, seed=seed
+    )
 
 
 def relative_improvement(

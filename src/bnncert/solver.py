@@ -21,12 +21,16 @@ the solve stops with status "settled" as soon as it accepts.
 
 `rigorous_lower_bound` turns that approximate certificate into a bound that
 holds despite floating-point error: the certificate combination is expanded
-in exact rational arithmetic (binary64 values are dyadic rationals) into one
-accumulator, reduced modulo x^2 = 1 term by term, and the leftover polynomial
-is bounded coefficient-wise using |x| <= 1 for every variable.  A Gram block
-costs nothing when a fraction-free integer LDL^T proves it PSD, and pays an
-eigenvalue-deficit term otherwise.  Everything here is deterministic: same
-problem, same options, bit-identical output.
+exactly, reduced modulo x^2 = 1, and the leftover polynomial is bounded
+coefficient-wise using |x| <= 1 for every variable.  The expansion runs in
+Python integers at one common scale (binary64 values are dyadic rationals),
+over a `CertificatePlan` -- each row's terms and each Gram entry's monomial,
+reduced and numbered -- that `certificate_plan` builds once per constraint
+set and cliques and every target and iterate of a query shares.  A Gram
+block costs nothing when a fraction-free integer LDL^T proves it PSD, and
+pays an eigenvalue-deficit term otherwise; an exact negative Rayleigh
+quotient disproves PSD-ness before the factorization runs.  Everything here
+is deterministic: same problem, same options, bit-identical output.
 """
 
 from __future__ import annotations
@@ -50,10 +54,12 @@ from bnncert.poly import Var
 from bnncert.sdp import ConicProblem, smat, svec
 
 __all__ = [
+    "CertificatePlan",
     "ConicSetup",
     "RigorousBound",
     "SolveOptions",
     "SolveResult",
+    "certificate_plan",
     "conic_setup",
     "lp_to_conic",
     "rigorous_lower_bound",
@@ -167,15 +173,17 @@ def _project_cone(
 # ---------------------------------------------------------------------------
 
 
-def _row_groups(n_nonneg: int, psd_sizes: Sequence[int]) -> list[tuple[int, int]]:
-    """Maximal row ranges that must share one scale (PSD blocks are rigid)."""
-    groups = [(r, r + 1) for r in range(n_nonneg)]
-    pos = n_nonneg
-    for size in psd_sizes:
-        ln = size * (size + 1) // 2
-        groups.append((pos, pos + ln))
-        pos += ln
-    return groups
+def _row_groups(
+    n_nonneg: int, psd_sizes: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, lengths) of the maximal row ranges that must share one scale:
+    one per nonnegative row, one per PSD block (PSD blocks are rigid)."""
+    lengths = np.array(
+        [1] * n_nonneg + [size * (size + 1) // 2 for size in psd_sizes], dtype=np.intp
+    )
+    starts = np.zeros_like(lengths)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    return starts, lengths
 
 
 def _equilibrate(problem: ConicProblem, iters: int = 10):
@@ -184,14 +192,12 @@ def _equilibrate(problem: ConicProblem, iters: int = 10):
     m, n = A.shape
     E = np.ones(m)
     D = np.ones(n)
-    groups = _row_groups(problem.n_nonneg, problem.psd_sizes)
+    starts, lengths = _row_groups(problem.n_nonneg, problem.psd_sizes)
     for _ in range(iters):
         absA = abs(A)
         rmax = np.asarray(absA.max(axis=1).todense()).ravel()
-        e = np.ones(m)
-        for lo, hi in groups:
-            g = rmax[lo:hi].max() if hi > lo else 0.0
-            e[lo:hi] = 1.0 / math.sqrt(g) if g > 0 else 1.0
+        g = np.maximum.reduceat(rmax, starts)
+        e = np.repeat(1.0 / np.sqrt(np.where(g > 0, g, 1.0)), lengths)
         cmax = np.asarray(absA.max(axis=0).todense()).ravel()
         d = np.where(cmax > 0, 1.0 / np.sqrt(cmax), 1.0)
         A = sp.diags(e) @ A @ sp.diags(d)
@@ -212,7 +218,8 @@ def _make_solver(AtA: sp.csc_matrix):
     if n <= 400:
         dense = AtA.toarray()
         chol = scipy.linalg.cho_factor(dense, lower=True)
-        return lambda rhs: scipy.linalg.cho_solve(chol, rhs)
+        # the factor is finite by construction; skip the per-call re-check
+        return lambda rhs: scipy.linalg.cho_solve(chol, rhs, check_finite=False)
     # imported here: only problems this large need it, and importing it
     # costs about 4 MB of resident memory
     from scipy.sparse.linalg import splu
@@ -354,9 +361,14 @@ def solve_conic(
         s = _project_cone(w, problem.n_nonneg, groups)
         u = s - w  # = u + Ay + s - b
 
-        if it % opts.check_every == 0 or it == opts.max_iter:
-            y_o, s_o, z_o = unscaled(y, s, u)
-            pres, dres, gap, pobj, dobj, dual_res = true_residuals(y_o, s_o, z_o)
+        check = it % opts.check_every == 0 or it == opts.max_iter
+        # every 200 iterations, whatever check_every is
+        rebalance = it % 200 == 0
+        if not (check or rebalance):
+            continue
+        y_o, s_o, z_o = unscaled(y, s, u)
+        pres, dres, gap, pobj, dobj, dual_res = true_residuals(y_o, s_o, z_o)
+        if check:
             if pres <= opts.tol and dres <= opts.tol and gap <= opts.tol:
                 status = "optimal"
                 break
@@ -364,24 +376,21 @@ def solve_conic(
                 candidate = result("settled", it, y_o, s_o, z_o)
                 if settled(candidate):
                     return candidate
-            if it % 200 == 0:
-                # certified infeasibility: a dual ray
-                znorm = np.linalg.norm(z_o)
-                if znorm > 1e-10:
-                    ray = z_o / znorm
-                    if (
-                        np.linalg.norm(A0.T @ ray) <= 1e-9
-                        and float(b0 @ ray) < -1e-9
-                    ):
-                        status = "infeasible_certificate"
-                        break
-                # residual balancing
-                if pres > 10.0 * dres and rho < 1e6:
-                    u *= 0.5
-                    rho *= 2.0
-                elif dres > 10.0 * pres and rho > 1e-6:
-                    u *= 2.0
-                    rho *= 0.5
+        if rebalance:
+            # certified infeasibility: a dual ray
+            znorm = np.linalg.norm(z_o)
+            if znorm > 1e-10:
+                ray = z_o / znorm
+                if np.linalg.norm(A0.T @ ray) <= 1e-9 and float(b0 @ ray) < -1e-9:
+                    status = "infeasible_certificate"
+                    break
+            # residual balancing
+            if pres > 10.0 * dres and rho < 1e6:
+                u *= 0.5
+                rho *= 2.0
+            elif dres > 10.0 * pres and rho > 1e-6:
+                u *= 2.0
+                rho *= 0.5
 
     return result(status, it, *unscaled(y, s, u))
 
@@ -474,42 +483,122 @@ def _reduce_mono(mono: tuple) -> tuple:
     )
 
 
-def _accumulate(acc: dict, terms, factor) -> None:
-    """acc += factor * sum(terms), exactly, with monomials reduced."""
-    for mono, coeff in terms:
-        if not isinstance(coeff, (int, Fraction)):
-            coeff = Fraction(coeff)
-        key = _reduce_mono(mono)
-        acc[key] = acc.get(key, 0) + coeff * factor
+def _rational(c):
+    """An exact int or Fraction equal to the coefficient c."""
+    return c if isinstance(c, (int, Fraction)) else Fraction(c)
 
 
-def _gram_terms(G: np.ndarray, variables: Sequence[Var]):
-    """Terms of (1, x_clique)^T G (1, x_clique), exact, upper triangle of G."""
-    rows = G.tolist()
-    yield (), Fraction(rows[0][0])
-    for p, v in enumerate(variables, start=1):
-        yield ((v, 1),), 2 * Fraction(rows[0][p])
-        yield ((v, 2),), Fraction(rows[p][p])
-        for q in range(p + 1, len(rows)):
-            pair = tuple(sorted(((v, 1), (variables[q - 1], 1))))
-            yield pair, 2 * Fraction(rows[p][q])
+def _mono_of(u: Optional[Var], v: Optional[Var]) -> tuple:
+    """The monomial u * v, where None stands for the constant 1."""
+    if u is None:
+        return () if v is None else ((v, 1),)
+    if u == v:
+        return ((u, 2),)
+    return tuple(sorted(((u, 1), (v, 1))))
+
+
+@dataclass(frozen=True)
+class CertificatePlan:
+    """The certificate expansion's view of one query's constraints and cliques.
+
+    Every reduced monomial the rows or the Gram blocks produce has a slot
+    (slot 0 is the constant monomial).  `rows[r]` lists inequality row r's
+    terms as (slot, coefficient * denominator), all integers over the one
+    common `denominator`; `gram_slots[b]` holds the slot of every
+    upper-triangle entry of clique b's Gram matrix, row by row.  Nothing
+    here depends on the objective or on a certificate, so the attack targets
+    of a query and every rigorized iterate share one plan.
+    """
+
+    inequalities: tuple = field(repr=False)
+    cliques: Optional[Sequence[Clique]] = field(repr=False)
+    slots: dict = field(repr=False)
+    denominator: int
+    rows: tuple = field(repr=False)
+    gram_slots: tuple = field(repr=False)
+
+
+def certificate_plan(
+    instance: VerificationInstance, cliques: Optional[Sequence[Clique]] = None
+) -> CertificatePlan:
+    """Precompute the expansion of `instance`'s rows and of the Gram blocks
+    of `cliques` (none when `cliques` is None: a linear relaxation)."""
+    slots: dict = {(): 0}
+    seen: dict = {}  # unreduced monomial -> slot
+
+    def slot(mono) -> int:
+        k = seen.get(mono)
+        if k is None:
+            k = seen[mono] = slots.setdefault(_reduce_mono(mono), len(slots))
+        return k
+
+    ineqs = instance.constraints.inequalities
+    terms = [
+        [(slot(mono), _rational(coeff)) for mono, coeff in con.poly.terms.items()]
+        for con in ineqs
+    ]
+    L = math.lcm(*(c.denominator for row in terms for _, c in row))
+    rows = tuple(
+        tuple((k, c.numerator * (L // c.denominator)) for k, c in row) for row in terms
+    )
+    gram_slots = []
+    for clique in cliques or ():
+        # entry (p, q) of the Gram matrix of (1, x_clique) multiplies x_p x_q
+        # (x_0 = 1)
+        xs = (None,) + clique.variables
+        gram_slots.append(
+            tuple(
+                slot(_mono_of(xs[p], xs[q]))
+                for p in range(len(xs))
+                for q in range(p, len(xs))
+            )
+        )
+    return CertificatePlan(ineqs, cliques, slots, L, rows, tuple(gram_slots))
+
+
+def _disproves_psd(G: np.ndarray, upper: Sequence[Sequence[int]]) -> bool:
+    """True when v^T G v < 0 exactly, v the float eigenvector of G's smallest
+    eigenvalue: a proof that G is not PSD.  `upper[p]` holds G's row p from
+    the diagonal on, integer-scaled -- the entries `_exact_psd_check` reads."""
+    v = np.linalg.eigh(G, UPLO="U")[1][:, 0]
+    ratios = [x.as_integer_ratio() for x in v.tolist()]
+    scale = max(den for _, den in ratios)
+    a = [num * (scale // den) for num, den in ratios]
+    quotient = 0
+    for p, row in enumerate(upper):
+        if a[p]:
+            off = sum(aq * g for aq, g in zip(a[p + 1 :], row[1:]))
+            quotient += a[p] * (a[p] * row[0] + 2 * off)
+    return quotient < 0
 
 
 def rigorous_lower_bound(
     result: SolveResult,
     instance: VerificationInstance,
     cliques: Optional[Sequence[Clique]] = None,
+    plan: Optional[CertificatePlan] = None,
 ) -> RigorousBound:
     """Bound the encoded optimum from below using only the dual certificate.
 
-    Expands f - sum sigma_g * g - sum v_k^T G_k v_k in exact rational
-    arithmetic (negative sigmas are clamped to zero first, which simply moves
-    their term into the remainder), reduces modulo x^2 = 1, and charges the
-    remainder coefficient-wise (every variable and variable product has
-    magnitude at most 1 on the feasible set).  Gram blocks pay an eigenvalue
-    deficit (block size) * max(0, -lambda_min_lower); exactly PSD blocks are
-    recognized by an exact integer factorization and pay zero.  The reported
-    value is finally capped at the solve's primal objective.
+    Expands f - sum sigma_g * g - sum v_k^T G_k v_k exactly (negative sigmas
+    are clamped to zero first, which simply moves their term into the
+    remainder), reduces modulo x^2 = 1, and charges the remainder
+    coefficient-wise (every variable and variable product has magnitude at
+    most 1 on the feasible set).  The expansion runs in Python integers at
+    one scale: the plan's common row denominator times the largest
+    power-of-two denominator of the positive sigmas and Gram entries times
+    the objective's denominators; the anchor and the budget become
+    fractions once, at the end.
+
+    Gram blocks pay an eigenvalue deficit (block size) * max(0,
+    -lambda_min_lower); exactly PSD blocks are recognized by an exact
+    integer factorization and pay zero.  A block whose exact Rayleigh
+    quotient at the float minimal eigenvector is negative is proven not PSD
+    without the factorization.  The reported value is finally capped at the
+    solve's primal objective.
+
+    `plan`, from `certificate_plan` on this very instance's rows and
+    `cliques`, is reused; without it one is built here.
     """
     sig = np.asarray(result.sigmas, dtype=float)
     grams = result.grams
@@ -522,27 +611,71 @@ def rigorous_lower_bound(
         raise ValueError(
             f"certificate has {sig.shape[0]} multipliers for {len(ineqs)} rows"
         )
-    remainder: dict = {}
-    _accumulate(remainder, instance.objective.terms.items(), 1)
-    for mult, con in zip(sig.tolist(), ineqs):
-        if mult > 0:
-            _accumulate(remainder, con.poly.terms.items(), -Fraction(mult))
-    if grams:
-        if cliques is None:
+    if plan is None:
+        if grams and cliques is None:
             cliques = build_cliques(instance.net)
-        if len(grams) != len(cliques):
-            raise ValueError(f"{len(grams)} Gram blocks for {len(cliques)} cliques")
-        for G, clique in zip(grams, cliques):
-            _accumulate(remainder, _gram_terms(G, clique.variables), -1)
+        plan = certificate_plan(instance, cliques if grams else None)
+    elif plan.inequalities is not ineqs or (
+        cliques is not None and cliques is not plan.cliques
+    ):
+        raise ValueError("the certificate plan was built for other constraints or cliques")
+    if [G.shape[0] * (G.shape[0] + 1) // 2 for G in grams] != list(map(len, plan.gram_slots)):
+        raise ValueError(
+            f"Gram blocks of sizes {[G.shape[0] for G in grams]} do not fit"
+            f" the {len(plan.gram_slots)} cliques"
+        )
 
-    anchor_exact = Fraction(remainder.pop((), 0))
-    coeff_budget = Fraction(sum(abs(coeff) for coeff in remainder.values()))
+    # exact ratios of the positive sigmas and of every Gram upper triangle
+    sig_ratios = [(r, m.as_integer_ratio()) for r, m in enumerate(sig.tolist()) if m > 0]
+    gram_ratios = [
+        [[x.as_integer_ratio() for x in row[p:]] for p, row in enumerate(G.tolist())]
+        for G in grams
+    ]
+    two_e = max(
+        [den for _, (_, den) in sig_ratios]
+        + [den for upper in gram_ratios for row in upper for _, den in row],
+        default=1,
+    )
+    objective = [(mono, _rational(c)) for mono, c in instance.objective.terms.items()]
+    dens = math.lcm(*(c.denominator for _, c in objective))
+    L = plan.denominator
+    scale = L * two_e * dens
+
+    acc = [0] * len(plan.slots)
+    extra: dict = {}  # non-constant objective monomials no row or block produces
+    for mono, c in objective:
+        n = c.numerator * (dens // c.denominator) * L * two_e
+        key = _reduce_mono(mono)
+        k = plan.slots.get(key)
+        if k is None:
+            extra[key] = extra.get(key, 0) + n
+        else:
+            acc[k] += n
+    rows = plan.rows
+    for r, (num, den) in sig_ratios:
+        m = num * (two_e // den) * dens
+        for k, n in rows[r]:
+            acc[k] -= m * n
+    gram_ints = []
+    for upper, slots in zip(gram_ratios, plan.gram_slots):
+        ints = [[num * (two_e // den) for num, den in row] for row in upper]
+        gram_ints.append(ints)
+        flat = iter(slots)
+        for row in ints:
+            # off-diagonal entries appear twice in (1, x)^T G (1, x)
+            acc[next(flat)] -= row[0] * L * dens
+            for g in row[1:]:
+                acc[next(flat)] -= 2 * g * L * dens
+    anchor_int = acc[0]
+    budget_int = sum(map(abs, acc[1:])) + sum(map(abs, extra.values()))
+    anchor_exact = Fraction(anchor_int, scale)
+    coeff_budget = Fraction(budget_int, scale)
 
     deficits: list[float] = []
     eps = float(np.finfo(float).eps)
-    for G in grams:
+    for G, upper in zip(grams, gram_ints):
         size = G.shape[0]
-        if size <= 64 and _exact_psd_check(G):
+        if size <= 64 and not _disproves_psd(G, upper) and _exact_psd_check(G):
             deficits.append(0.0)
             continue
         lam_min = float(np.linalg.eigvalsh(G)[0])
@@ -550,7 +683,7 @@ def rigorous_lower_bound(
         lower = lam_min - widen
         deficits.append(size * max(0.0, -lower))
 
-    value_exact = anchor_exact - coeff_budget
+    value_exact = Fraction(anchor_int - budget_int, scale)
     value = _float_down(value_exact) - float(sum(deficits))
     # never report more than the solve's own objective estimate; anything
     # below a valid lower bound is still a valid lower bound

@@ -7,10 +7,11 @@ import pytest
 
 import bnncert.cli as cli
 from bnncert.cli import main
-from bnncert.encode import PerturbationRegion
-from bnncert.model import fold_batchnorm, forward, load_model, stabilize
+from bnncert.encode import PerturbationRegion, objective_targeted
+from bnncert.model import FoldedBnn, fold_batchnorm, forward, load_model, stabilize
 from bnncert.oracle import sample_region
 from bnncert.sdp import read_sdpa
+from bnncert.solver import SolveOptions
 
 from conftest import make_example1, random_net
 
@@ -346,3 +347,113 @@ def test_batched_attack_returns_the_loop_counterexample():
                         assert got.tobytes() == want.tobytes()
                         assert forward(net, got).label != label
     assert found >= 10
+
+
+# -- stopping once the verdict is decided ---------------------------------------
+
+
+def write_query(tmp_path, net, x):
+    """Model and input files for `net` and the reference input `x`."""
+    model, inputs = tmp_path / "net.json", tmp_path / "input.txt"
+    layers = [{"weights": w.tolist(), "bias": b.tolist()} for w, b in zip(net.weights, net.biases)]
+    model.write_text(json.dumps({"widths": list(net.widths), "layers": layers}))
+    inputs.write_text(" ".join(repr(v) for v in x.tolist()) + "\n")
+    return model, inputs
+
+
+def seeded_net(seed, widths):
+    rng = np.random.default_rng(seed)
+    net = stabilize(random_net(rng, widths))
+    return net, rng.uniform(-0.2, 0.2, widths[0])
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(cli, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    return calls
+
+
+def test_relaxation_stops_at_its_first_uncertified_target(tmp_path, monkeypatch, capsys):
+    net, x = seeded_net(1, (10, 8, 8, 3))
+    solves = count_calls(monkeypatch, "solve_conic")
+    rc, rep = run_json(
+        write_query(tmp_path, net, x), tmp_path,
+        "--eps", "0.1", "--tol", "1e-4", "--max-iter", "200",
+    )
+    assert rc == 2
+    assert rep["verdict"] == "unknown"
+    assert len(solves) == 1
+    first, *rest = rep["targets"]
+    label = rep["true_label"]
+    assert [t["target"] for t in rep["targets"]] == [k for k in (1, 2, 3) if k != label]
+    assert first["status"] == "unknown"
+    assert rest and all(
+        t == {"target": t["target"], "method": "sdp1-tight", "lower_bound": None,
+              "approximate": None, "status": "skipped", "wall_time": 0.0,
+              "iterations": None, "solver_status": None}
+        for t in rest
+    )
+    assert "skipped" in capsys.readouterr().out
+
+    # the first target is exactly what the shared relaxation gives on its own
+    region = PerturbationRegion.linf(x, 0.1)
+    k = first["target"]
+    objective = objective_targeted(net, label, k)
+    opts = SolveOptions(tol=1e-4, max_iter=200)
+    relaxation = cli._relax(net, region, label, k, objective, "sdp1-tight", opts)
+    res, rb = relaxation.bound(objective, k, opts, settle=True)
+    assert first["lower_bound"] == rb.value
+    assert first["approximate"] == res.primal_objective
+    assert first["iterations"] == res.iterations
+    assert first["solver_status"] == res.status
+
+
+def dominant_net():
+    """A 10-8-8-3 net whose output biases make class 1 win everywhere."""
+    net, x = seeded_net(1, (10, 8, 8, 3))
+    biases = net.biases[:-1] + (np.array([50.0, -50.0, -50.0]),)
+    return FoldedBnn(net.widths, net.weights, biases), x
+
+
+def test_robust_query_bounds_every_target(tmp_path, monkeypatch):
+    solves = count_calls(monkeypatch, "solve_conic")
+    rc, rep = run_json(write_query(tmp_path, *dominant_net()), tmp_path, "--eps", "0.1")
+    assert rc == 0
+    assert rep["verdict"] == "robust"
+    assert [t["target"] for t in rep["targets"]] == [2, 3]
+    assert all(t["status"] == "robust" for t in rep["targets"])
+    assert len(solves) == 2
+
+
+def test_oracle_stops_at_a_confirmed_counterexample(tmp_path, monkeypatch):
+    # the sampling attack misses at this radius; the first target's exact
+    # minimizer falsifies
+    net, x = seeded_net(9, (4, 3, 3, 3))
+    calls = count_calls(monkeypatch, "exact_verify")
+    rc, rep = run_json(
+        write_query(tmp_path, net, x), tmp_path, "--eps", "0.3", "--method", "oracle"
+    )
+    assert rc == 1
+    first, second = rep["targets"]
+    assert first["status"] == "falsified"
+    assert second["status"] == "skipped"
+    assert len(calls) == 1
+    assert forward(net, rep["counterexample"]).label != rep["true_label"]
+
+
+def test_sample_ub_without_a_witness_samples_every_target(tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, "sample_upper_bound")
+    rc, rep = run_json(
+        write_query(tmp_path, *dominant_net()), tmp_path, "--eps", "0.1",
+        "--method", "sample-ub",
+    )
+    assert rc == 2
+    assert [t["status"] for t in rep["targets"]] == ["unknown", "unknown"]
+    assert all(t["approximate"] > 0 for t in rep["targets"])
+    assert len(calls) == 2

@@ -19,7 +19,7 @@ from bnncert import (
     stabilize,
     weight_sparsity,
 )
-from bnncert.model import DEFAULT_BN_EPSILON
+from bnncert.model import DEFAULT_BN_EPSILON, forward_activations
 
 from conftest import make_example1, random_net
 
@@ -313,3 +313,26 @@ def test_stabilize_preserves_forward_labels(seed):
     for _ in range(5):
         x0 = rng.uniform(-1, 1, size=widths[0])
         assert forward(out, x0).label == forward(net, x0).label
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_batched_activations_have_the_forward_signs(seed):
+    rng = np.random.default_rng(seed)
+    net = stabilize(random_net(rng, (10, 8, 8, 3)))
+    xs = rng.uniform(-1, 1, size=(300, 10))
+    # rows 100..299 put one layer-1 pre-activation at (or within rounding of)
+    # zero, where the batched sums may round differently
+    w, b = net.weight(1), net.bias(1)
+    for r in range(100, 300):
+        j = r % w.shape[0]
+        k = int(np.flatnonzero(w[j])[0])
+        xs[r, k] -= (w[j] @ xs[r] + b[j]) / w[j, k]
+    assert any(forward(net, x).any_zero_preactivation() for x in xs[100:])
+    acts = forward_activations(net, xs)
+    for x, *rows in zip(xs, *acts):
+        assert all(np.array_equal(a, r) for a, r in zip(forward(net, x).activations, rows))
+
+
+def test_batched_activations_reject_wrong_width(example1):
+    with pytest.raises(ValueError, match="do not match"):
+        forward_activations(example1, np.zeros((2, 2)))

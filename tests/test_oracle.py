@@ -19,7 +19,7 @@ from bnncert import (
     relative_improvement,
     sample_upper_bound,
 )
-from bnncert.oracle import milp_feasible_patterns, pattern_assignment
+from bnncert.oracle import milp_feasible_patterns, pattern_assignment, sample_region
 
 from conftest import make_example1, random_net, random_region
 
@@ -191,3 +191,39 @@ def test_relative_improvement_endpoints():
     assert relative_improvement(0.5, -1.0, 2.0) == 0.5
     assert relative_improvement(0.0, 1.0, 1.0) is None
     assert relative_improvement(0.0, 1.0, 0.5) is None
+
+
+def sample_bound_loop(net, region, objective, n_samples, seed):
+    """Reference: one `forward` and one exact evaluation per sample."""
+    pts = sample_region(region, n_samples, np.random.default_rng(seed))
+    best = None
+    for x0 in pts:
+        assignment = {Var(0, k + 1): float(v) for k, v in enumerate(x0)}
+        for i, act in enumerate(forward(net, x0).activations, start=1):
+            for j, s in enumerate(act, start=1):
+                assignment[Var(i, j)] = float(s)
+        val = float(objective.evaluate(assignment))
+        if best is None or val < best[0]:
+            best = (val, x0)
+    return best
+
+
+def test_batched_sample_bound_equals_the_per_sample_loop():
+    queries = [(make_example1(), np.array([0.0, 0.5, 0.0]), 2)]
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        net = random_net(rng, (10, 8, 8, 3))
+        queries.append((net, rng.uniform(-0.2, 0.2, 10), 1))
+    for net, x, label in queries:
+        objectives = [objective_targeted(net, label, k)
+                      for k in range(1, net.n_classes + 1) if k != label]
+        # one objective that also reads an input coordinate
+        objectives.append(objectives[0] + MultilinearPoly.variable(Var(0, 1), 0.75))
+        for norm in ("linf", "l2"):
+            region = getattr(PerturbationRegion, norm)(x, 0.6)
+            for f in objectives:
+                for seed in (0, 3, 8):
+                    sb = sample_upper_bound(net, region, f, n_samples=200, seed=seed)
+                    val, x0 = sample_bound_loop(net, region, f, 200, seed)
+                    assert sb.value == val
+                    assert sb.x0.tobytes() == x0.tobytes()

@@ -30,8 +30,12 @@ from bnncert import (
     to_conic,
 )
 from bnncert.oracle import exact_verify
+import bnncert.solver as solver
 from bnncert.solver import (
+    _disproves_psd,
+    _equilibrate,
     _exact_psd_check,
+    certificate_plan,
     conic_setup,
     _float_down,
     _float_up,
@@ -136,11 +140,11 @@ def test_objective_scaling_scales_optimum():
     assert r2.primal_objective == pytest.approx(8.0 * r1.primal_objective, abs=2e-4)
 
 
-def test_infeasible_lp_is_certified():
-    # x >= 1 and -x >= 0 cannot hold together
+def infeasible_lp() -> ConicProblem:
+    """x >= 1 and -x >= 0 cannot hold together."""
     A_ge = np.array([[1.0], [-1.0]])
     d = np.array([1.0, 0.0])
-    problem = ConicProblem(
+    return ConicProblem(
         A=sp.csc_matrix(-A_ge),
         b=-d,
         c=np.array([0.0]),
@@ -149,8 +153,19 @@ def test_infeasible_lp_is_certified():
         psd_sizes=(),
         ids_order=((Var(0, 1),),),
     )
-    res = solve_conic(problem, SolveOptions(max_iter=20000))
+
+
+def test_infeasible_lp_is_certified():
+    res = solve_conic(infeasible_lp(), SolveOptions(max_iter=20000))
     assert res.status == "infeasible_certificate"
+
+
+@pytest.mark.parametrize("check_every", [25, 30, 7])
+def test_infeasibility_test_runs_every_200_iterations(check_every):
+    # the ray test and the residual balancing do not wait for a check
+    res = solve_conic(infeasible_lp(), SolveOptions(max_iter=20000, check_every=check_every))
+    assert res.status == "infeasible_certificate"
+    assert res.iterations == 200
 
 
 def test_example1_bounds_bracket_the_exact_optimum(example1):
@@ -623,3 +638,163 @@ def test_float_screen_matches_rigorous_anchor_minus_residual():
         rb = rigorous_lower_bound(res, inst, cliques)
         scale = max(1.0, abs(rb.anchor), rb.coefficient_residual)
         assert abs(screen - (rb.anchor - rb.coefficient_residual)) <= 1e-9 * scale
+
+
+# -- equilibration --------------------------------------------------------------
+
+
+def equilibrate_loop(problem, iters=10):
+    """Reference: the Ruiz scaling with one Python step per row group."""
+    A = problem.A.tocsr(copy=True)
+    m, n = A.shape
+    E, D = np.ones(m), np.ones(n)
+    groups = [(r, r + 1) for r in range(problem.n_nonneg)]
+    pos = problem.n_nonneg
+    for size in problem.psd_sizes:
+        groups.append((pos, pos + size * (size + 1) // 2))
+        pos += size * (size + 1) // 2
+    for _ in range(iters):
+        absA = abs(A)
+        rmax = np.asarray(absA.max(axis=1).todense()).ravel()
+        e = np.ones(m)
+        for lo, hi in groups:
+            g = rmax[lo:hi].max()
+            e[lo:hi] = 1.0 / np.sqrt(g) if g > 0 else 1.0
+        cmax = np.asarray(absA.max(axis=0).todense()).ravel()
+        d = np.where(cmax > 0, 1.0 / np.sqrt(cmax), 1.0)
+        A = sp.diags(e) @ A @ sp.diags(d)
+        E *= e
+        D *= d
+    return E, D
+
+
+def test_equilibration_matches_the_per_group_loop():
+    rng = np.random.default_rng(7)
+    big = stabilize(random_net(rng, (20, 12, 12, 4)))
+    cases = [
+        (make_example1(), PerturbationRegion.linf([0, 0.5, 0], 1.0), 2, 1),
+        (big, random_region(rng, 20), 1, 2),
+    ]
+    for net, region, label, target in cases:
+        f = objective_targeted(net, label, target)
+        problems = [
+            to_conic(assemble_moment_sdp(encode_tightened(net, region, f), build_cliques(net))),
+            lp_to_conic(encode_lp(net, region, f)),
+        ]
+        for problem in problems:
+            E, D = _equilibrate(problem)
+            E_ref, D_ref = equilibrate_loop(problem)
+            assert E.tobytes() == E_ref.tobytes()
+            assert D.tobytes() == D_ref.tobytes()
+
+
+# -- integer certificate expansion from a shared plan ---------------------------
+
+
+def query_certificate(encoder=encode_tightened):
+    """A seeded 10-8-8-3 query: its instance, cliques and a 150-iteration
+    certificate."""
+    net, region, label = seeded_query()
+    inst = encoder(net, region, objective_targeted(net, label, 3))
+    cliques = build_cliques(net)
+    res = solve_conic(
+        to_conic(assemble_moment_sdp(inst, cliques)), SolveOptions(tol=1e-4, max_iter=150)
+    )
+    return inst, cliques, res
+
+
+def with_objective(inst, objective):
+    return dataclasses.replace(
+        inst, constraints=dataclasses.replace(inst.constraints, objective=objective)
+    )
+
+
+def assert_matches_chain(cert, inst, cliques, plan=None):
+    rb = rigorous_lower_bound(cert, inst, cliques, plan)
+    assert (rb.anchor, rb.coefficient_residual, rb.eigenvalue_deficits) == (
+        chain_expansion(cert, inst, cliques)
+    )
+    return rb
+
+
+def test_expansion_keeps_non_dyadic_objective_coefficients_exact():
+    inst, cliques, res = query_certificate()
+    third = Fraction(1, 3)
+    objective = inst.objective.to_exact().scale(third) + MultilinearPoly(
+        {((Var(2, 1), 1),): third, ((Var(0, 1), 3),): -third}  # the cube is in no row
+    )
+    assert_matches_chain(res, with_objective(inst, objective), cliques)
+
+
+def test_expansion_of_subnormal_and_negative_zero_entries():
+    inst, cliques, res = query_certificate(encode_standard)
+    sig = res.sigmas.copy()
+    sig[::4] = 5e-324
+    sig[1::4] = -0.0
+    grams = []
+    for b, G in enumerate(res.grams):
+        G = G.copy()
+        G[0, 1] = G[1, 0] = 5e-324 if b % 2 else -0.0
+        G[1, 1] = -0.0 if b % 2 else 5e-324
+        grams.append(G)
+    assert_matches_chain(dataclasses.replace(res, sigmas=sig, grams=tuple(grams)), inst, cliques)
+
+
+def test_psd_blocks_are_proven_by_bareiss_and_disproven_by_rayleigh(monkeypatch):
+    inst, cliques, res = query_certificate()
+    sizes = [G.shape[0] for G in res.grams]
+    # block 0 PSD, block 1 clearly not, the rest zero (PSD)
+    grams = [np.eye(sizes[0]), -np.eye(sizes[1])] + [np.zeros((n, n)) for n in sizes[2:]]
+    checked = []
+    check = solver._exact_psd_check
+    monkeypatch.setattr(solver, "_exact_psd_check", lambda G: checked.append(G) or check(G))
+    rb = assert_matches_chain(dataclasses.replace(res, grams=tuple(grams)), inst, cliques)
+    assert rb.eigenvalue_deficits[0] == 0.0 and rb.eigenvalue_deficits[1] > 0
+    assert len(checked) == len(grams) - 1
+    assert all(G is not grams[1] for G in checked)
+
+
+def upper_integers(G):
+    """G's upper triangle, row by row from the diagonal, scaled to integers."""
+    ratios = [[x.as_integer_ratio() for x in row[p:]] for p, row in enumerate(G.tolist())]
+    scale = max((den for row in ratios for _, den in row), default=1)
+    return [[num * (scale // den) for num, den in row] for row in ratios]
+
+
+@pytest.mark.parametrize("kind", PSD_KINDS)
+@given(n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+def test_rayleigh_quotient_never_disproves_a_psd_block(kind, n, seed):
+    G = psd_case(kind, n, seed)
+    if _disproves_psd(G, upper_integers(G)):
+        assert not fraction_ldl_psd(G)
+
+
+def test_shared_plan_matches_a_fresh_plan_for_every_target():
+    net, region, label = seeded_query()
+    inst = encode_tightened(net, region, objective_targeted(net, label, 2))
+    cliques = build_cliques(net)
+    problem = to_conic(assemble_moment_sdp(inst, cliques))
+    setup = conic_setup(problem)
+    plan = certificate_plan(inst, cliques)
+    for k in (2, 3):
+        f = objective_targeted(net, label, k)
+        inst_k = with_objective(inst, f)
+        res = solve_conic(problem.with_objective(f), SolveOptions(tol=1e-4, max_iter=150), setup)
+        shared = rigorous_lower_bound(res, inst_k, cliques, plan)
+        assert shared == rigorous_lower_bound(res, inst_k, cliques)
+        assert shared == assert_matches_chain(res, inst_k, cliques)
+
+
+def test_mismatched_plan_or_gram_blocks_are_rejected():
+    inst, cliques, res = query_certificate()
+    plan = certificate_plan(inst, cliques)
+    again = encode_tightened(inst.net, inst.region, inst.objective)  # equal, other rows
+    with pytest.raises(ValueError, match="plan"):
+        rigorous_lower_bound(res, again, cliques, plan)
+    with pytest.raises(ValueError, match="plan"):
+        rigorous_lower_bound(res, inst, build_cliques(inst.net), plan)
+    assert rigorous_lower_bound(res, inst, None, plan) == rigorous_lower_bound(res, inst, cliques)
+    n = res.grams[0].shape[0]
+    for grams in (res.grams[1:], (np.eye(n + 1),) + res.grams[1:]):
+        with pytest.raises(ValueError, match="Gram blocks"):
+            rigorous_lower_bound(dataclasses.replace(res, grams=grams), inst, cliques, plan)
