@@ -17,7 +17,8 @@ or after an `lp`/`sdp1`/`sdp1-tight` target that is not certified (these
 engines return no witness, so the verdict can then only be "unknown").  The
 remaining targets keep their place in the report with status "skipped".
 `oracle` and `sample-ub` go on past an unconfirmed non-robust target, since
-a later target may still falsify.
+a later target may still falsify.  `--metrics` compares the bounds target by
+target, so with it every target is bounded.
 """
 
 from __future__ import annotations
@@ -63,12 +64,10 @@ from bnncert.oracle import (
 from bnncert.poly import MultilinearPoly
 from bnncert.sdp import ConicProblem, assemble_moment_sdp, export_sdpa, to_conic
 from bnncert.solver import (
-    CertificatePlan,
     ConicSetup,
     RigorousBound,
     SolveOptions,
     SolveResult,
-    certificate_plan,
     conic_setup,
     lp_to_conic,
     rigorous_lower_bound,
@@ -215,14 +214,12 @@ def _margin_targets(net: FoldedBnn, x0: np.ndarray, label: int) -> list[TargetRe
 class _Relaxation:
     """One query's relaxation in conic form, shared by its attack targets:
     from one target to the next only the objective changes, so the encoding,
-    the moment assembly, the conic form, the solver setup and the
-    certificate plan are built once."""
+    the moment assembly, the conic form and the solver setup are built once."""
 
     instance: VerificationInstance
     problem: ConicProblem
     setup: ConicSetup
     cliques: Optional[list]
-    plan: CertificatePlan
 
     def bound(
         self, objective: MultilinearPoly, k: int, opts: SolveOptions, settle: bool
@@ -233,11 +230,8 @@ class _Relaxation:
         instance = replace(self.instance, constraints=constraints, target=k)
         bounds: dict[int, RigorousBound] = {}
 
-        def rigorize(res: SolveResult) -> RigorousBound:
-            return rigorous_lower_bound(res, instance, self.cliques, self.plan)
-
         def certified(res: SolveResult) -> bool:
-            bounds[res.iterations] = rigorize(res)
+            bounds[res.iterations] = rigorous_lower_bound(res, instance, self.cliques)
             return bounds[res.iterations].value > 0
 
         res = solve_conic(
@@ -248,7 +242,7 @@ class _Relaxation:
         )
         rb = bounds.get(res.iterations)
         if rb is None:
-            rb = rigorize(res)
+            rb = rigorous_lower_bound(res, instance, self.cliques)
         return res, rb
 
 
@@ -272,13 +266,7 @@ def _relax(
         instance = encoder(net, region, objective, true_label=label, target=k)
         cliques = build_cliques(net)
         problem = to_conic(assemble_moment_sdp(instance, cliques))
-    return _Relaxation(
-        instance,
-        problem,
-        conic_setup(problem, opts.scaling),
-        cliques,
-        certificate_plan(instance, cliques),
-    )
+    return _Relaxation(instance, problem, conic_setup(problem, opts.scaling), cliques)
 
 
 def _bound_one_target(
@@ -421,9 +409,11 @@ def run_verify(args) -> int:
                     counterexample = witness
                 targets.append(entry)
                 # a relaxation returns no witness: once one of its targets is
-                # not certified, the verdict can only be "unknown"
-                decided = counterexample is not None or (
-                    relaxation is not None and entry.status != "robust"
+                # not certified, the verdict can only be "unknown".  --metrics
+                # compares every target's bound, so it bounds them all.
+                decided = not args.metrics and (
+                    counterexample is not None
+                    or (relaxation is not None and entry.status != "robust")
                 )
 
     if counterexample is not None:

@@ -364,23 +364,6 @@ def forward(net: FoldedBnn, x0: Sequence[float]) -> ForwardTrace:
     )
 
 
-def forward_labels(net: FoldedBnn, xs: np.ndarray) -> np.ndarray:
-    """1-based labels of the rows of `xs`, one matrix product per layer.
-
-    The semantics of `forward` (sign(0) := +1, argmax ties to the lowest
-    class).  Layer-1 sums may round in another order than the one-row
-    product in `forward`, so a caller that needs a proof of a label -- a
-    counterexample -- re-checks that row with `forward`.
-    """
-    cur = np.asarray(xs, dtype=float)
-    if cur.ndim != 2 or cur.shape[1] != net.widths[0]:
-        raise ValueError(f"inputs of shape {cur.shape} do not match n0 = {net.widths[0]}")
-    for i in range(1, net.depth + 1):
-        cur = _sign_pm1(cur @ net.weight(i).T + net.bias(i))
-    logits = cur @ net.weight(net.depth + 1).T + net.bias(net.depth + 1)
-    return np.argmax(logits, axis=1) + 1
-
-
 def forward_activations(net: FoldedBnn, xs: np.ndarray) -> tuple[np.ndarray, ...]:
     """Hidden activations of the rows of `xs`, one int64 matrix per layer,
     with exactly the signs `forward` gives each row.
@@ -407,6 +390,20 @@ def forward_activations(net: FoldedBnn, xs: np.ndarray) -> tuple[np.ndarray, ...
         cur = _sign_pm1(cur @ net.weight(i).T + net.bias(i))
         acts.append(cur)
     return tuple(acts)
+
+
+def forward_labels(net: FoldedBnn, xs: np.ndarray) -> np.ndarray:
+    """1-based labels of the rows of `xs`, from `forward_activations`.
+
+    The semantics of `forward` (sign(0) := +1, argmax ties to the lowest
+    class), with `forward`'s hidden signs.  The output logits may still round
+    in another order than the one-row product in `forward`, so a caller that
+    needs a proof of a label -- a counterexample -- re-checks that row with
+    `forward`.
+    """
+    last = forward_activations(net, xs)[-1]
+    logits = last @ net.weight(net.depth + 1).T + net.bias(net.depth + 1)
+    return np.argmax(logits, axis=1) + 1
 
 
 def forward_raw(raw: RawBnn, x0: Sequence[float]) -> int:

@@ -24,13 +24,11 @@ holds despite floating-point error: the certificate combination is expanded
 exactly, reduced modulo x^2 = 1, and the leftover polynomial is bounded
 coefficient-wise using |x| <= 1 for every variable.  The expansion runs in
 Python integers at one common scale (binary64 values are dyadic rationals),
-over a `CertificatePlan` -- each row's terms and each Gram entry's monomial,
-reduced and numbered -- that `certificate_plan` builds once per constraint
-set and cliques and every target and iterate of a query shares.  A Gram
-block costs nothing when a fraction-free integer LDL^T proves it PSD, and
-pays an eigenvalue-deficit term otherwise; an exact negative Rayleigh
-quotient disproves PSD-ness before the factorization runs.  Everything here
-is deterministic: same problem, same options, bit-identical output.
+over the reduced monomials numbered once per call.  A Gram block costs
+nothing when a fraction-free integer LDL^T proves it PSD, and pays an
+eigenvalue-deficit term otherwise; an exact negative Rayleigh quotient
+disproves PSD-ness before the factorization runs.  Everything here is
+deterministic: same problem, same options, bit-identical output.
 """
 
 from __future__ import annotations
@@ -54,12 +52,10 @@ from bnncert.poly import Var
 from bnncert.sdp import ConicProblem, smat, svec
 
 __all__ = [
-    "CertificatePlan",
     "ConicSetup",
     "RigorousBound",
     "SolveOptions",
     "SolveResult",
-    "certificate_plan",
     "conic_setup",
     "lp_to_conic",
     "rigorous_lower_bound",
@@ -497,32 +493,14 @@ def _mono_of(u: Optional[Var], v: Optional[Var]) -> tuple:
     return tuple(sorted(((u, 1), (v, 1))))
 
 
-@dataclass(frozen=True)
-class CertificatePlan:
-    """The certificate expansion's view of one query's constraints and cliques.
+def _number_terms(objective, rows, cliques: Sequence[Clique]):
+    """Number the reduced monomials of `objective`, of the constraint `rows`
+    and of the Gram entries of `cliques` (slot 0 is the constant monomial).
 
-    Every reduced monomial the rows or the Gram blocks produce has a slot
-    (slot 0 is the constant monomial).  `rows[r]` lists inequality row r's
-    terms as (slot, coefficient * denominator), all integers over the one
-    common `denominator`; `gram_slots[b]` holds the slot of every
-    upper-triangle entry of clique b's Gram matrix, row by row.  Nothing
-    here depends on the objective or on a certificate, so the attack targets
-    of a query and every rigorized iterate share one plan.
+    Returns the slot count, the objective's and each row's terms as (slot,
+    exact coefficient), and per clique the slot of every upper-triangle
+    entry of its Gram matrix, row by row.
     """
-
-    inequalities: tuple = field(repr=False)
-    cliques: Optional[Sequence[Clique]] = field(repr=False)
-    slots: dict = field(repr=False)
-    denominator: int
-    rows: tuple = field(repr=False)
-    gram_slots: tuple = field(repr=False)
-
-
-def certificate_plan(
-    instance: VerificationInstance, cliques: Optional[Sequence[Clique]] = None
-) -> CertificatePlan:
-    """Precompute the expansion of `instance`'s rows and of the Gram blocks
-    of `cliques` (none when `cliques` is None: a linear relaxation)."""
     slots: dict = {(): 0}
     seen: dict = {}  # unreduced monomial -> slot
 
@@ -532,28 +510,20 @@ def certificate_plan(
             k = seen[mono] = slots.setdefault(_reduce_mono(mono), len(slots))
         return k
 
-    ineqs = instance.constraints.inequalities
-    terms = [
-        [(slot(mono), _rational(coeff)) for mono, coeff in con.poly.terms.items()]
-        for con in ineqs
-    ]
-    L = math.lcm(*(c.denominator for row in terms for _, c in row))
-    rows = tuple(
-        tuple((k, c.numerator * (L // c.denominator)) for k, c in row) for row in terms
-    )
+    def terms(poly):
+        return [(slot(mono), _rational(c)) for mono, c in poly.terms.items()]
+
+    objective_terms = terms(objective)
+    row_terms = [terms(row) for row in rows]
     gram_slots = []
-    for clique in cliques or ():
+    for clique in cliques:
         # entry (p, q) of the Gram matrix of (1, x_clique) multiplies x_p x_q
         # (x_0 = 1)
         xs = (None,) + clique.variables
         gram_slots.append(
-            tuple(
-                slot(_mono_of(xs[p], xs[q]))
-                for p in range(len(xs))
-                for q in range(p, len(xs))
-            )
+            [slot(_mono_of(xs[p], xs[q])) for p in range(len(xs)) for q in range(p, len(xs))]
         )
-    return CertificatePlan(ineqs, cliques, slots, L, rows, tuple(gram_slots))
+    return len(slots), objective_terms, row_terms, gram_slots
 
 
 def _disproves_psd(G: np.ndarray, upper: Sequence[Sequence[int]]) -> bool:
@@ -576,7 +546,6 @@ def rigorous_lower_bound(
     result: SolveResult,
     instance: VerificationInstance,
     cliques: Optional[Sequence[Clique]] = None,
-    plan: Optional[CertificatePlan] = None,
 ) -> RigorousBound:
     """Bound the encoded optimum from below using only the dual certificate.
 
@@ -585,9 +554,9 @@ def rigorous_lower_bound(
     remainder), reduces modulo x^2 = 1, and charges the remainder
     coefficient-wise (every variable and variable product has magnitude at
     most 1 on the feasible set).  The expansion runs in Python integers at
-    one scale: the plan's common row denominator times the largest
-    power-of-two denominator of the positive sigmas and Gram entries times
-    the objective's denominators; the anchor and the budget become
+    one scale: the common denominator of the objective and of the rows with
+    a positive sigma, times the largest power-of-two denominator of those
+    sigmas and of the Gram entries; the anchor and the budget become
     fractions once, at the end.
 
     Gram blocks pay an eigenvalue deficit (block size) * max(0,
@@ -596,9 +565,6 @@ def rigorous_lower_bound(
     quotient at the float minimal eigenvector is negative is proven not PSD
     without the factorization.  The reported value is finally capped at the
     solve's primal objective.
-
-    `plan`, from `certificate_plan` on this very instance's rows and
-    `cliques`, is reused; without it one is built here.
     """
     sig = np.asarray(result.sigmas, dtype=float)
     grams = result.grams
@@ -611,18 +577,14 @@ def rigorous_lower_bound(
         raise ValueError(
             f"certificate has {sig.shape[0]} multipliers for {len(ineqs)} rows"
         )
-    if plan is None:
-        if grams and cliques is None:
-            cliques = build_cliques(instance.net)
-        plan = certificate_plan(instance, cliques if grams else None)
-    elif plan.inequalities is not ineqs or (
-        cliques is not None and cliques is not plan.cliques
-    ):
-        raise ValueError("the certificate plan was built for other constraints or cliques")
-    if [G.shape[0] * (G.shape[0] + 1) // 2 for G in grams] != list(map(len, plan.gram_slots)):
+    if not grams:
+        cliques = ()
+    elif cliques is None:
+        cliques = build_cliques(instance.net)
+    sizes = [G.shape[0] for G in grams]
+    if sizes != [len(clique.variables) + 1 for clique in cliques]:
         raise ValueError(
-            f"Gram blocks of sizes {[G.shape[0] for G in grams]} do not fit"
-            f" the {len(plan.gram_slots)} cliques"
+            f"Gram blocks of sizes {sizes} do not fit the {len(cliques)} cliques"
         )
 
     # exact ratios of the positive sigmas and of every Gram upper triangle
@@ -636,40 +598,31 @@ def rigorous_lower_bound(
         + [den for upper in gram_ratios for row in upper for _, den in row],
         default=1,
     )
-    objective = [(mono, _rational(c)) for mono, c in instance.objective.terms.items()]
-    dens = math.lcm(*(c.denominator for _, c in objective))
-    L = plan.denominator
-    scale = L * two_e * dens
+    n_slots, objective, rows, gram_slots = _number_terms(
+        instance.objective, [ineqs[r].poly for r, _ in sig_ratios], cliques
+    )
+    L = math.lcm(*(c.denominator for terms in [objective] + rows for _, c in terms))
+    scale = L * two_e
 
-    acc = [0] * len(plan.slots)
-    extra: dict = {}  # non-constant objective monomials no row or block produces
-    for mono, c in objective:
-        n = c.numerator * (dens // c.denominator) * L * two_e
-        key = _reduce_mono(mono)
-        k = plan.slots.get(key)
-        if k is None:
-            extra[key] = extra.get(key, 0) + n
-        else:
-            acc[k] += n
-    rows = plan.rows
-    for r, (num, den) in sig_ratios:
-        m = num * (two_e // den) * dens
-        for k, n in rows[r]:
-            acc[k] -= m * n
+    acc = [0] * n_slots
+    for k, c in objective:
+        acc[k] += c.numerator * (L // c.denominator) * two_e
+    for (_, (num, den)), terms in zip(sig_ratios, rows):
+        m = num * (two_e // den)
+        for k, c in terms:
+            acc[k] -= m * c.numerator * (L // c.denominator)
     gram_ints = []
-    for upper, slots in zip(gram_ratios, plan.gram_slots):
+    for upper, slots in zip(gram_ratios, gram_slots):
         ints = [[num * (two_e // den) for num, den in row] for row in upper]
         gram_ints.append(ints)
         flat = iter(slots)
         for row in ints:
             # off-diagonal entries appear twice in (1, x)^T G (1, x)
-            acc[next(flat)] -= row[0] * L * dens
+            acc[next(flat)] -= row[0] * L
             for g in row[1:]:
-                acc[next(flat)] -= 2 * g * L * dens
+                acc[next(flat)] -= 2 * g * L
     anchor_int = acc[0]
-    budget_int = sum(map(abs, acc[1:])) + sum(map(abs, extra.values()))
-    anchor_exact = Fraction(anchor_int, scale)
-    coeff_budget = Fraction(budget_int, scale)
+    budget_int = sum(map(abs, acc[1:]))
 
     deficits: list[float] = []
     eps = float(np.finfo(float).eps)
@@ -683,8 +636,7 @@ def rigorous_lower_bound(
         lower = lam_min - widen
         deficits.append(size * max(0.0, -lower))
 
-    value_exact = Fraction(anchor_int - budget_int, scale)
-    value = _float_down(value_exact) - float(sum(deficits))
+    value = _float_down(Fraction(anchor_int - budget_int, scale)) - float(sum(deficits))
     # never report more than the solve's own objective estimate; anything
     # below a valid lower bound is still a valid lower bound
     pobj = float(result.primal_objective)
@@ -692,7 +644,7 @@ def rigorous_lower_bound(
         value = pobj
     return RigorousBound(
         value=value,
-        anchor=_float_down(anchor_exact),
-        coefficient_residual=_float_up(coeff_budget),
+        anchor=_float_down(Fraction(anchor_int, scale)),
+        coefficient_residual=_float_up(Fraction(budget_int, scale)),
         eigenvalue_deficits=tuple(deficits),
     )

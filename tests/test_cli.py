@@ -414,6 +414,26 @@ def test_relaxation_stops_at_its_first_uncertified_target(tmp_path, monkeypatch,
     assert first["solver_status"] == res.status
 
 
+def test_metrics_bound_and_compare_every_target(tmp_path):
+    # the query of the test above: without --metrics its second target is
+    # skipped
+    net, x = seeded_net(1, (10, 8, 8, 3))
+    files = write_query(tmp_path, net, x)
+    flags = ("--eps", "0.1", "--tol", "1e-4", "--max-iter", "200")
+    rc, rep = run_json(files, tmp_path, *flags, "--metrics")
+    rc_plain, plain = run_json(files, tmp_path, *flags)
+    assert (rc, rep["verdict"]) == (rc_plain, plain["verdict"]) == (2, "unknown")
+    targets = rep["targets"]
+    assert [t["target"] for t in targets] == [t["target"] for t in plain["targets"]]
+    assert all(t["status"] != "skipped" and t["lower_bound"] is not None for t in targets)
+    first, plain_first = dict(targets[0]), dict(plain["targets"][0])
+    first.pop("wall_time"), plain_first.pop("wall_time")
+    assert first == plain_first
+    improvement = rep["metrics"]["improvement"]
+    assert sorted(improvement) == [str(t["target"]) for t in targets]
+    assert all(entry["sample_upper"] is not None for entry in improvement.values())
+
+
 def dominant_net():
     """A 10-8-8-3 net whose output biases make class 1 win everywhere."""
     net, x = seeded_net(1, (10, 8, 8, 3))

@@ -35,7 +35,6 @@ from bnncert.solver import (
     _disproves_psd,
     _equilibrate,
     _exact_psd_check,
-    certificate_plan,
     conic_setup,
     _float_down,
     _float_up,
@@ -688,7 +687,7 @@ def test_equilibration_matches_the_per_group_loop():
             assert D.tobytes() == D_ref.tobytes()
 
 
-# -- integer certificate expansion from a shared plan ---------------------------
+# -- integer certificate expansion ---------------------------------------------
 
 
 def query_certificate(encoder=encode_tightened):
@@ -709,8 +708,8 @@ def with_objective(inst, objective):
     )
 
 
-def assert_matches_chain(cert, inst, cliques, plan=None):
-    rb = rigorous_lower_bound(cert, inst, cliques, plan)
+def assert_matches_chain(cert, inst, cliques):
+    rb = rigorous_lower_bound(cert, inst, cliques)
     assert (rb.anchor, rb.coefficient_residual, rb.eigenvalue_deficits) == (
         chain_expansion(cert, inst, cliques)
     )
@@ -769,32 +768,9 @@ def test_rayleigh_quotient_never_disproves_a_psd_block(kind, n, seed):
         assert not fraction_ldl_psd(G)
 
 
-def test_shared_plan_matches_a_fresh_plan_for_every_target():
-    net, region, label = seeded_query()
-    inst = encode_tightened(net, region, objective_targeted(net, label, 2))
-    cliques = build_cliques(net)
-    problem = to_conic(assemble_moment_sdp(inst, cliques))
-    setup = conic_setup(problem)
-    plan = certificate_plan(inst, cliques)
-    for k in (2, 3):
-        f = objective_targeted(net, label, k)
-        inst_k = with_objective(inst, f)
-        res = solve_conic(problem.with_objective(f), SolveOptions(tol=1e-4, max_iter=150), setup)
-        shared = rigorous_lower_bound(res, inst_k, cliques, plan)
-        assert shared == rigorous_lower_bound(res, inst_k, cliques)
-        assert shared == assert_matches_chain(res, inst_k, cliques)
-
-
-def test_mismatched_plan_or_gram_blocks_are_rejected():
+def test_gram_blocks_that_do_not_fit_the_cliques_are_rejected():
     inst, cliques, res = query_certificate()
-    plan = certificate_plan(inst, cliques)
-    again = encode_tightened(inst.net, inst.region, inst.objective)  # equal, other rows
-    with pytest.raises(ValueError, match="plan"):
-        rigorous_lower_bound(res, again, cliques, plan)
-    with pytest.raises(ValueError, match="plan"):
-        rigorous_lower_bound(res, inst, build_cliques(inst.net), plan)
-    assert rigorous_lower_bound(res, inst, None, plan) == rigorous_lower_bound(res, inst, cliques)
     n = res.grams[0].shape[0]
     for grams in (res.grams[1:], (np.eye(n + 1),) + res.grams[1:]):
         with pytest.raises(ValueError, match="Gram blocks"):
-            rigorous_lower_bound(dataclasses.replace(res, grams=grams), inst, cliques, plan)
+            rigorous_lower_bound(dataclasses.replace(res, grams=grams), inst, cliques)
