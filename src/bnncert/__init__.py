@@ -40,8 +40,6 @@ from bnncert.encode import (
     linear_inequalities,
     objective_targeted,
     region_polynomials,
-    substitute_pattern,
-    write_lp_format,
     write_mps,
 )
 from bnncert.sdp import (
@@ -128,11 +126,9 @@ __all__ = [
     "stabilize",
     "solve_conic",
     "solve_lp",
-    "substitute_pattern",
     "svec",
     "tightened_gap_witness",
     "to_conic",
     "weight_sparsity",
-    "write_lp_format",
     "write_mps",
 ]

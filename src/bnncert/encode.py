@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -56,8 +56,6 @@ __all__ = [
     "linear_inequalities",
     "objective_targeted",
     "region_polynomials",
-    "substitute_pattern",
-    "write_lp_format",
     "write_mps",
 ]
 
@@ -174,9 +172,6 @@ class Clique:
 
     def __contains__(self, v: Var) -> bool:
         return v in self.variables
-
-    def covers(self, vars_: Iterable[Var]) -> bool:
-        return all(v in self.variables for v in vars_)
 
 
 @dataclass(frozen=True)
@@ -697,40 +692,6 @@ def linear_inequalities(
     return variables, A, np.asarray(rhs)
 
 
-def substitute_pattern(
-    instance: VerificationInstance, pattern: dict[Var, int]
-) -> list[MultilinearPoly]:
-    """Fix the binary variables of a MILP instance to +/-1 values.
-
-    Returns the constraint polynomials restricted to the input variables
-    (constant rows included); feasibility of the pattern is then a question
-    about x0 alone.
-    """
-    if instance.encoding_kind != "milp":
-        raise ValueError("pattern substitution applies to MILP instances")
-    missing = [v for v in instance.binary_vars if v not in pattern]
-    if missing:
-        raise ValueError(f"pattern misses variables {missing}")
-    bad = [v for v, s in pattern.items() if s not in (-1, 1)]
-    if bad:
-        raise ValueError(f"pattern values must be +/-1, got {bad}")
-    out = []
-    for c in instance.constraints.inequalities:
-        terms: dict = {}
-        for mono, coeff in c.poly.terms.items():
-            factor = 1
-            rest = []
-            for v, e in mono:
-                if v in pattern:
-                    factor *= pattern[v] ** e
-                else:
-                    rest.append((v, e))
-            key = tuple(rest)
-            terms[key] = terms.get(key, Fraction(0)) + _frac(coeff) * factor
-        out.append(MultilinearPoly(terms))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # file export
 # ---------------------------------------------------------------------------
@@ -742,7 +703,7 @@ def _mps_name(v: Var) -> str:
 
 def _export_data(instance: VerificationInstance):
     if instance.encoding_kind not in ("lp", "milp"):
-        raise ValueError("only linear encodings export to MPS/LP formats")
+        raise ValueError("only linear encodings export to MPS")
     for c in instance.constraints.inequalities:
         if c.poly.degree > 1:
             raise ValueError(
@@ -835,44 +796,5 @@ def write_mps(instance: VerificationInstance, path) -> None:
             lines.append(f" LO BND       {name:<10}{lo!r}")
             lines.append(f" UP BND       {name:<10}{hi!r}")
     lines.append("ENDATA")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_lp_format(instance: VerificationInstance, path) -> None:
-    """Write the linear encoding in CPLEX LP text format (same variable shift)."""
-    variables, A, d, c, c0 = _export_data(instance)
-    binaries = set(instance.binary_vars)
-    obj_const_z = c0 - float(np.sum(c))
-    lines = ["\\ Linear robustness encoding; variables shifted by x = 2z - 1."]
-    lines.append(f"\\ Objective constant folded into the expression: {obj_const_z!r}")
-    lines.append("Minimize")
-    terms = []
-    for j, v in enumerate(variables):
-        if c[j] != 0.0:
-            terms.append(f"{2.0 * c[j]:+} {_mps_name(v)}")
-    obj = " ".join(terms) if terms else "0 " + _mps_name(variables[0])
-    if obj_const_z != 0.0:
-        obj += f" {obj_const_z:+}"
-    lines.append(" obj: " + obj)
-    lines.append("Subject To")
-    for r in range(A.shape[0]):
-        row_terms = [
-            f"{2.0 * A[r, j]:+} {_mps_name(v)}"
-            for j, v in enumerate(variables)
-            if A[r, j] != 0.0
-        ]
-        rhs = d[r] + float(np.sum(A[r]))
-        body = " ".join(row_terms) if row_terms else f"0 {_mps_name(variables[0])}"
-        lines.append(f" c{r+1}: {body} >= {rhs}")
-    lines.append("Bounds")
-    for v in variables:
-        if v not in binaries:
-            lo, hi = _z_bounds(instance, v)
-            lines.append(f" {lo} <= {_mps_name(v)} <= {hi}")
-    if binaries:
-        lines.append("Binaries")
-        lines.append(" " + " ".join(_mps_name(v) for v in variables if v in binaries))
-    lines.append("End")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -4,8 +4,9 @@ For small networks the exact optimum of a robustness query is computable: fix
 a +/-1 sign pattern for every hidden neuron, check the deeper layers by pure
 (exact rational) arithmetic, and reduce layer 1 to the question "does some
 admissible input produce these signs?" -- a polytope membership query, decided
-exactly by Fourier-Motzkin elimination for box regions and by a projected
-gradient method on the dual of the nearest-point problem for Euclidean balls.
+exactly by Fourier-Motzkin elimination for box regions and, for Euclidean
+balls, by the cell's nearest point to the center, found by least-distance
+programming (one NNLS solve) and checked against the rows and the radius.
 
 A pattern is *feasible* when the non-strict system sigma * (W x' + b) >= 0 is
 satisfiable over the region -- the closure semantics every encoding in this
@@ -29,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from bnncert.encode import PerturbationRegion, VerificationInstance, substitute_pattern
+from bnncert.encode import PerturbationRegion, VerificationInstance
 from bnncert.model import FoldedBnn, forward, forward_activations
 from bnncert.poly import MultilinearPoly, Var
 
@@ -209,42 +210,32 @@ def _box_rows(lower: Sequence[Fraction], upper: Sequence[Fraction]) -> list[Row]
 
 
 # ---------------------------------------------------------------------------
-# ball-region feasibility: nearest point in a polytope, solved on the dual
+# ball-region feasibility: nearest point in a polytope by least distance
 # ---------------------------------------------------------------------------
 
 
 def _nearest_in_polytope(
-    A: np.ndarray, d: np.ndarray, center: np.ndarray, max_iter: int = 5000
-) -> tuple[float, np.ndarray]:
-    """min ||x - center|| s.t. A x >= d, via accelerated projected gradient
-    on the concave dual; returns (distance estimate, primal point)."""
-    m = A.shape[0]
-    if m == 0:
-        return 0.0, center.copy()
-    resid = d - A @ center  # positive components = violated rows
-    if np.all(resid <= 0):
-        return 0.0, center.copy()
-    AAt = A @ A.T
-    lip = float(np.linalg.norm(AAt, 2)) / 2.0
-    if lip <= 0:
-        return 0.0, center.copy()
-    step = 1.0 / lip
-    lam = np.zeros(m)
-    lam_prev = lam
-    tk = 1.0
-    for _ in range(max_iter):
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
-        mom = lam + ((tk - 1.0) / t_next) * (lam - lam_prev)
-        grad = resid - 0.5 * (AAt @ mom)  # gradient of the concave dual
-        nxt = np.maximum(mom + step * grad, 0.0)
-        if np.linalg.norm(nxt - lam) <= 1e-14 * (1.0 + np.linalg.norm(lam)):
-            lam_prev, lam = lam, nxt
-            break
-        lam_prev, lam, tk = lam, nxt, t_next
-    x = center + 0.5 * (A.T @ lam)
-    violation = np.maximum(d - A @ x, 0.0)
-    dist = float(np.linalg.norm(x - center)) + float(np.linalg.norm(violation))
-    return dist, x
+    A: np.ndarray, d: np.ndarray, center: np.ndarray
+) -> Optional[np.ndarray]:
+    """Nearest point of {x : A x >= d} to `center`, or None when the
+    least-distance program finds the set empty.
+
+    Least-distance programming (Lawson & Hanson 1974, ch. 23): with
+    h = d - A center, E = [A^T; h^T] and f = e_{n+1}, the NNLS residual
+    r = E w - f has r[n] < 0 exactly when the set is nonempty, and then
+    x = center - r[:n] / r[n]; r = 0 is a Farkas certificate of emptiness.
+    """
+    from scipy.optimize import nnls  # deferred: keeps `import bnncert.cli` lean
+
+    n = center.shape[0]
+    E = np.vstack([A.T, d - A @ center])
+    f = np.zeros(n + 1)
+    f[n] = 1.0
+    w, _ = nnls(E, f)
+    r = E @ w - f
+    if not r[n] < 0:
+        return None
+    return center - r[:n] / r[n]
 
 
 def _ball_feasible(
@@ -256,8 +247,11 @@ def _ball_feasible(
     """Witness of {A x >= d} intersected with the l2 region, or None.
 
     The exact rows, when given, let the region center be accepted without any
-    floating-point iteration.  Acceptance uses the relative slack
-    radius * (1 + 1e-9) (+1e-12 absolute) documented by `exact_verify`.
+    floating-point solve.  Otherwise the nearest point x of the cell (the rows
+    plus the region's box rows) to the center is accepted when it satisfies
+    every row to within 1e-9 * (1 + max|d|) and lies within
+    radius * (1 + 1e-9) + 1e-12 of the center, the slacks documented by
+    `exact_verify`.
     """
     center = region.center
     if rows_exact is not None:
@@ -269,10 +263,12 @@ def _ball_feasible(
             return center.copy()
     A = np.vstack([rows_A, np.eye(region.dim), -np.eye(region.dim)])
     d = np.concatenate([rows_d, region.lower, -region.upper])
-    dist, x = _nearest_in_polytope(A, d, center)
-    if dist <= region.radius * (1.0 + 1e-9) + 1e-12:
-        return x
-    return None
+    x = _nearest_in_polytope(A, d, center)
+    if x is None:
+        return None
+    on_rows = np.all(A @ x - d >= -1e-9 * (1.0 + np.max(np.abs(d))))
+    in_ball = np.linalg.norm(x - center) <= region.radius * (1.0 + 1e-9) + 1e-12
+    return x if on_rows and in_ball else None
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +343,11 @@ def exact_verify(
 
     The objective must involve hidden (binary) variables only, so its value
     is constant on each pattern; tau is then the exact rational minimum over
-    feasible patterns.  For l2 regions, borderline patterns (whose layer-1
-    cell touches the ball within relative slack 1e-9) are accepted.
+    feasible patterns.  For l2 regions a layer-1 cell is decided in floating
+    point by its nearest point to the center, with two slacks: the point may
+    violate a cell row by 1e-9 * (1 + max|d|) (d the rows' right-hand sides)
+    and may lie radius * (1 + 1e-9) + 1e-12 from the center, so borderline
+    cells that touch the ball are accepted.
     """
     if any(v.layer == 0 for v in objective.variables()):
         raise ValueError("exact verification needs an objective over binary variables only")

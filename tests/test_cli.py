@@ -1,6 +1,10 @@
 """End-to-end command line checks on the worked toy network."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -477,3 +481,19 @@ def test_sample_ub_without_a_witness_samples_every_target(tmp_path, monkeypatch)
     assert [t["status"] for t in rep["targets"]] == ["unknown", "unknown"]
     assert all(t["approximate"] > 0 for t in rep["targets"])
     assert len(calls) == 2
+
+
+def test_cli_import_leaves_out_optimize_and_sparse_linalg():
+    """`import bnncert.cli` defers `scipy.optimize` and `scipy.sparse.linalg`
+    to the calls that use them, so a plain run pays for neither."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, bnncert.cli\n"
+        "print([m for m in ('scipy.optimize', 'scipy.sparse.linalg') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

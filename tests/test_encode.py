@@ -1,4 +1,4 @@
-"""Region polynomials, the four encodings, cliques, and the MPS/LP writers."""
+"""Region polynomials, the four encodings, cliques, and the MPS writer."""
 
 import itertools
 from fractions import Fraction
@@ -24,8 +24,6 @@ from bnncert import (
     linear_inequalities,
     objective_targeted,
     region_polynomials,
-    substitute_pattern,
-    write_lp_format,
     write_mps,
 )
 from bnncert.oracle import feasible_patterns
@@ -388,31 +386,7 @@ def test_identity_residuals_vanish_on_random_nets(seed):
         assert poly.identity_zero(), label
 
 
-# -- pattern substitution and writers -----------------------------------------
-
-
-def test_substitute_pattern_matches_evaluation(example1):
-    inst = encode_milp(example1, region1("linf", 1.0), objective1(example1))
-    pattern = {Var(1, 1): 1, Var(1, 2): 1, Var(2, 1): -1, Var(2, 2): -1}
-    x0 = {Var(0, 1): 0.3, Var(0, 2): 0.5, Var(0, 3): -0.2}
-    reduced_rows = substitute_pattern(inst, pattern)
-    assert len(reduced_rows) == len(inst.constraints.inequalities)
-    full = dict(pattern)
-    full.update(x0)
-    for con, reduced in zip(inst.constraints.inequalities, reduced_rows):
-        assert set(reduced.variables()) <= set(x0)
-        assert float(reduced.evaluate(x0)) == pytest.approx(
-            float(con.poly.evaluate(full))
-        )
-
-
-def test_substitute_pattern_validates_inputs(example1):
-    inst = encode_milp(example1, region1("linf", 1.0), objective1(example1))
-    with pytest.raises(ValueError, match="misses"):
-        substitute_pattern(inst, {Var(1, 1): 1})
-    lp = encode_lp(example1, region1("linf", 1.0), objective1(example1))
-    with pytest.raises(ValueError, match="MILP"):
-        substitute_pattern(lp, {})
+# -- MPS writer ---------------------------------------------------------------
 
 
 def test_write_mps_marks_integers(example1, tmp_path):
@@ -432,13 +406,3 @@ def test_write_mps_rejects_ball_region(example1, tmp_path):
     inst = encode_milp(example1, region1("l2", 1.0), objective1(example1))
     with pytest.raises(ValueError, match="linf"):
         write_mps(inst, tmp_path / "ball.mps")
-
-
-def test_write_lp_format_smoke(example1, tmp_path):
-    inst = encode_milp(example1, region1("linf", 1.0), objective1(example1))
-    path = tmp_path / "toy.lp"
-    write_lp_format(inst, path)
-    text = path.read_text()
-    assert "Minimize" in text
-    assert "Subject To" in text
-    assert "Binaries" in text

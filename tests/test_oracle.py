@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bnncert import (
+    FoldedBnn,
     MultilinearPoly,
     PerturbationRegion,
     Var,
@@ -19,9 +20,14 @@ from bnncert import (
     relative_improvement,
     sample_upper_bound,
 )
-from bnncert.oracle import milp_feasible_patterns, pattern_assignment, sample_region
+from bnncert.oracle import (
+    _ball_feasible,
+    milp_feasible_patterns,
+    pattern_assignment,
+    sample_region,
+)
 
-from conftest import make_example1, random_net, random_region
+from conftest import EXAMPLE1_X0, make_example1, random_net, random_region, random_widths
 
 
 def objective1(net):
@@ -93,16 +99,55 @@ def test_exact_verify_rejects_input_variables(example1, x0_example):
         exact_verify(example1, region, bad)
 
 
-def test_witnesses_satisfy_their_patterns(example1, x0_example):
-    region = PerturbationRegion.linf(x0_example, 1.0)
-    for rec in feasible_patterns(example1, region):
-        assert region.contains(rec.witness)
-        x = np.asarray(rec.witness, dtype=float)
-        cur = x
-        for i, layer_signs in enumerate(rec.pattern, start=1):
-            z = example1.weight(i) @ cur + example1.bias(i)
-            assert np.all(np.asarray(layer_signs) * z >= -1e-12)
-            cur = np.asarray(layer_signs, dtype=float)
+def l2_family(seed, n_nets=6):
+    """Seeded 4-level nets, each with an l2 ball wide enough to leave every
+    layer-1 neuron undetermined, at that radius and at 0.6 and 0.3 of it."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_nets):
+        net = random_net(rng, random_widths(rng, (6, 5, 4, 3)))
+        center = rng.uniform(-0.2, 0.2, net.input_dim)
+        W = net.weight(1)
+        radius = 0.55 * max(np.abs(row).sum() / np.linalg.norm(row) for row in W)
+        for scale in (1.0, 0.6, 0.3):
+            yield net, PerturbationRegion.l2(center, scale * radius)
+
+
+def witness_cases(kind):
+    region = getattr(PerturbationRegion, kind)(EXAMPLE1_X0, 1.0)
+    yield make_example1(), region
+    if kind == "l2":
+        yield from l2_family(808)
+
+
+@pytest.mark.parametrize("kind", ["linf", "l2"])
+def test_witnesses_satisfy_their_patterns(kind):
+    """Every witness lies in the region, meets its pattern's layer-1 rows to
+    1e-12 and reproduces the deeper signs."""
+    for net, region in witness_cases(kind):
+        for rec in feasible_patterns(net, region):
+            assert region.contains(rec.witness)
+            cur = np.asarray(rec.witness, dtype=float)
+            for i, layer_signs in enumerate(rec.pattern, start=1):
+                z = net.weight(i) @ cur + net.bias(i)
+                assert np.all(np.asarray(layer_signs) * z >= -1e-12)
+                cur = np.asarray(layer_signs, dtype=float)
+
+
+def test_l2_empty_cell_is_rejected():
+    """x1 >= 0.5 and -x1 >= 0.4 share no point, inside the ball or not; it
+    is the cell (+1, -1) of layer-1 weights [[1,0],[1,0]], biases (-0.5, 0.4)."""
+    region = PerturbationRegion.l2([0.0, 0.0], 1.0)
+    A = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    assert _ball_feasible(A, np.array([0.5, 0.4]), region) is None
+    net = FoldedBnn(
+        widths=(2, 2, 2),
+        weights=(np.array([[1, 0], [1, 0]]), np.array([[1, -1], [-1, 1]])),
+        biases=(np.array([-0.5, 0.4]), np.array([0.0, 0.0])),
+    )
+    expected = {((-1, -1),), ((-1, 1),), ((1, 1),)}
+    assert {r.pattern for r in feasible_patterns(net, region)} == expected
+    inst = encode_milp(net, region, objective_targeted(net, 1, 2), true_label=1, target=2)
+    assert {r.pattern for r in milp_feasible_patterns(inst)} == expected
 
 
 @pytest.mark.parametrize("kind", ["linf", "l2"])
