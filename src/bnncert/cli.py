@@ -266,7 +266,7 @@ def _relax(
         instance = encoder(net, region, objective, true_label=label, target=k)
         cliques = build_cliques(net)
         problem = to_conic(assemble_moment_sdp(instance, cliques))
-    return _Relaxation(instance, problem, conic_setup(problem, opts.scaling), cliques)
+    return _Relaxation(instance, problem, conic_setup(problem), cliques)
 
 
 def _bound_one_target(

@@ -103,8 +103,8 @@ class PerturbationRegion:
         center = np.asarray(self.center, dtype=float)
         if center.ndim != 1:
             raise ValueError("region center must be a vector")
-        if np.any(np.abs(center) > 1):
-            raise ValueError("region center must lie in [-1,1]^n0")
+        if not np.all(np.abs(center) <= 1):  # NaN fails this test too
+            raise ValueError("region center must be finite and lie in [-1,1]^n0")
         if not self.radius >= 0:
             raise ValueError("region radius must be nonnegative")
         center = center.copy()

@@ -58,6 +58,8 @@ class BatchNorm:
     def __post_init__(self) -> None:
         for name in ("gamma", "beta", "mu", "var"):
             object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name), dtype=float)))
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"batch-norm {name} must be finite")
         if np.any(self.var < 0):
             raise ValueError("batch-norm variance must be nonnegative")
 
@@ -99,6 +101,8 @@ class RawBnn:
                 raise ValueError(f"layer {i}: bias length {b.shape} != {self.widths[i]}")
             if not np.isin(w, (-1, 0, 1)).all():
                 raise ValueError(f"layer {i}: non-ternary weight")
+            if not np.all(np.isfinite(b)):
+                raise ValueError(f"layer {i}: non-finite bias")
             frozen_w.append(_freeze(w.astype(np.int64)))
             frozen_b.append(_freeze(b))
             block = self.bn[i - 1]
@@ -106,8 +110,8 @@ class RawBnn:
                 raise ValueError(f"layer {i}: batch-norm width mismatch")
         if self.bn[-1] is not None:
             raise ValueError("output layer must not carry batch-norm")
-        if not self.bn_epsilon > 0:
-            raise ValueError("bn_epsilon must be positive")
+        if not 0 < self.bn_epsilon < np.inf:
+            raise ValueError("bn_epsilon must be positive and finite")
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
         object.__setattr__(self, "weights", tuple(frozen_w))
         object.__setattr__(self, "biases", tuple(frozen_b))
@@ -143,8 +147,11 @@ class FoldedBnn:
                 raise ValueError(f"layer {i}: weight shape mismatch")
             if not np.isin(w, (-1, 0, 1)).all():
                 raise ValueError(f"layer {i}: non-ternary weight after folding")
+            b = np.asarray(b, dtype=float)
+            if not np.all(np.isfinite(b)):
+                raise ValueError(f"layer {i}: non-finite bias")
             frozen_w.append(_freeze(w.astype(np.int64)))
-            frozen_b.append(_freeze(np.asarray(b, dtype=float)))
+            frozen_b.append(_freeze(b))
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
         object.__setattr__(self, "weights", tuple(frozen_w))
         object.__setattr__(self, "biases", tuple(frozen_b))

@@ -1,18 +1,20 @@
 """Ground-truth verification by activation-pattern enumeration.
 
-For small networks the exact optimum of a robustness query is computable: fix
-a +/-1 sign pattern for every hidden neuron, check the deeper layers by pure
-(exact rational) arithmetic, and reduce layer 1 to the question "does some
-admissible input produce these signs?" -- a polytope membership query, decided
-exactly by Fourier-Motzkin elimination for box regions and, for Euclidean
-balls, by the cell's nearest point to the center, found by least-distance
-programming (one NNLS solve) and checked against the rows and the radius.
+For small networks the exact optimum of a robustness query is computable by
+walking the layer-1 sign vectors.  Each one fixes a cell of the input space,
+and "does some admissible input produce these signs?" is a polytope
+membership query, decided once per cell: exactly by Fourier-Motzkin
+elimination for box regions and, for Euclidean balls, by the cell's nearest
+point to the center, found by least-distance programming (one NNLS solve) and
+checked against the rows and the radius.  The signs of every deeper layer
+then follow from the layer before; they are computed, not searched.
 
 A pattern is *feasible* when the non-strict system sigma * (W x' + b) >= 0 is
 satisfiable over the region -- the closure semantics every encoding in this
 package relaxes.  This coincides with the forward semantics except on
 measure-zero ties (exact zero pre-activations, where sign(0) := +1 picks one
-branch); `ForwardTrace.zero_preactivation_flags` reports when that matters.
+branch while the closure admits both); `ForwardTrace.zero_preactivation_flags`
+reports when that matters.
 
 The exact optimum `tau` is the minimum of the objective over feasible
 patterns, computed in exact rational arithmetic; it is the yardstick every
@@ -31,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from bnncert.encode import PerturbationRegion, VerificationInstance
-from bnncert.model import FoldedBnn, forward, forward_activations
+from bnncert.model import FoldedBnn, forward_activations
 from bnncert.poly import MultilinearPoly, Var
 
 __all__ = [
@@ -69,7 +71,6 @@ class ExactResult:
     minimizer: Pattern
     witness: np.ndarray
     n_feasible: int
-    records: tuple[PatternRecord, ...]
 
     @property
     def value(self) -> float:
@@ -91,13 +92,17 @@ class SampleBound:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_patterns(net: FoldedBnn, cap: int = DEFAULT_PATTERN_CAP):
-    """Yield every hidden sign pattern, layer-major; guarded by `cap`."""
+def _require_cap(net: FoldedBnn, cap: int) -> None:
     total = net.hidden_count()
     if total > cap:
         raise ValueError(
             f"pattern enumeration needs at most {cap} hidden neurons, got {total}"
         )
+
+
+def enumerate_patterns(net: FoldedBnn, cap: int = DEFAULT_PATTERN_CAP):
+    """Yield every hidden sign pattern, layer-major; guarded by `cap`."""
+    _require_cap(net, cap)
     widths = net.hidden_widths
     per_layer = [list(itertools.product((-1, 1), repeat=n)) for n in widths]
     for combo in itertools.product(*per_layer):
@@ -110,11 +115,6 @@ def pattern_assignment(net: FoldedBnn, pattern: Pattern) -> dict[Var, int]:
         for j, s in enumerate(layer, start=1):
             out[Var(i, j)] = int(s)
     return out
-
-
-def _trace_pattern(net: FoldedBnn, x0: np.ndarray) -> Pattern:
-    tr = forward(net, x0)
-    return tuple(tuple(int(v) for v in act) for act in tr.activations)
 
 
 # ---------------------------------------------------------------------------
@@ -196,16 +196,16 @@ def _fm_witness(rows: list[Row], n: int) -> Optional[list[Fraction]]:
     return x
 
 
-def _box_rows(lower: Sequence[Fraction], upper: Sequence[Fraction]) -> list[Row]:
-    n = len(lower)
+def _box_rows(region: PerturbationRegion) -> list[Row]:
+    n = region.dim
     rows: list[Row] = []
-    for k in range(n):
+    for k, (lo, hi) in enumerate(zip(region.lower, region.upper)):
         e = [Fraction(0)] * n
         e[k] = Fraction(1)
-        rows.append((tuple(e), -lower[k]))
+        rows.append((tuple(e), -Fraction(lo)))
         e2 = [Fraction(0)] * n
         e2[k] = Fraction(-1)
-        rows.append((tuple(e2), upper[k]))
+        rows.append((tuple(e2), Fraction(hi)))
     return rows
 
 
@@ -239,28 +239,18 @@ def _nearest_in_polytope(
 
 
 def _ball_feasible(
-    rows_A: np.ndarray,
-    rows_d: np.ndarray,
-    region: PerturbationRegion,
-    rows_exact: Optional[list[Row]] = None,
+    rows_A: np.ndarray, rows_d: np.ndarray, region: PerturbationRegion
 ) -> Optional[np.ndarray]:
     """Witness of {A x >= d} intersected with the l2 region, or None.
 
-    The exact rows, when given, let the region center be accepted without any
-    floating-point solve.  Otherwise the nearest point x of the cell (the rows
-    plus the region's box rows) to the center is accepted when it satisfies
-    every row to within 1e-9 * (1 + max|d|) and lies within
-    radius * (1 + 1e-9) + 1e-12 of the center, the slacks documented by
-    `exact_verify`.
+    The nearest point x of the cell (the rows plus the region's box rows) to
+    the center is accepted when it satisfies every row to within
+    1e-9 * (1 + max|d|) and lies within radius * (1 + 1e-9) + 1e-12 of the
+    center, the slacks documented by `exact_verify`.  A center that meets
+    every row in floating point is its own nearest point: the NNLS solve
+    starts and stops at w = 0 and returns the center unchanged.
     """
     center = region.center
-    if rows_exact is not None:
-        cvals = [Fraction(c) for c in center]
-        if all(
-            const + sum((coeffs[j] * cvals[j] for j in range(len(cvals)) if coeffs[j]), Fraction(0)) >= 0
-            for coeffs, const in rows_exact
-        ):
-            return center.copy()
     A = np.vstack([rows_A, np.eye(region.dim), -np.eye(region.dim)])
     d = np.concatenate([rows_d, region.lower, -region.upper])
     x = _nearest_in_polytope(A, d, center)
@@ -271,65 +261,70 @@ def _ball_feasible(
     return x if on_rows and in_ball else None
 
 
+def _cell_witness(rows: list[Row], region: PerturbationRegion) -> Optional[np.ndarray]:
+    """A point of the region that meets every row, or None: Fourier-Motzkin
+    with the region's box rows for linf, least distance for l2."""
+    if region.kind == "linf":
+        x = _fm_witness(rows + _box_rows(region), region.dim)
+        return None if x is None else np.array([float(v) for v in x])
+    A = np.array([[float(c) for c in coeffs] for coeffs, _ in rows])
+    d = np.array([-float(const) for _, const in rows])
+    return _ball_feasible(A.reshape(len(rows), region.dim), d, region)
+
+
 # ---------------------------------------------------------------------------
-# per-pattern systems from the network itself
+# the pattern set from the network itself: layer-1 cells, computed completions
 # ---------------------------------------------------------------------------
 
 
-def _deep_layers_consistent(net: FoldedBnn, pattern: Pattern) -> bool:
-    for i in range(2, net.depth + 1):
-        w = net.weight(i)
-        b = net.bias(i)
-        prev = pattern[i - 2]
-        for j, s in enumerate(pattern[i - 1]):
-            z = Fraction(b[j]) + sum(
-                int(w[j, k]) * prev[k] for k in range(w.shape[1]) if w[j, k]
-            )
-            if s * z < 0:
-                return False
-    return True
-
-
-def _layer1_rows(net: FoldedBnn, pattern: Pattern) -> list[Row]:
+def _layer1_rows(net: FoldedBnn, signs: tuple[int, ...]) -> list[Row]:
     """sigma_j * (<W1_j, x0> + b_j) >= 0 as exact rows over x0."""
     w = net.weight(1)
     b = net.bias(1)
     n0 = net.input_dim
     rows: list[Row] = []
-    for j, s in enumerate(pattern[0]):
+    for j, s in enumerate(signs):
         coeffs = tuple(Fraction(s * int(w[j, k])) for k in range(n0))
         rows.append((coeffs, Fraction(s) * Fraction(b[j])))
     return rows
 
 
-def _pattern_witness(
-    net: FoldedBnn, region: PerturbationRegion, pattern: Pattern
-) -> Optional[np.ndarray]:
-    if not _deep_layers_consistent(net, pattern):
-        return None
-    rows = _layer1_rows(net, pattern)
-    if region.kind == "linf":
-        lo = [Fraction(v) for v in region.lower]
-        hi = [Fraction(v) for v in region.upper]
-        x = _fm_witness(rows + _box_rows(lo, hi), region.dim)
-        return None if x is None else np.array([float(v) for v in x])
-    A = np.array([[float(c) for c in coeffs] for coeffs, _ in rows])
-    d = np.array([-float(const) for _, const in rows])
-    return _ball_feasible(A, d, region, rows_exact=rows)
+def _completions(net: FoldedBnn, first: tuple[int, ...]) -> list[Pattern]:
+    """Every full pattern with layer-1 signs `first`, in enumeration order.
+
+    A deeper pre-activation z = W s + b is an integer sum plus one rounding
+    of b, so its sign is exact; z = 0 admits both signs (closure semantics).
+    """
+    patterns: list[Pattern] = [(first,)]
+    for i in range(2, net.depth + 1):
+        w, b = net.weight(i), net.bias(i)
+        patterns = [
+            p + (layer,)
+            for p in patterns
+            for layer in itertools.product(
+                *[(-1, 1) if z == 0 else (1,) if z > 0 else (-1,) for z in w @ p[-1] + b]
+            )
+        ]
+    return patterns
 
 
 def feasible_patterns(
     net: FoldedBnn, region: PerturbationRegion, cap: int = DEFAULT_PATTERN_CAP
 ) -> list[PatternRecord]:
-    """All feasible patterns with witnesses, in enumeration order."""
+    """All feasible patterns with witnesses, in enumeration order.
+
+    Each layer-1 cell is decided once by `_cell_witness`; a feasible cell
+    contributes every pattern of `_completions`, all with the cell's witness.
+    """
     net.require_stabilized()
     if region.dim != net.input_dim:
         raise ValueError("region dimension does not match the network input")
+    _require_cap(net, cap)
     out = []
-    for pattern in enumerate_patterns(net, cap):
-        witness = _pattern_witness(net, region, pattern)
+    for first in itertools.product((-1, 1), repeat=net.hidden_widths[0]):
+        witness = _cell_witness(_layer1_rows(net, first), region)
         if witness is not None:
-            out.append(PatternRecord(pattern, witness))
+            out.extend(PatternRecord(p, witness) for p in _completions(net, first))
     return out
 
 
@@ -367,7 +362,6 @@ def exact_verify(
         minimizer=rec.pattern,
         witness=rec.witness,
         n_feasible=len(records),
-        records=tuple(records),
     )
 
 
@@ -421,10 +415,9 @@ def milp_feasible_patterns(
                     pos = binary_order.index(v)
                     bin_coeffs[pos] = bin_coeffs.get(pos, Fraction(0)) + coeff
         split_rows.append((tuple(x0_coeffs), tuple(bin_coeffs.items()), const))
+    if region.kind == "l2" and not has_ball:
+        raise ValueError("l2 MILP instance lost its ball row")
 
-    lo = [Fraction(v) for v in region.lower]
-    hi = [Fraction(v) for v in region.upper]
-    box = _box_rows(lo, hi)
     out = []
     for pattern in enumerate_patterns(net, cap):
         flat = [s for layer in pattern for s in layer]
@@ -439,17 +432,7 @@ def milp_feasible_patterns(
                 break
         if not ok:
             continue
-        if region.kind == "linf":
-            x = _fm_witness(rows + box, n0)
-            witness = None if x is None else np.array([float(v) for v in x])
-        else:
-            if not has_ball:
-                raise ValueError("l2 MILP instance lost its ball row")
-            A = np.array([[float(c) for c in coeffs] for coeffs, _ in rows]).reshape(
-                len(rows), n0
-            )
-            d = np.array([-float(const) for _, const in rows])
-            witness = _ball_feasible(A, d, region, rows_exact=rows)
+        witness = _cell_witness(rows, region)
         if witness is not None:
             out.append(PatternRecord(pattern, witness))
     return out

@@ -68,9 +68,7 @@ __all__ = [
 class SolveOptions:
     tol: float = 1e-6
     max_iter: int = 50000
-    scaling: bool = True
     seed: int = 0
-    rho: float = 1.0
     check_every: int = 25
 
     def __post_init__(self) -> None:
@@ -78,8 +76,6 @@ class SolveOptions:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
         if self.check_every < 1:
             raise ValueError("check_every must be at least 1")
 
@@ -108,7 +104,6 @@ class SolveResult:
     sigmas: np.ndarray
     grams: tuple[np.ndarray, ...]
     options: SolveOptions
-    problem: ConicProblem = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -235,7 +230,6 @@ class ConicSetup:
     """
 
     A0: sp.spmatrix = field(repr=False)
-    scaling: bool
     E: np.ndarray = field(repr=False)
     D: np.ndarray = field(repr=False)
     A: sp.csr_matrix = field(repr=False)
@@ -244,11 +238,11 @@ class ConicSetup:
     groups: list = field(repr=False)
 
 
-def conic_setup(problem: ConicProblem, scaling: bool = True) -> ConicSetup:
+def conic_setup(problem: ConicProblem) -> ConicSetup:
     """Equilibrate and factor `problem.A` once for any number of solves."""
     A0 = problem.A
     m, n = A0.shape
-    if scaling and m and n:
+    if m and n:
         E, D = _equilibrate(problem)
     else:
         E, D = np.ones(m), np.ones(n)
@@ -256,7 +250,6 @@ def conic_setup(problem: ConicProblem, scaling: bool = True) -> ConicSetup:
     At = A.T.tocsr()
     return ConicSetup(
         A0=A0,
-        scaling=scaling,
         E=E,
         D=D,
         A=A,
@@ -293,9 +286,9 @@ def solve_conic(
     """
     opts = opts or SolveOptions()
     if setup is None:
-        setup = conic_setup(problem, opts.scaling)
-    elif setup.A0 is not problem.A or setup.scaling != opts.scaling:
-        raise ValueError("the conic setup was built for another problem or scaling")
+        setup = conic_setup(problem)
+    elif setup.A0 is not problem.A:
+        raise ValueError("the conic setup was built for another problem")
     A0, b0, c0vec = problem.A, problem.b, problem.c
     E, D, A, At = setup.E, setup.D, setup.A, setup.At
     solve_normal, groups = setup.solve_normal, setup.groups
@@ -303,7 +296,7 @@ def solve_conic(
     b = E * b0
     c = D * c0vec
 
-    rho = opts.rho
+    rho = 1.0
     y = np.zeros(n)
     s = _project_cone(b, problem.n_nonneg, groups)
     u = np.zeros(m)
@@ -344,7 +337,6 @@ def solve_conic(
             sigmas=sig,
             grams=tuple(grams),
             options=opts,
-            problem=problem,
         )
 
     status = "max_iter"

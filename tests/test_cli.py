@@ -17,7 +17,7 @@ from bnncert.oracle import sample_region
 from bnncert.sdp import read_sdpa
 from bnncert.solver import SolveOptions
 
-from conftest import make_example1, random_net
+from conftest import EXAMPLE1_JSON, make_example1, random_net
 
 
 def run(example1_files, *extra):
@@ -218,6 +218,31 @@ def test_bad_arguments_exit_three(example1_files, tmp_path, capsys):
     for argv in cases:
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "row, layer, bias, eps",
+    [
+        ("nan 0.5 0", None, None, "0"),
+        ("nan 0.5 0", None, None, "0.2"),
+        ("0 0.5 0", 0, float("nan"), "0"),
+        ("0 0.5 0", 2, float("inf"), "0.2"),
+    ],
+    ids=["nan-input-eps0", "nan-input-eps0.2", "nan-hidden-bias", "inf-output-bias"],
+)
+def test_non_finite_numbers_exit_three(tmp_path, capsys, row, layer, bias, eps):
+    """A NaN or infinite input coordinate or bias is an input error, never
+    a verdict: no "robust" from a NaN margin, no traceback with the
+    "falsified" exit code."""
+    doc = json.loads(EXAMPLE1_JSON)
+    if layer is not None:
+        doc["layers"][layer]["bias"][0] = bias  # written as NaN / Infinity
+    model, inputs = tmp_path / "net.json", tmp_path / "input.txt"
+    model.write_text(json.dumps(doc))
+    inputs.write_text(row + "\n")
+    rc = main(["verify", "--model", str(model), "--input", str(inputs), "--eps", eps])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_export_sdpa_has_one_block_per_clique(example1_files, tmp_path):

@@ -120,6 +120,22 @@ def test_fold_rejects_zero_gamma():
         fold_batchnorm(raw)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameters_are_rejected(bad):
+    weights = (np.array([[1, 1]]), np.array([[1], [-1]]))
+    for i in range(2):
+        biases = [np.zeros(1), np.zeros(2)]
+        biases[i][0] = bad
+        with pytest.raises(ValueError, match="non-finite bias"):
+            RawBnn(widths=(2, 1, 2), weights=weights, biases=tuple(biases), bn=(None, None))
+        with pytest.raises(ValueError, match="non-finite bias"):
+            FoldedBnn(widths=(2, 1, 2), weights=weights, biases=tuple(biases))
+    for name in ("gamma", "beta", "mu", "var"):
+        params = {"gamma": [1.0], "beta": [0.0], "mu": [0.0], "var": [1.0], name: [bad]}
+        with pytest.raises(ValueError, match=f"batch-norm {name} must be finite"):
+            BatchNorm(**params)
+
+
 def test_stabilize_removes_constant_neuron():
     # neuron 1 has nv=3 < |b|=5, so it is pinned at +1; its +1 output flows
     # into the next bias through column 1

@@ -20,6 +20,7 @@ from bnncert import (
     relative_improvement,
     sample_upper_bound,
 )
+from bnncert import oracle
 from bnncert.oracle import (
     _ball_feasible,
     milp_feasible_patterns,
@@ -150,36 +151,76 @@ def test_l2_empty_cell_is_rejected():
     assert {r.pattern for r in milp_feasible_patterns(inst)} == expected
 
 
+def tie_net():
+    """2-2-2-2 net whose layer-2 pre-activations s1 + s2 and s1 - s2 have a
+    zero on every layer-1 cell, so each cell has two completions."""
+    return FoldedBnn(
+        widths=(2, 2, 2, 2),
+        weights=(np.eye(2, dtype=int), np.array([[1, 1], [1, -1]]), np.array([[1, -1], [-1, 1]])),
+        biases=(np.array([0.1, -0.2]), np.zeros(2), np.zeros(2)),
+    )
+
+
+def with_integer_deeper_biases(net, rng):
+    """`net` with every deeper hidden bias an integer b, |b| < nv: a
+    pre-activation is 0 wherever its +/-1 sum is -b."""
+    biases = list(net.biases)
+    for i in range(1, net.depth):
+        nv = np.abs(net.weights[i]).sum(axis=1)
+        biases[i] = np.array([float(rng.integers(1 - n, n)) for n in nv])
+    return FoldedBnn(net.widths, net.weights, tuple(biases))
+
+
+def assert_milp_matches_oracle(net, region, f, true_label, target):
+    """Equal pattern lists, both in `enumerate_patterns` order."""
+    inst = encode_milp(net, region, f, true_label=true_label, target=target)
+    oracle = [r.pattern for r in feasible_patterns(net, region)]
+    milp = [r.pattern for r in milp_feasible_patterns(inst)]
+    assert oracle == milp
+    assert oracle == [p for p in enumerate_patterns(net) if p in set(oracle)]
+    return oracle
+
+
 @pytest.mark.parametrize("kind", ["linf", "l2"])
 def test_milp_patterns_match_oracle_example1(example1, x0_example, kind):
-    region = (
-        PerturbationRegion.linf(x0_example, 1.0)
-        if kind == "linf"
-        else PerturbationRegion.l2(x0_example, 1.0)
-    )
-    inst = encode_milp(example1, region, objective1(example1), true_label=2, target=1)
-    oracle_set = {r.pattern for r in feasible_patterns(example1, region)}
-    milp_set = {r.pattern for r in milp_feasible_patterns(inst)}
-    assert oracle_set == milp_set
+    """The worked net, and the tie net whose every cell completes twice."""
+    for net, center in ((example1, x0_example), (tie_net(), np.zeros(2))):
+        region = getattr(PerturbationRegion, kind)(center, 1.0)
+        assert_milp_matches_oracle(net, region, objective_targeted(net, 2, 1), 2, 1)
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=10, deadline=None)
 def test_milp_patterns_match_oracle_random(seed):
+    """Random nets, each also with integer deeper biases (ties), in both norms."""
     rng = np.random.default_rng(seed)
     net = random_net(rng, (3, 3, 2, 2))
     region = random_region(rng, 3, "linf" if seed % 2 else "l2")
-    f = objective_targeted(net, 1, 2)
-    inst = encode_milp(net, region, f, true_label=1, target=2)
-    oracle_set = {r.pattern for r in feasible_patterns(net, region)}
-    milp_set = {r.pattern for r in milp_feasible_patterns(inst)}
-    assert oracle_set == milp_set
-    # and the minimum over encoded patterns is the oracle's tau
-    ex = exact_verify(net, region, f)
-    milp_min = min(
-        f.to_exact().evaluate(pattern_assignment(net, p)) for p in milp_set
-    )
-    assert milp_min == ex.tau
+    for net in (net, with_integer_deeper_biases(net, rng)):
+        f = objective_targeted(net, 1, 2)
+        patterns = assert_milp_matches_oracle(net, region, f, 1, 2)
+        # and the minimum over encoded patterns is the oracle's tau
+        ex = exact_verify(net, region, f)
+        milp_min = min(
+            f.to_exact().evaluate(pattern_assignment(net, p)) for p in patterns
+        )
+        assert milp_min == ex.tau
+
+
+def test_each_layer1_cell_is_decided_once(monkeypatch):
+    """The tie net's four cells have eight feasible patterns, but the box
+    decider runs once per cell."""
+    calls = []
+    fm_witness = oracle._fm_witness
+
+    def spy(rows, n):
+        calls.append(rows)
+        return fm_witness(rows, n)
+
+    monkeypatch.setattr(oracle, "_fm_witness", spy)
+    records = feasible_patterns(tie_net(), PerturbationRegion.linf([0.0, 0.0], 0.5))
+    assert len(records) == 8
+    assert len(calls) == 4
 
 
 def test_milp_threshold_feasibility_matches_sign(example1, x0_example):
