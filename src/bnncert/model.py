@@ -150,6 +150,9 @@ class FoldedBnn:
             b = np.asarray(b, dtype=float)
             if not np.all(np.isfinite(b)):
                 raise ValueError(f"layer {i}: non-finite bias")
+            # every logit margin carries a difference of two output biases
+            if i == n_layers and b.size and not np.isfinite(float(b.max()) - float(b.min())):
+                raise ValueError(f"layer {i}: output bias differences overflow binary64")
             frozen_w.append(_freeze(w.astype(np.int64)))
             frozen_b.append(_freeze(b))
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))

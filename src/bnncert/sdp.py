@@ -13,6 +13,12 @@ matrix over (1, x_clique) -- and every constraint polynomial contributes one
 scalar inequality row, its linearization L_y(g) >= 0.  The optimum of the
 resulting conic program is a certified lower bound for the encoded instance.
 
+The conic form keeps its constraint matrix as a `SparseMatrix`: sorted
+(row, column, value) triplets with a matrix-vector product and a transpose,
+all in numpy.  The problems are small (a 10-8-8-3 net has about 200
+columns), so a general sparse library buys nothing here, and importing
+`scipy.sparse` alone costs a verify process more time than a small solve.
+
 This module also hosts two small analytic constructions used to compare the
 relaxation against the LP bound (`sdp_below_lp_witness`,
 `tightened_gap_witness`), and SDPA ".dat-s" export/ingest.
@@ -27,7 +33,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from bnncert.encode import Clique, VerificationInstance, build_cliques
 from bnncert.model import FoldedBnn, row_norm1
@@ -39,6 +44,7 @@ __all__ = [
     "MomentSdp",
     "MomentWitness",
     "SdpaProblem",
+    "SparseMatrix",
     "assemble_moment_sdp",
     "export_sdpa",
     "read_sdpa",
@@ -252,16 +258,42 @@ def _svec_pos(s: int, p: int, q: int) -> int:
     return p * s - p * (p - 1) // 2 + (q - p)
 
 
+class SparseMatrix:
+    """An m x n matrix stored as (row, col, data) triplets sorted by row,
+    then by column, in read-only arrays.  `A @ x` is one weighted
+    `np.bincount`, so each row's terms are summed in column order, and `A.T`
+    is the transpose."""
+
+    __slots__ = ("row", "col", "data", "shape")
+
+    def __init__(self, row, col, data, shape: tuple[int, int]):
+        row = np.asarray(row, dtype=np.intp)
+        col = np.asarray(col, dtype=np.intp)
+        order = np.lexsort((col, row))
+        self.row, self.col = row[order], col[order]
+        self.data = np.asarray(data, dtype=float)[order]
+        self.shape = (int(shape[0]), int(shape[1]))
+        for a in (self.row, self.col, self.data):
+            a.setflags(write=False)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.row, weights=self.data * x[self.col], minlength=self.shape[0])
+
+    @property
+    def T(self) -> "SparseMatrix":
+        return SparseMatrix(self.col, self.row, self.data, self.shape[::-1])
+
+
 @dataclass(frozen=True)
 class ConicProblem:
     """min c0 + c^T y  s.t.  b - A y in (R+)^n_nonneg x PSD(s_1) x ... x PSD(s_k).
 
-    Rows of A are ordered: the nonnegative rows first, then each PSD block's
-    svec rows.  Column j corresponds to moment id j+1 of `ids_order` (the
-    constant id 0 is not a variable).
+    `A` is a `SparseMatrix`.  Its rows are ordered: the nonnegative rows
+    first, then each PSD block's svec rows.  Column j corresponds to moment
+    id j+1 of `ids_order` (the constant id 0 is not a variable).
     """
 
-    A: sp.csc_matrix
+    A: SparseMatrix
     b: np.ndarray
     c: np.ndarray
     c0: float
@@ -350,9 +382,7 @@ def to_conic(msdp: MomentSdp) -> ConicProblem:
             vals.append(-1.0 if p == q else -SQRT2)
         r += s * (s + 1) // 2
 
-    A = sp.csc_matrix(
-        (vals, (rows_i, cols_j)), shape=(r, n_vars)
-    )
+    A = SparseMatrix(rows_i, cols_j, vals, (r, n_vars))
     b = np.concatenate(b_parts) if b_parts else np.zeros(0)
     c = np.zeros(n_vars)
     for idx, coeff in msdp.objective:

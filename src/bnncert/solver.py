@@ -14,10 +14,15 @@ the same result as a per-block loop.
 Everything that depends only on `A` -- the equilibration, the scaled matrix,
 the normal-equation factorization and the size groups -- is a `ConicSetup`,
 built once by `conic_setup` and shared by problems that differ only in their
-objective (the attack targets of one query).  A caller that only needs a
-verdict passes `solve_conic` a `settled` callback: at each convergence check
-whose float screen could certify, the current iterate is offered to it, and
-the solve stops with status "settled" as soon as it accepts.
+objective (the attack targets of one query).  All of it runs on numpy
+arrays: `A` is a `SparseMatrix` of sorted triplets, and a normal matrix of
+at most 400 columns is inverted once and applied as one dense product per
+iteration.  Only a larger one loads scipy, for its sparse LU (`splu`).
+
+A caller that only needs a verdict passes `solve_conic` a `settled`
+callback: at each convergence check whose float screen could certify, the
+current iterate is offered to it, and the solve stops with status "settled"
+as soon as it accepts.
 
 `rigorous_lower_bound` turns that approximate certificate into a bound that
 holds despite floating-point error: the certificate combination is expanded
@@ -39,8 +44,6 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 
 from bnncert.encode import (
     Clique,
@@ -49,7 +52,7 @@ from bnncert.encode import (
     linear_inequalities,
 )
 from bnncert.poly import Var
-from bnncert.sdp import ConicProblem, smat, svec
+from bnncert.sdp import ConicProblem, SparseMatrix, smat, svec
 
 __all__ = [
     "ConicSetup",
@@ -179,19 +182,21 @@ def _row_groups(
 
 def _equilibrate(problem: ConicProblem, iters: int = 10):
     """Ruiz-style scaling with cone-respecting row groups; returns (E, D)."""
-    A = problem.A.tocsr(copy=True)
+    A = problem.A
     m, n = A.shape
     E = np.ones(m)
     D = np.ones(n)
     starts, lengths = _row_groups(problem.n_nonneg, problem.psd_sizes)
+    absA = np.abs(A.data)
     for _ in range(iters):
-        absA = abs(A)
-        rmax = np.asarray(absA.max(axis=1).todense()).ravel()
+        rmax = np.zeros(m)
+        np.maximum.at(rmax, A.row, absA)
         g = np.maximum.reduceat(rmax, starts)
         e = np.repeat(1.0 / np.sqrt(np.where(g > 0, g, 1.0)), lengths)
-        cmax = np.asarray(absA.max(axis=0).todense()).ravel()
+        cmax = np.zeros(n)
+        np.maximum.at(cmax, A.col, absA)
         d = np.where(cmax > 0, 1.0 / np.sqrt(cmax), 1.0)
-        A = sp.diags(e) @ A @ sp.diags(d)
+        absA = (e[A.row] * absA) * d[A.col]
         E *= e
         D *= d
     return E, D
@@ -202,21 +207,37 @@ def _equilibrate(problem: ConicProblem, iters: int = 10):
 # ---------------------------------------------------------------------------
 
 
-def _make_solver(AtA: sp.csc_matrix):
-    n = AtA.shape[0]
+def _normal_matrix(A: SparseMatrix) -> np.ndarray:
+    """Dense A^T A, summed from each row's outer product: every entry is
+    paired with each entry of its own row (rows hold a few entries)."""
+    n = A.shape[1]
+    counts = np.bincount(A.row, minlength=A.shape[0])[A.row]
+    left = np.repeat(np.arange(A.row.size), counts)
+    # the first entry of each entry's row, then the offset within that row
+    first = np.searchsorted(A.row, A.row)
+    offset = np.arange(left.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    right = first[left] + offset
+    AtA = np.bincount(
+        A.col[left] * n + A.col[right], weights=A.data[left] * A.data[right], minlength=n * n
+    )
+    return AtA.reshape(n, n)
+
+
+def _make_solver(A: SparseMatrix):
+    """A solver for the normal equations (A^T A) y = rhs."""
+    n = A.shape[1]
     if n == 0:
         return lambda rhs: rhs
     if n <= 400:
-        dense = AtA.toarray()
-        chol = scipy.linalg.cho_factor(dense, lower=True)
-        # the factor is finite by construction; skip the per-call re-check
-        return lambda rhs: scipy.linalg.cho_solve(chol, rhs, check_finite=False)
-    # imported here: only problems this large need it, and importing it
-    # costs about 4 MB of resident memory
+        inverse = np.linalg.inv(_normal_matrix(A))
+        return lambda rhs: inverse @ rhs
+    # imported here: only problems this large need it, and loading scipy
+    # adds about 0.4 s and 25 MB of resident memory to a verify process
+    from scipy.sparse import csr_matrix
     from scipy.sparse.linalg import splu
 
-    lu = splu(AtA.tocsc())
-    return lambda rhs: lu.solve(rhs)
+    S = csr_matrix((A.data, (A.row, A.col)), shape=A.shape)
+    return splu((S.T @ S).tocsc()).solve
 
 
 @dataclass(frozen=True)
@@ -225,15 +246,17 @@ class ConicSetup:
 
     Problems that differ only in `c` and `c0` (the attack targets of one
     query) share `A`, and with it one setup: the equilibration (E, D), the
-    scaled A and A^T, the normal-equation factorization and the PSD size
-    groups.  `A0` is the unscaled matrix the setup was built from.
+    scaled A and A^T, the normal-equation solver and the PSD size groups.
+    `A0` is the unscaled matrix the setup was built from, and `A0t` its
+    transpose, which the residuals read.
     """
 
-    A0: sp.spmatrix = field(repr=False)
+    A0: SparseMatrix = field(repr=False)
+    A0t: SparseMatrix = field(repr=False)
     E: np.ndarray = field(repr=False)
     D: np.ndarray = field(repr=False)
-    A: sp.csr_matrix = field(repr=False)
-    At: sp.csr_matrix = field(repr=False)
+    A: SparseMatrix = field(repr=False)
+    At: SparseMatrix = field(repr=False)
     solve_normal: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     groups: list = field(repr=False)
 
@@ -246,15 +269,15 @@ def conic_setup(problem: ConicProblem) -> ConicSetup:
         E, D = _equilibrate(problem)
     else:
         E, D = np.ones(m), np.ones(n)
-    A = (sp.diags(E) @ A0 @ sp.diags(D)).tocsr()
-    At = A.T.tocsr()
+    A = SparseMatrix(A0.row, A0.col, (E[A0.row] * A0.data) * D[A0.col], A0.shape)
     return ConicSetup(
         A0=A0,
+        A0t=A0.T,
         E=E,
         D=D,
         A=A,
-        At=At,
-        solve_normal=_make_solver((At @ A).tocsc()),
+        At=A.T,
+        solve_normal=_make_solver(A),
         groups=_psd_groups(problem),
     )
 
@@ -289,7 +312,7 @@ def solve_conic(
         setup = conic_setup(problem)
     elif setup.A0 is not problem.A:
         raise ValueError("the conic setup was built for another problem")
-    A0, b0, c0vec = problem.A, problem.b, problem.c
+    A0, A0t, b0, c0vec = problem.A, setup.A0t, problem.b, problem.c
     E, D, A, At = setup.E, setup.D, setup.A, setup.At
     solve_normal, groups = setup.solve_normal, setup.groups
     m, n = A0.shape
@@ -312,7 +335,7 @@ def solve_conic(
 
     def true_residuals(y_o, s_o, z_o):
         pres = np.linalg.norm(A0 @ y_o + s_o - b0) / bnorm
-        dual_res = c0vec + A0.T @ z_o
+        dual_res = c0vec + A0t @ z_o
         dres = np.linalg.norm(dual_res) / cnorm
         pobj = problem.c0 + float(c0vec @ y_o)
         dobj = problem.c0 - float(b0 @ z_o)
@@ -369,7 +392,7 @@ def solve_conic(
             znorm = np.linalg.norm(z_o)
             if znorm > 1e-10:
                 ray = z_o / znorm
-                if np.linalg.norm(A0.T @ ray) <= 1e-9 and float(b0 @ ray) < -1e-9:
+                if np.linalg.norm(A0t @ ray) <= 1e-9 and float(b0 @ ray) < -1e-9:
                     status = "infeasible_certificate"
                     break
             # residual balancing
@@ -393,8 +416,9 @@ def lp_to_conic(instance: VerificationInstance) -> ConicProblem:
     if instance.encoding_kind != "lp":
         raise ValueError("expected an LP instance")
     variables, A_ge, d = linear_inequalities(instance)
+    rows, cols = np.nonzero(A_ge)
     return ConicProblem(
-        A=sp.csc_matrix(-A_ge),
+        A=SparseMatrix(rows, cols, -A_ge[rows, cols], A_ge.shape),
         b=-d,
         c=np.zeros(len(variables)),
         c0=0.0,

@@ -220,27 +220,39 @@ def test_bad_arguments_exit_three(example1_files, tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
+OVERFLOWING_BIASES = [1e308, -1e308]  # finite, but their difference is not
+METHODS = ("lp", "sdp1", "sdp1-tight", "oracle", "sample-ub")
+
+
 @pytest.mark.parametrize(
-    "row, layer, bias, eps",
+    "row, layer, bias, eps, method",
     [
-        ("nan 0.5 0", None, None, "0"),
-        ("nan 0.5 0", None, None, "0.2"),
-        ("0 0.5 0", 0, float("nan"), "0"),
-        ("0 0.5 0", 2, float("inf"), "0.2"),
+        ("nan 0.5 0", None, None, "0", None),
+        ("nan 0.5 0", None, None, "0.2", None),
+        ("0 0.5 0", 0, [float("nan")], "0", None),
+        ("0 0.5 0", 2, [float("inf")], "0.2", None),
+        ("0 0.5 0", 2, OVERFLOWING_BIASES, "0", None),
+        # the LP cannot encode radius 0.2 (an exit 3 of its own), but 1.0
+        *[("0 0.5 0", 2, OVERFLOWING_BIASES, "1.0" if m == "lp" else "0.2", m)
+          for m in METHODS],
     ],
-    ids=["nan-input-eps0", "nan-input-eps0.2", "nan-hidden-bias", "inf-output-bias"],
+    ids=["nan-input-eps0", "nan-input-eps0.2", "nan-hidden-bias", "inf-output-bias",
+         "overflowing-output-biases-eps0",
+         *[f"overflowing-output-biases-{m}" for m in METHODS]],
 )
-def test_non_finite_numbers_exit_three(tmp_path, capsys, row, layer, bias, eps):
-    """A NaN or infinite input coordinate or bias is an input error, never
-    a verdict: no "robust" from a NaN margin, no traceback with the
-    "falsified" exit code."""
+def test_non_finite_numbers_exit_three(tmp_path, capsys, row, layer, bias, eps, method):
+    """A NaN or infinite input coordinate or bias, or output biases whose
+    difference overflows, is an input error, never a verdict: no "robust"
+    from a NaN or infinite margin, no traceback with the "falsified" exit
+    code."""
     doc = json.loads(EXAMPLE1_JSON)
     if layer is not None:
-        doc["layers"][layer]["bias"][0] = bias  # written as NaN / Infinity
+        doc["layers"][layer]["bias"][: len(bias)] = bias  # NaN / Infinity in JSON
     model, inputs = tmp_path / "net.json", tmp_path / "input.txt"
     model.write_text(json.dumps(doc))
     inputs.write_text(row + "\n")
-    rc = main(["verify", "--model", str(model), "--input", str(inputs), "--eps", eps])
+    argv = ["verify", "--model", str(model), "--input", str(inputs), "--eps", eps]
+    rc = main(argv + (["--method", method] if method else []))
     assert rc == 3
     assert capsys.readouterr().err.startswith("error:")
 
@@ -508,17 +520,38 @@ def test_sample_ub_without_a_witness_samples_every_target(tmp_path, monkeypatch)
     assert len(calls) == 2
 
 
-def test_cli_import_leaves_out_optimize_and_sparse_linalg():
-    """`import bnncert.cli` defers `scipy.optimize` and `scipy.sparse.linalg`
-    to the calls that use them, so a plain run pays for neither."""
+def test_cli_import_and_small_verifies_load_no_scipy(example1_files):
+    """`import bnncert.cli` loads no scipy module, and neither do verify
+    queries whose normal matrix is small enough for the dense inverse (the
+    README net, with and without `--metrics`): scipy is loaded only by the
+    routines that need it, `nnls` for l2 oracle cells and `splu` above 400
+    columns."""
+    model, inputs = example1_files
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
-        "import sys, bnncert.cli\n"
-        "print([m for m in ('scipy.optimize', 'scipy.sparse.linalg') if m in sys.modules])"
+        "import contextlib, io, json, sys, bnncert.cli\n"
+        "def scipy():\n"
+        "    return sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+        "steps = [['import', None, scipy()]]\n"
+        "for args in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        rc = bnncert.cli.main(args)\n"
+        "    steps.append([' '.join(args[5:]), rc, scipy()])\n"
+        "print(json.dumps(steps))"
     )
+    base = ["verify", "--model", str(model), "--input", str(inputs)]
+    queries = [
+        base + ["--eps", "0.2", "--method", "sdp1-tight"],
+        base + ["--eps", "0.2", "--method", "sdp1-tight", "--metrics"],
+        base + ["--eps", "0.5", "--method", "sdp1"],
+        base + ["--eps", "1.0", "--method", "lp"],
+    ]
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, json.dumps(queries)],
+        env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    steps = json.loads(out.stdout)
+    assert [rc for _, rc, _ in steps[1:]] == [0, 0, 2, 1]
+    assert all(not modules for _, _, modules in steps), steps

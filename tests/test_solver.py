@@ -13,6 +13,7 @@ from bnncert import (
     MultilinearPoly,
     PerturbationRegion,
     SolveOptions,
+    SparseMatrix,
     Var,
     assemble_moment_sdp,
     build_cliques,
@@ -46,10 +47,16 @@ from bnncert.solver import (
 from conftest import make_example1, random_net, random_region
 
 
+def sparse(M: np.ndarray) -> SparseMatrix:
+    """The nonzero entries of a dense matrix as a `SparseMatrix`."""
+    rows, cols = np.nonzero(M)
+    return SparseMatrix(rows, cols, M[rows, cols], M.shape)
+
+
 def analytic_sdp() -> ConicProblem:
     """min y subject to [[1, y], [y, 1]] PSD; optimum -1."""
     F1 = np.array([[0.0, 1.0], [1.0, 0.0]])
-    A = sp.csc_matrix(-svec(F1).reshape(3, 1))
+    A = sparse(-svec(F1).reshape(3, 1))
     b = svec(np.eye(2))
     return ConicProblem(
         A=A,
@@ -74,7 +81,7 @@ def tiny_lp() -> ConicProblem:
     )
     d = np.array([-2.0, -1.0, 0.0, 0.0])
     return ConicProblem(
-        A=sp.csc_matrix(-A_ge),
+        A=sparse(-A_ge),
         b=-d,
         c=np.array([-1.0, -2.0]),
         c0=0.0,
@@ -144,7 +151,7 @@ def infeasible_lp() -> ConicProblem:
     A_ge = np.array([[1.0], [-1.0]])
     d = np.array([1.0, 0.0])
     return ConicProblem(
-        A=sp.csc_matrix(-A_ge),
+        A=sparse(-A_ge),
         b=-d,
         c=np.array([0.0]),
         c0=0.0,
@@ -345,7 +352,7 @@ def mixed_cone_point(seed):
     n_nonneg = 7
     dim = n_nonneg + sum(s * (s + 1) // 2 for s in MIXED_SIZES)
     problem = ConicProblem(
-        A=sp.csc_matrix((dim, 0)), b=np.zeros(dim), c=np.zeros(0), c0=0.0,
+        A=SparseMatrix([], [], [], (dim, 0)), b=np.zeros(dim), c=np.zeros(0), c0=0.0,
         n_nonneg=n_nonneg, psd_sizes=MIXED_SIZES, ids_order=(),
     )
     return n_nonneg, _psd_groups(problem), np.random.default_rng(seed).normal(size=dim)
@@ -556,7 +563,22 @@ def test_lp_with_objective_matches_lp_to_conic(example1):
     fresh = lp_to_conic(encode_lp(example1, region, f))
     problem = shared.with_objective(f)
     assert problem.c.tobytes() == fresh.c.tobytes() and problem.c0 == fresh.c0
-    assert (problem.A != fresh.A).nnz == 0
+    for name in ("row", "col", "data"):
+        assert getattr(problem.A, name).tobytes() == getattr(fresh.A, name).tobytes()
+
+
+def test_sparse_matrix_sorts_its_triplets_and_multiplies_like_the_dense_matrix():
+    rng = np.random.default_rng(5)
+    M = rng.normal(size=(7, 5)) * (rng.random((7, 5)) < 0.5)
+    M[3] = 0.0  # an empty row
+    rows, cols = np.nonzero(M)
+    shuffle = rng.permutation(rows.size)
+    A = SparseMatrix(rows[shuffle], cols[shuffle], M[rows, cols][shuffle], M.shape)
+    assert list(zip(A.row, A.col)) == list(zip(rows, cols))
+    x, z = rng.normal(size=5), rng.normal(size=7)
+    np.testing.assert_allclose(A @ x, M @ x, rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(A.T @ z, M.T @ z, rtol=1e-14, atol=1e-14)
+    assert A.T.shape == (5, 7)
 
 
 def test_setup_of_another_problem_is_rejected():
@@ -639,7 +661,7 @@ def test_float_screen_matches_rigorous_anchor_minus_residual():
 
 def equilibrate_loop(problem, iters=10):
     """Reference: the Ruiz scaling with one Python step per row group."""
-    A = problem.A.tocsr(copy=True)
+    A = sp.csr_matrix((problem.A.data, (problem.A.row, problem.A.col)), shape=problem.A.shape)
     m, n = A.shape
     E, D = np.ones(m), np.ones(n)
     groups = [(r, r + 1) for r in range(problem.n_nonneg)]
@@ -680,6 +702,29 @@ def test_equilibration_matches_the_per_group_loop():
             E_ref, D_ref = equilibrate_loop(problem)
             assert E.tobytes() == E_ref.tobytes()
             assert D.tobytes() == D_ref.tobytes()
+
+
+def test_normal_equations_match_a_dense_solve_on_both_sides_of_the_fork():
+    """Up to 400 columns the normal matrix is inverted, above that factored
+    by `splu`; both solve (A^T A) y = r for the scaled A."""
+    net, region, label = seeded_query()
+    rng = np.random.default_rng(7)
+    big = stabilize(random_net(rng, (20, 12, 12, 4)))
+    cases = [(net, region, label, 2), (big, random_region(rng, 20), 1, 2)]
+    columns = []
+    for net, region, label, target in cases:
+        f = objective_targeted(net, label, target)
+        setup = conic_setup(
+            to_conic(assemble_moment_sdp(encode_tightened(net, region, f), build_cliques(net)))
+        )
+        A = np.zeros(setup.A.shape)
+        A[setup.A.row, setup.A.col] = setup.A.data
+        r = np.random.default_rng(3).normal(size=A.shape[1])
+        expected = np.linalg.solve(A.T @ A, r)
+        error = np.linalg.norm(setup.solve_normal(r) - expected)
+        assert error <= 1e-10 * np.linalg.norm(expected)
+        columns.append(A.shape[1])
+    assert columns[0] <= 400 < columns[1]
 
 
 # -- integer certificate expansion ---------------------------------------------
