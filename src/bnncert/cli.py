@@ -174,8 +174,9 @@ def _find_counterexample(
     seed: int,
 ) -> Optional[np.ndarray]:
     """Seeded sampling attack: the first region point whose forward label
-    differs.  All samples are labelled in one batched pass; a mismatch is
-    confirmed with `forward` before it is returned."""
+    differs.  All samples are labelled in one batched pass.  A mismatch is
+    confirmed with `forward` before it is returned: that one-row run of the
+    network's definition is the proof behind a "falsified" verdict."""
     if forward(net, region.center).label != true_label:
         return region.center.copy()
     if region.radius == 0:

@@ -8,7 +8,7 @@ package:
   the binary-square equalities x^2 = 1;
 * ``tightened`` -- the four-product family per hidden neuron: both one-sided
   sign products (x+1)*(Wx'+b) and (x-1)*(Wx'+b) and two always-valid
-  "row-bound" products derived from |<W_row, x'>| <= row_norm1, which enlarge
+  "row-bound" products derived from |<W_row, x' - c>| <= R, which enlarge
   the order-1 multiplier cone without changing the feasible set;
 * ``lp``        -- the linear relaxation: per-neuron linear envelopes of the
   sign constraint, box rows for the relaxed binaries, and interval rows for
@@ -20,29 +20,34 @@ Polynomial coefficients are exact rationals end to end (weights are integers,
 biases are binary64 and hence dyadic rationals), so identity checks downstream
 are exact and the numeric layers decide when to round.
 
-Layer-1 subtlety: inputs are continuous in a box [l, u] rather than +/-1, so
-the linear envelopes and the row-bound products use centered coefficients:
-with c = (l+u)/2, r = (u-l)/2 the effective row bound is
-sum_k |W_jk| r_k and the effective bias is b_j + <W_row, c>.  A neuron whose
-linear envelope coefficient turns non-positive is constant over the region;
-we signal `StabilizationNeeded` rather than emit a vacuous constraint.
+Every hidden neuron is modelled once, by `neuron_rows`, over the box [l, u]
+of its previous layer: with c = (l+u)/2 and r = (u-l)/2 the row bound is
+R = sum_k |W_jk| r_k and the effective bias is beta = b_j + <W_row, c>.  The
+row-bound products and the linear envelopes are built from that record.  The
+box is the only difference between layers: layer 1 sees the region's box,
+a deeper layer the +/-1 box (c = 0, r = 1, so R is the row 1-norm and beta
+the bias).  A neuron whose envelope slope R +/- beta is non-positive is
+constant over the box; we signal `StabilizationNeeded` rather than emit a
+vacuous constraint.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from bnncert.model import FoldedBnn, row_norm1
+from bnncert.model import FoldedBnn
 from bnncert.poly import MultilinearPoly, Var
 
 __all__ = [
     "Clique",
     "Constraint",
     "ConstraintSet",
+    "NeuronRow",
     "PerturbationRegion",
     "StabilizationNeeded",
     "VerificationInstance",
@@ -54,6 +59,7 @@ __all__ = [
     "encode_tightened",
     "linear_identity_residuals",
     "linear_inequalities",
+    "neuron_rows",
     "objective_targeted",
     "region_polynomials",
     "write_mps",
@@ -63,8 +69,9 @@ __all__ = [
 class StabilizationNeeded(ValueError):
     """A hidden neuron is constant over the given region.
 
-    Raised by the linear encodings when a layer-1 envelope coefficient is
-    non-positive; the caller should constant-propagate the neuron (see
+    Raised by the linear encodings when an envelope slope is non-positive
+    (on a stabilized net only layer 1, whose box is the region's, can have
+    one); the caller should constant-propagate the neuron (see
     `bnncert.model.stabilize`, applied after shrinking the region) and retry.
     """
 
@@ -170,9 +177,6 @@ class Clique:
     id: int
     variables: tuple[Var, ...]
 
-    def __contains__(self, v: Var) -> bool:
-        return v in self.variables
-
 
 @dataclass(frozen=True)
 class VerificationInstance:
@@ -215,39 +219,83 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _pre_activation(net: FoldedBnn, layer: int, neuron: int) -> MultilinearPoly:
-    """<W_row, x_{layer-1}> + b as an exact polynomial (1-based indices)."""
-    w = net.weight(layer)[neuron - 1]
-    coeffs = {Var(layer - 1, k + 1): int(w[k]) for k in range(w.shape[0]) if w[k] != 0}
-    return MultilinearPoly.linear(coeffs, _frac(net.bias(layer)[neuron - 1]))
+@dataclass(frozen=True)
+class NeuronRow:
+    """Exact model of one hidden neuron over the box of its previous layer.
 
-
-def _row_sum(net: FoldedBnn, layer: int, neuron: int) -> MultilinearPoly:
-    """<W_row, x_{layer-1}> without the bias."""
-    w = net.weight(layer)[neuron - 1]
-    coeffs = {Var(layer - 1, k + 1): int(w[k]) for k in range(w.shape[0]) if w[k] != 0}
-    return MultilinearPoly.linear(coeffs, 0)
-
-
-def _centered_row_data(net: FoldedBnn, region: PerturbationRegion, neuron: int):
-    """Layer-1 data under the box [l,u]: centered offset, effective row bound.
-
-    Returns (zeta, row_bound, beta) with zeta = <W_row, x0 - c>,
-    row_bound = sum_k |W_jk| r_k, beta = b_j + <W_row, c>, where c, r are the
-    box center/half-width.  For +/-1 binary inputs (c=0, r=1) these reduce to
-    the plain row sum, the row 1-norm and the bias.
+    With c and r the box center and half-width, `z` = <W_row, x'> + b is the
+    pre-activation, `zeta` = <W_row, x' - c> the centered row sum,
+    `row_bound` R = sum_k |W_jk| r_k (so |zeta| <= R on the box) and `beta`
+    = b + <W_row, c> the effective bias.  Over the box z = zeta + beta ranges
+    over [beta - R, beta + R], so the envelope slopes c_plus = R + beta and
+    c_minus = R - beta are z_max and -z_min.
     """
-    w = net.weight(1)[neuron - 1]
-    lo = [_frac(v) for v in region.lower]
-    hi = [_frac(v) for v in region.upper]
-    c = [(a + b) / 2 for a, b in zip(lo, hi)]
-    r = [(b - a) / 2 for a, b in zip(lo, hi)]
-    coeffs = {Var(0, k + 1): int(w[k]) for k in range(w.shape[0]) if w[k] != 0}
-    shift = sum((int(w[k]) * c[k] for k in range(w.shape[0]) if w[k] != 0), Fraction(0))
-    zeta = MultilinearPoly.linear(coeffs, -shift)
-    row_bound = sum((abs(int(w[k])) * r[k] for k in range(w.shape[0])), Fraction(0))
-    beta = _frac(net.bias(1)[neuron - 1]) + shift
-    return zeta, row_bound, beta
+
+    var: Var
+    z: MultilinearPoly
+    row_bound: Fraction
+    beta: Fraction
+
+    @property
+    def zeta(self) -> MultilinearPoly:
+        return self.z - self.beta
+
+    def envelope_slopes(self) -> tuple[Fraction, Fraction]:
+        """(c_plus, c_minus); a non-positive slope means the neuron is
+        constant over the box and raises `StabilizationNeeded`."""
+        c_plus = self.row_bound + self.beta
+        c_minus = self.row_bound - self.beta
+        if c_plus <= 0 or c_minus <= 0:
+            sign = "never" if c_plus <= 0 else "always"
+            raise StabilizationNeeded(self.var.layer, self.var.index, f"{sign} activated")
+        return c_plus, c_minus
+
+    def unit_envelopes(self) -> tuple[MultilinearPoly, MultilinearPoly]:
+        """The linear envelopes scaled to unit slack: (x+1) - 2z/c_plus and
+        (1-x) + 2z/c_minus, both >= 0 on the box wherever x = sign(z)."""
+        c_plus, c_minus = self.envelope_slopes()
+        x = MultilinearPoly.variable(self.var)
+        up = (x + 1) - self.z * (Fraction(2) / c_plus)
+        down = (1 - x) + self.z * (Fraction(2) / c_minus)
+        return up, down
+
+
+def neuron_rows(
+    net: FoldedBnn, layer: int, region: Optional[PerturbationRegion] = None
+) -> list[NeuronRow]:
+    """The `NeuronRow` of every neuron of hidden `layer` (1-based); layer 1
+    needs the `region`.
+
+    The box of layer 1's inputs is the region's box, in exact rationals; the
+    box of a deeper layer's +/-1 inputs is [-1, 1] (c = 0, r = 1), so its row
+    bound is the row 1-norm and every sum stays a Python integer.
+    """
+    weights = net.weight(layer).tolist()
+    n_prev = net.widths[layer - 1]
+    if layer == 1:
+        # c = center / den and r = half / den, over one common denominator
+        lo = [Fraction(v) for v in region.lower.tolist()]
+        hi = [Fraction(v) for v in region.upper.tolist()]
+        den = 2 * math.lcm(*(e.denominator for e in lo + hi))
+        center = [int((a + b) / 2 * den) for a, b in zip(lo, hi)]
+        half = [int((b - a) / 2 * den) for a, b in zip(lo, hi)]
+    else:
+        center, half, den = [0] * n_prev, [1] * n_prev, 1
+    rows = []
+    for j, (w, b) in enumerate(zip(weights, net.bias(layer).tolist()), start=1):
+        nonzero = [(k, wk) for k, wk in enumerate(w) if wk]
+        coeffs = {Var(layer - 1, k + 1): wk for k, wk in nonzero}
+        b = Fraction(b)
+        shift = Fraction(sum(wk * center[k] for k, wk in nonzero), den)
+        rows.append(
+            NeuronRow(
+                var=Var(layer, j),
+                z=MultilinearPoly.linear(coeffs, b),
+                row_bound=Fraction(sum(abs(wk) * half[k] for k, wk in nonzero), den),
+                beta=b + shift,
+            )
+        )
+    return rows
 
 
 def region_polynomials(region: PerturbationRegion) -> list[MultilinearPoly]:
@@ -256,7 +304,10 @@ def region_polynomials(region: PerturbationRegion) -> list[MultilinearPoly]:
     linf: one (u_j - x)(x - l_j) per coordinate.  l2: the ball quadratic
     radius^2 - |x0 - center|^2 followed by a (1-x)(1+x) box quadratic per
     coordinate (the ball is only meaningful inside the global box, and the
-    box rows keep every layer-1 construction valid).
+    box rows keep every layer-1 construction valid).  Every point of
+    [-1,1]^n0 lies within 2*sqrt(n0) <= 2*n0 of the center, so the ball row
+    uses min(radius, 2*n0): the same region, with a radius^2 that stays
+    finite in binary64 however large (or infinite) the radius is.
     """
     if not region.radius > 0:
         raise ValueError("region radius must be positive for polynomial encodings")
@@ -270,7 +321,7 @@ def region_polynomials(region: PerturbationRegion) -> list[MultilinearPoly]:
             above = MultilinearPoly.linear({v: 1}, -lo)
             polys.append(upper * above)
         return polys
-    ball = MultilinearPoly.constant(_frac(region.radius) ** 2)
+    ball = MultilinearPoly.constant(_frac(min(region.radius, 2 * n0)) ** 2)
     for j in range(1, n0 + 1):
         v = Var(0, j)
         diff = MultilinearPoly.linear({v: 1}, -_frac(region.center[j - 1]))
@@ -345,10 +396,10 @@ def encode_standard(
     net.require_stabilized()
     _check_objective(net, objective)
     ineqs: list[Constraint] = []
-    for i, n in enumerate(net.hidden_widths, start=1):
-        for j in range(1, n + 1):
-            x = MultilinearPoly.variable(Var(i, j))
-            ineqs.append(Constraint("std", i, j, x * _pre_activation(net, i, j)))
+    for i in range(1, net.depth + 1):
+        for row in neuron_rows(net, i, region):
+            x = MultilinearPoly.variable(row.var)
+            ineqs.append(Constraint("std", i, row.var.index, x * row.z))
     ineqs.extend(_region_constraints(region))
     cs = ConstraintSet(tuple(_equalities(net)), tuple(ineqs), objective)
     return VerificationInstance(net, region, cs, "standard", true_label, target)
@@ -366,63 +417,25 @@ def encode_tightened(
 
     The one-sided products (x+1)*(Wx'+b) and (x-1)*(Wx'+b) average to the
     standard product; the row-bound products pair (x+1) and (1-x) with the
-    always-nonnegative row slack row_bound -/+ <W_row, x'> (layer 1 uses the
-    centered, region-aware row bound).  All four are redundant for the exact
-    feasible set but strictly enlarge the order-1 relaxation's multiplier cone.
+    always-nonnegative row slack R -/+ <W_row, x' - c> of the neuron's
+    `NeuronRow`.  All four are redundant for the exact feasible set but
+    strictly enlarge the order-1 relaxation's multiplier cone.
     """
     net.require_stabilized()
     _check_objective(net, objective)
     ineqs: list[Constraint] = []
-    for i, n in enumerate(net.hidden_widths, start=1):
-        for j in range(1, n + 1):
-            v = Var(i, j)
-            x = MultilinearPoly.variable(v)
-            z = _pre_activation(net, i, j)
+    for i in range(1, net.depth + 1):
+        for row in neuron_rows(net, i, region):
+            j = row.var.index
+            x = MultilinearPoly.variable(row.var)
             up = x + 1
-            down = x - 1
-            ineqs.append(Constraint("g1", i, j, up * z))
-            ineqs.append(Constraint("g2", i, j, down * z))
-            if i == 1:
-                zeta, row_bound, _ = _centered_row_data(net, region, j)
-                slack_pos = MultilinearPoly.constant(row_bound) - zeta
-                slack_neg = MultilinearPoly.constant(row_bound) + zeta
-            else:
-                nv = int(row_norm1(net.weight(i))[j - 1])
-                s = _row_sum(net, i, j)
-                slack_pos = MultilinearPoly.constant(nv) - s
-                slack_neg = MultilinearPoly.constant(nv) + s
-            ineqs.append(Constraint("t1", i, j, up * slack_pos))
-            ineqs.append(Constraint("t2", i, j, (1 - x) * slack_neg))
+            ineqs.append(Constraint("g1", i, j, up * row.z))
+            ineqs.append(Constraint("g2", i, j, (x - 1) * row.z))
+            ineqs.append(Constraint("t1", i, j, up * (row.row_bound - row.zeta)))
+            ineqs.append(Constraint("t2", i, j, (1 - x) * (row.row_bound + row.zeta)))
     ineqs.extend(_region_constraints(region))
     cs = ConstraintSet(tuple(_equalities(net)), tuple(ineqs), objective)
     return VerificationInstance(net, region, cs, "tightened", true_label, target)
-
-
-def _envelope_coefficients(
-    net: FoldedBnn, region: PerturbationRegion, layer: int, neuron: int
-) -> tuple[Fraction, Fraction, MultilinearPoly]:
-    """(c_plus, c_minus, z) for the linear envelopes of one neuron.
-
-    c_plus/c_minus are the positive envelope slopes row_bound +/- effective
-    bias; z is the pre-activation polynomial.  Layer 1 uses region-centered
-    data; deeper layers the plain row 1-norm and bias.  Raises
-    `StabilizationNeeded` when an envelope slope is non-positive.
-    """
-    if layer == 1:
-        zeta, row_bound, beta = _centered_row_data(net, region, neuron)
-        z = zeta + beta
-        c_plus = row_bound + beta
-        c_minus = row_bound - beta
-    else:
-        nv = int(row_norm1(net.weight(layer))[neuron - 1])
-        b = _frac(net.bias(layer)[neuron - 1])
-        z = _pre_activation(net, layer, neuron)
-        c_plus = nv + b
-        c_minus = nv - b
-    if c_plus <= 0 or c_minus <= 0:
-        sign = "never" if c_plus <= 0 else "always"
-        raise StabilizationNeeded(layer, neuron, f"{sign} activated")
-    return c_plus, c_minus, z
 
 
 def _lp_rows(
@@ -434,13 +447,13 @@ def _lp_rows(
     if objective.degree > 1:
         raise ValueError("linear encodings need an affine objective")
     rows: list[Constraint] = []
-    for i, n in enumerate(net.hidden_widths, start=1):
-        for j in range(1, n + 1):
-            v = Var(i, j)
-            x = MultilinearPoly.variable(v)
-            c_plus, c_minus, z = _envelope_coefficients(net, region, i, j)
-            rows.append(Constraint("lin1", i, j, (x + 1) * c_plus - z * 2))
-            rows.append(Constraint("lin2", i, j, (1 - x) * c_minus + z * 2))
+    for i in range(1, net.depth + 1):
+        for row in neuron_rows(net, i, region):
+            c_plus, c_minus = row.envelope_slopes()
+            x = MultilinearPoly.variable(row.var)
+            j = row.var.index
+            rows.append(Constraint("lin1", i, j, (x + 1) * c_plus - row.z * 2))
+            rows.append(Constraint("lin2", i, j, (1 - x) * c_minus + row.z * 2))
     for i, n in enumerate(net.hidden_widths, start=1):
         for j in range(1, n + 1):
             x = MultilinearPoly.variable(Var(i, j))
@@ -493,6 +506,8 @@ def encode_milp(
     the instance then encodes attack feasibility rather than bound computation.
     """
     net.require_stabilized()
+    if feasibility_threshold is not None and not math.isfinite(feasibility_threshold):
+        raise ValueError(f"feasibility threshold {feasibility_threshold!r} is not finite")
     rows = _lp_rows(net, region, objective)
     if region.kind == "l2":
         ball = region_polynomials(region)[0]
@@ -596,33 +611,25 @@ def linear_identity_residuals(
     net.require_stabilized()
     out: list[tuple[str, MultilinearPoly]] = []
     half = Fraction(1, 2)
-    for i, n in enumerate(net.hidden_widths, start=1):
-        for j in range(1, n + 1):
-            v = Var(i, j)
+    for i in range(1, net.depth + 1):
+        for row in neuron_rows(net, i, region):
+            v = row.var
+            j = v.index
             x = MultilinearPoly.variable(v)
             up = x + 1
             dn = 1 - x
             h = MultilinearPoly({((v, 2),): 1, (): -1})
-            c_plus, c_minus, z = _envelope_coefficients(net, region, i, j)
-            g_std = x * z
-            g_one_up = up * z
-            g_one_dn = (x - 1) * z
-            lhs_pos = up - z * (Fraction(2) / c_plus)
-            lhs_neg = dn + z * (Fraction(2) / c_minus)
+            c_plus, c_minus = row.envelope_slopes()
+            lhs_pos, lhs_neg = row.unit_envelopes()
+            g_std = x * row.z
+            slack_pos = row.row_bound - row.zeta
+            slack_neg = row.row_bound + row.zeta
 
             out.append((f"box+[{i},{j}]", dn - (dn * dn * half + h * half)))
             out.append((f"box-[{i},{j}]", up - (up * up * half + h * half)))
 
             if i == 1:
-                zeta, row_bound, _ = _centered_row_data(net, region, j)
-                slack_pos = MultilinearPoly.constant(row_bound) - zeta
-                slack_neg = MultilinearPoly.constant(row_bound) + zeta
-                sos_pos = dn * dn * g_std * (half / c_plus) + up * up * slack_pos * (
-                    half / c_plus
-                )
-                sos_neg = up * up * g_std * (half / c_minus) + dn * dn * slack_neg * (
-                    half / c_minus
-                )
+                sq_pos, sq_neg, weight = slack_pos, slack_neg, half
             else:
                 w = net.weight(i)[j - 1]
                 sq_pos = MultilinearPoly.zero()
@@ -633,23 +640,14 @@ def linear_identity_residuals(
                     pred = MultilinearPoly.variable(Var(i - 1, k + 1), int(w[k]))
                     sq_pos = sq_pos + (1 - pred) * (1 - pred)
                     sq_neg = sq_neg + (1 + pred) * (1 + pred)
-                slack_pos = MultilinearPoly.constant(
-                    int(row_norm1(net.weight(i))[j - 1])
-                ) - _row_sum(net, i, j)
-                slack_neg = MultilinearPoly.constant(
-                    int(row_norm1(net.weight(i))[j - 1])
-                ) + _row_sum(net, i, j)
-                sos_pos = dn * dn * g_std * (half / c_plus) + up * up * sq_pos * (
-                    Fraction(1, 4) / c_plus
-                )
-                sos_neg = up * up * g_std * (half / c_minus) + dn * dn * sq_neg * (
-                    Fraction(1, 4) / c_minus
-                )
+                weight = Fraction(1, 4)
+            sos_pos = dn * dn * g_std * (half / c_plus) + up * up * sq_pos * (weight / c_plus)
+            sos_neg = up * up * g_std * (half / c_minus) + dn * dn * sq_neg * (weight / c_minus)
             out.append((f"sos+[{i},{j}]", lhs_pos - sos_pos))
             out.append((f"sos-[{i},{j}]", lhs_neg - sos_neg))
 
-            comb_pos = (g_one_dn + up * slack_pos) * (Fraction(1) / c_plus)
-            comb_neg = (g_one_up + dn * slack_neg) * (Fraction(1) / c_minus)
+            comb_pos = ((x - 1) * row.z + up * slack_pos) * (Fraction(1) / c_plus)
+            comb_neg = (up * row.z + dn * slack_neg) * (Fraction(1) / c_minus)
             out.append((f"comb+[{i},{j}]", lhs_pos - comb_pos))
             out.append((f"comb-[{i},{j}]", lhs_neg - comb_neg))
     return out

@@ -406,10 +406,9 @@ def forward_labels(net: FoldedBnn, xs: np.ndarray) -> np.ndarray:
     """1-based labels of the rows of `xs`, from `forward_activations`.
 
     The semantics of `forward` (sign(0) := +1, argmax ties to the lowest
-    class), with `forward`'s hidden signs.  The output logits may still round
-    in another order than the one-row product in `forward`, so a caller that
-    needs a proof of a label -- a counterexample -- re-checks that row with
-    `forward`.
+    class), with `forward`'s hidden signs.  The logits equal `forward`'s
+    byte for byte: W x_L is a product of int64 matrices, which no order
+    rounds, and the bias is added to it once, as in `forward`.
     """
     last = forward_activations(net, xs)[-1]
     logits = last @ net.weight(net.depth + 1).T + net.bias(net.depth + 1)

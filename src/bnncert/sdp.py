@@ -34,8 +34,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from bnncert.encode import Clique, VerificationInstance, build_cliques
-from bnncert.model import FoldedBnn, row_norm1
+from bnncert.encode import Clique, VerificationInstance, build_cliques, neuron_rows
+from bnncert.model import FoldedBnn
 from bnncert.poly import MultilinearPoly, Var
 
 __all__ = [
@@ -419,27 +419,12 @@ class MomentWitness:
 
     def moment_value(self, poly: MultilinearPoly) -> float:
         """Pseudo-expectation of a degree-<=2 polynomial over this block."""
-        pos = {v: p for p, v in enumerate(self.variables, start=1)}
-        total = 0.0
-        for mono, coeff in poly.reduce_binary_squares().terms.items():
-            coeff = float(coeff)
-            if not mono:
-                total += coeff * self.matrix[0, 0]
-            elif len(mono) == 1 and mono[0][1] == 1:
-                total += coeff * self.matrix[0, pos[mono[0][0]]]
-            elif len(mono) == 1 and mono[0][1] == 2:
-                p = pos[mono[0][0]]
-                total += coeff * self.matrix[p, p]
-            elif len(mono) == 2:
-                p, q = pos[mono[0][0]], pos[mono[1][0]]
-                total += coeff * self.matrix[p, q]
-            else:
-                raise ValueError(f"monomial outside the block: {mono}")
-        return total
+        return float(self.moment_value_exact(poly))
 
     def moment_value_exact(self, poly: MultilinearPoly) -> Fraction:
-        """`moment_value` in exact rational arithmetic (binary64 entries are
-        dyadic rationals, so matrices built from exact data evaluate exactly)."""
+        """Pseudo-expectation in exact rational arithmetic (binary64 entries
+        are dyadic rationals, so matrices built from exact data evaluate
+        exactly)."""
         pos = {v: p for p, v in enumerate(self.variables, start=1)}
         total = Fraction(0)
         for mono, coeff in poly.reduce_binary_squares().to_exact().terms.items():
@@ -461,18 +446,6 @@ class MomentWitness:
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
 
-def _last_layer_row(net: FoldedBnn, neuron: int):
-    L = net.depth
-    if L < 2:
-        raise ValueError("construction needs at least two hidden layers")
-    w = net.weight(L)[neuron - 1]
-    b = float(net.bias(L)[neuron - 1])
-    nv = float(row_norm1(net.weight(L))[neuron - 1])
-    if nv <= 0:
-        raise ValueError("row is identically zero")
-    return L, w, b, nv
-
-
 def sdp_below_lp_witness(net: FoldedBnn, neuron: int = 1) -> MomentWitness:
     """A pseudo-moment matrix on which the order-1 relaxation undercuts the LP.
 
@@ -488,14 +461,16 @@ def sdp_below_lp_witness(net: FoldedBnn, neuron: int = 1) -> MomentWitness:
     cross-moments with the neuron vanish.
     """
     net.require_stabilized()
-    L, w, b, nv = _last_layer_row(net, neuron)
-    c_plus = Fraction(nv) + Fraction(b)
-    m = w.shape[0]
-    vs = tuple([Var(L - 1, k) for k in range(1, m + 1)] + [Var(L, neuron)])
+    L = net.depth
+    if L < 2:
+        raise ValueError("construction needs at least two hidden layers")
+    row = neuron_rows(net, L)[neuron - 1]
+    wf = net.weight(L)[neuron - 1].astype(float)
+    m = wf.shape[0]
+    vs = tuple([Var(L - 1, k) for k in range(1, m + 1)] + [row.var])
 
     M = np.zeros((m + 2, m + 2))
     M[0, 0] = 1.0
-    wf = w.astype(float)
     M[0, 1 : m + 1] = wf
     M[1 : m + 1, 0] = wf
     inner = np.outer(wf, wf)
@@ -503,14 +478,12 @@ def sdp_below_lp_witness(net: FoldedBnn, neuron: int = 1) -> MomentWitness:
     M[1 : m + 1, 1 : m + 1] = inner
     M[m + 1, m + 1] = 1.0
 
-    x = MultilinearPoly.variable(Var(L, neuron))
-    z = MultilinearPoly.linear(
-        {Var(L - 1, k + 1): int(w[k]) for k in range(m) if w[k] != 0},
-        Fraction(b),
-    )
-    objective = (x + 1) - z * (Fraction(2) / c_plus)
+    c_plus, _ = row.envelope_slopes()
     return MomentWitness(
-        variables=vs, matrix=M, objective=objective, params={"c_plus": float(c_plus)}
+        variables=vs,
+        matrix=M,
+        objective=row.unit_envelopes()[0],
+        params={"c_plus": float(c_plus)},
     )
 
 
@@ -522,18 +495,21 @@ def tightened_gap_witness(net: FoldedBnn, neuron: int = 1) -> MomentWitness:
     with a chosen so the matrix stays PSD with spectrum {0 x m, 1, nv+1} and
     the objective strictly negative; the row-bound product rows evaluate
     negative on it, so the tightened relaxation excludes the matrix while the
-    standard one admits it.
+    standard one admits it.  A stabilized net has |bias| < nv on every row,
+    which the construction needs.
     """
     net.require_stabilized()
-    L, w, b, nv = _last_layer_row(net, neuron)
-    if abs(b) >= nv:
-        raise ValueError("construction needs |bias| < row 1-norm")
+    L = net.depth
+    if L < 2:
+        raise ValueError("construction needs at least two hidden layers")
+    row = neuron_rows(net, L)[neuron - 1]
+    nv, b = float(row.row_bound), float(row.beta)
     a = 0.5 * math.sqrt(2.0 - (b / nv) ** 2) - b / (2.0 * nv)
     t = math.sqrt(1.0 - a * a)
-    m = w.shape[0]
-    vs = tuple([Var(L - 1, k) for k in range(1, m + 1)] + [Var(L, neuron)])
+    wf = net.weight(L)[neuron - 1].astype(float)
+    m = wf.shape[0]
+    vs = tuple([Var(L - 1, k) for k in range(1, m + 1)] + [row.var])
 
-    wf = w.astype(float)
     M = np.zeros((m + 2, m + 2))
     M[0, 0] = 1.0
     M[0, 1 : m + 1] = a * wf
@@ -543,18 +519,11 @@ def tightened_gap_witness(net: FoldedBnn, neuron: int = 1) -> MomentWitness:
     M[m + 1, 1 : m + 1] = t * wf
     M[m + 1, m + 1] = 1.0
 
-    c_plus = Fraction(nv) + Fraction(b)
-    x = MultilinearPoly.variable(Var(L, neuron))
-    z = MultilinearPoly.linear(
-        {Var(L - 1, k + 1): int(w[k]) for k in range(m) if w[k] != 0},
-        Fraction(b),
-    )
-    objective = (x + 1) - z * (Fraction(2) / c_plus)
     value = -(nv / (nv + b)) * (math.sqrt(2.0 - (b / nv) ** 2) - 1.0)
     return MomentWitness(
         variables=vs,
         matrix=M,
-        objective=objective,
+        objective=row.unit_envelopes()[0],
         params={"a": a, "t": t, "objective_value": value, "nv": nv, "bias": b},
     )
 

@@ -306,6 +306,56 @@ def test_export_validation_errors(example1_files, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("threshold", ["inf", "nan"])
+def test_export_rejects_a_non_finite_threshold(example1_files, tmp_path, capsys, threshold):
+    model, inputs = example1_files
+    rc = main(
+        ["export", "--model", str(model), "--input", str(inputs), "--eps", "1.0",
+         "--kind", "mps", "--out", str(tmp_path / "attack.mps"), "--threshold", threshold]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "threshold" in err
+
+
+def wide_margin_files(tmp_path):
+    """The README net with output biases [20, -20]: label 1 everywhere."""
+    doc = json.loads(EXAMPLE1_JSON)
+    doc["layers"][2]["bias"] = [20.0, -20.0]
+    model, inputs = tmp_path / "net.json", tmp_path / "input.txt"
+    model.write_text(json.dumps(doc))
+    inputs.write_text("0 0.5 0\n")
+    return model, inputs
+
+
+@pytest.mark.parametrize("eps", ["1e200", "inf"])
+@pytest.mark.parametrize("method", ["lp", "sdp1", "sdp1-tight", "oracle"])
+def test_huge_l2_radius_is_a_verdict(tmp_path, eps, method):
+    """A radius whose square overflows binary64, or an infinite one, is the
+    whole box [-1,1]^n0: every engine reaches the same verdict on it."""
+    model, inputs = wide_margin_files(tmp_path)
+    out = tmp_path / "report.json"
+    rc = main(
+        ["verify", "--model", str(model), "--input", str(inputs), "--norm", "l2",
+         "--eps", eps, "--method", method, "--json", str(out)]
+    )
+    assert rc == 0
+    assert json.loads(out.read_text())["verdict"] == "robust"
+
+
+@pytest.mark.parametrize("eps", ["1e200", "inf"])
+def test_export_sdpa_takes_a_huge_l2_radius(tmp_path, eps):
+    model, inputs = wide_margin_files(tmp_path)
+    out = tmp_path / "ball.dat-s"
+    rc = main(
+        ["export", "--model", str(model), "--input", str(inputs), "--norm", "l2",
+         "--eps", eps, "--kind", "sdpa", "--out", str(out), "--target", "2"]
+    )
+    assert rc == 0
+    assert read_sdpa(out).n_constraints > 0
+
+
 def test_readme_example_settles_at_default_options(example1_files, tmp_path):
     # the first iterate with a positive rigorous bound ends the solve; its
     # bound is a certificate, not the relaxation optimum (the oracle's 3)

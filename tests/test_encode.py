@@ -246,6 +246,30 @@ def test_lp_raises_stabilization_needed_on_tight_region(example1):
         encode_lp(example1, region1("l2", 0.2), objective1(example1))
 
 
+def test_layer1_rows_are_centered_on_the_clipped_box(example1):
+    """Clipped at +/-1, the box [0.8,1] x [-1,-0.8] x [-1,-0.8] of this
+    region is centered at (0.9, -0.9, -0.9), not at the region center."""
+    region = PerturbationRegion.linf([1, -1, -1], 0.2)
+    assert region.lower.tolist() == [0.8, -1.0, -1.0]
+    assert region.upper.tolist() == [1.0, -0.8, -0.8]
+    # neuron (1,1): z = -x1 + x2 + x3 + 1.5 is at most -0.9 on the box
+    with pytest.raises(StabilizationNeeded, match="never activated") as info:
+        encode_lp(example1, region, objective1(example1))
+    assert (info.value.layer, info.value.neuron) == (1, 1)
+    # neuron (1,2): z = -x1 - x2 + x3 + 2, R = 3(1 - a)/2 with a = 0.8 and
+    # zeta = z - beta = -x1 - x2 + x3 + (1 + a)/2
+    a = Fraction(0.8)
+    inst = encode_tightened(example1, region, objective1(example1))
+    rows = {
+        c.family: c.poly for c in inst.constraints.inequalities if (c.layer, c.neuron) == (1, 2)
+    }
+    x = MultilinearPoly.variable(Var(1, 2))
+    slack_pos = MultilinearPoly.linear({Var(0, 1): 1, Var(0, 2): 1, Var(0, 3): -1}, 1 - 2 * a)
+    slack_neg = MultilinearPoly.linear({Var(0, 1): -1, Var(0, 2): -1, Var(0, 3): 1}, 2 - a)
+    assert rows["t1"] == (x + 1) * slack_pos
+    assert rows["t2"] == (1 - x) * slack_neg
+
+
 def test_lp_rejects_quadratic_objective(example1):
     x = MultilinearPoly.variable(Var(2, 1))
     with pytest.raises(ValueError, match="affine"):
