@@ -16,6 +16,10 @@ package:
 * ``milp``      -- the LP rows plus integrality marks on the hidden variables
   (exact once the region rows are exact).
 
+An encoding is polynomials only.  `bnncert.sdp` turns every kind into matrix
+rows through one moment assembly (the linear kinds without PSD blocks), and
+also writes the MPS file of a linear encoding.
+
 Polynomial coefficients are exact rationals end to end (weights are integers,
 biases are binary64 and hence dyadic rationals), so identity checks downstream
 are exact and the numeric layers decide when to round.
@@ -58,11 +62,9 @@ __all__ = [
     "encode_standard",
     "encode_tightened",
     "linear_identity_residuals",
-    "linear_inequalities",
     "neuron_rows",
     "objective_targeted",
     "region_polynomials",
-    "write_mps",
 ]
 
 
@@ -651,148 +653,3 @@ def linear_identity_residuals(
             out.append((f"comb+[{i},{j}]", lhs_pos - comb_pos))
             out.append((f"comb-[{i},{j}]", lhs_neg - comb_neg))
     return out
-
-
-# ---------------------------------------------------------------------------
-# linear materialization and pattern substitution
-# ---------------------------------------------------------------------------
-
-
-def _affine_parts(poly: MultilinearPoly) -> tuple[dict[Var, Fraction], Fraction]:
-    coeffs: dict[Var, Fraction] = {}
-    const = Fraction(0)
-    for mono, coeff in poly.terms.items():
-        if not mono:
-            const += _frac(coeff)
-        elif len(mono) == 1 and mono[0][1] == 1:
-            coeffs[mono[0][0]] = coeffs.get(mono[0][0], Fraction(0)) + _frac(coeff)
-        else:
-            raise ValueError(f"polynomial is not affine: monomial {mono}")
-    return coeffs, const
-
-
-def linear_inequalities(
-    instance: VerificationInstance,
-) -> tuple[tuple[Var, ...], np.ndarray, np.ndarray]:
-    """Materialize an all-linear instance as A x >= d over its variable order."""
-    variables = instance.variables()
-    index = {v: i for i, v in enumerate(variables)}
-    rows = []
-    rhs = []
-    for c in instance.constraints.inequalities:
-        coeffs, const = _affine_parts(c.poly)
-        row = np.zeros(len(variables))
-        for v, val in coeffs.items():
-            row[index[v]] = float(val)
-        rows.append(row)
-        rhs.append(-float(const))
-    A = np.vstack(rows) if rows else np.zeros((0, len(variables)))
-    return variables, A, np.asarray(rhs)
-
-
-# ---------------------------------------------------------------------------
-# file export
-# ---------------------------------------------------------------------------
-
-
-def _mps_name(v: Var) -> str:
-    return f"Z{v.layer}_{v.index}"
-
-
-def _export_data(instance: VerificationInstance):
-    if instance.encoding_kind not in ("lp", "milp"):
-        raise ValueError("only linear encodings export to MPS")
-    for c in instance.constraints.inequalities:
-        if c.poly.degree > 1:
-            raise ValueError(
-                "quadratic region constraint cannot be exported in a linear format; "
-                "use an linf region"
-            )
-    variables, A, d = linear_inequalities(instance)
-    obj_coeffs, obj_const = _affine_parts(instance.objective)
-    c = np.zeros(len(variables))
-    index = {v: i for i, v in enumerate(variables)}
-    for v, val in obj_coeffs.items():
-        c[index[v]] = float(val)
-    return variables, A, d, c, float(obj_const)
-
-
-def _z_bounds(instance: VerificationInstance, v: Var) -> tuple[float, float]:
-    if v.layer == 0:
-        lo = float(instance.region.lower[v.index - 1])
-        hi = float(instance.region.upper[v.index - 1])
-    else:
-        lo, hi = -1.0, 1.0
-    return (lo + 1.0) / 2.0, (hi + 1.0) / 2.0
-
-
-def write_mps(instance: VerificationInstance, path) -> None:
-    """Write the linear encoding as an MPS file over shifted variables.
-
-    Every variable x in [-1,1] is written as z = (x+1)/2 in [0,1]; hidden
-    variables are declared integer (hence binary).  The leading comment block
-    records the affine map and the objective constant.  Rows are all of type
-    G (>=) after the shift.
-    """
-    variables, A, d, c, c0 = _export_data(instance)
-    # x = 2z - 1:  sum c_v x_v >= d  =>  sum 2 c_v z_v >= d + sum c_v
-    binaries = set(instance.binary_vars)
-    obj_const_z = c0 - float(np.sum(c))
-    lines: list[str] = []
-    lines.append("* Linear robustness encoding; variables shifted by x = 2z - 1.")
-    lines.append("* Original variables lie in [-1,1]; integer z columns are the")
-    lines.append("* hidden +/-1 activations (x = -1 <-> z = 0, x = +1 <-> z = 1).")
-    lines.append(f"* Objective constant (add to solver optimum): {obj_const_z!r}")
-    lines.append("* The constant is also encoded as RHS on the objective row")
-    lines.append("* with the usual sign convention (rhs = -constant).")
-    for v in variables:
-        kind = "integer" if v in binaries else "continuous"
-        lines.append(f"* map {_mps_name(v)} <-> x[{v.layer},{v.index}] ({kind})")
-    lines.append("NAME          ROBUST")
-    lines.append("ROWS")
-    lines.append(" N  OBJ")
-    row_names = [f"R{r+1:06d}" for r in range(A.shape[0])]
-    for name in row_names:
-        lines.append(f" G  {name}")
-    lines.append("COLUMNS")
-    marker_open = "    MK0001    'MARKER'                 'INTORG'"
-    marker_close = "    MK0002    'MARKER'                 'INTEND'"
-
-    def column_lines(j: int, v: Var) -> list[str]:
-        entries = []
-        if c[j] != 0.0:
-            entries.append(("OBJ", 2.0 * float(c[j])))
-        for r in range(A.shape[0]):
-            if A[r, j] != 0.0:
-                entries.append((row_names[r], 2.0 * float(A[r, j])))
-        name = _mps_name(v)
-        return [f"    {name:<10}{row:<10}{val!r}" for row, val in entries]
-
-    int_cols = [(j, v) for j, v in enumerate(variables) if v in binaries]
-    cont_cols = [(j, v) for j, v in enumerate(variables) if v not in binaries]
-    if int_cols:
-        lines.append(marker_open)
-        for j, v in int_cols:
-            lines.extend(column_lines(j, v))
-        lines.append(marker_close)
-    for j, v in cont_cols:
-        lines.extend(column_lines(j, v))
-    lines.append("RHS")
-    if obj_const_z != 0.0:
-        lines.append(f"    RHS       OBJ       {-obj_const_z!r}")
-    for r in range(A.shape[0]):
-        rhs = float(d[r]) + float(np.sum(A[r]))
-        if rhs != 0.0:
-            lines.append(f"    RHS       {row_names[r]:<10}{rhs!r}")
-    lines.append("BOUNDS")
-    for j, v in enumerate(variables):
-        name = _mps_name(v)
-        if v in binaries:
-            lines.append(f" BV BND       {name}")
-        else:
-            lo, hi = _z_bounds(instance, v)
-            lines.append(f" LO BND       {name:<10}{lo!r}")
-            lines.append(f" UP BND       {name:<10}{hi!r}")
-    lines.append("ENDATA")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -245,27 +245,31 @@ def load_model(path) -> RawBnn:
     try:
         widths = tuple(int(w) for w in doc["widths"])
         layers = doc["layers"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"model file {path}: missing 'widths' or 'layers'") from exc
-    if len(layers) != len(widths) - 1:
-        raise ValueError(
-            f"model file {path}: {len(layers)} layers inconsistent with widths {widths}"
-        )
-    weights, biases, bn_blocks = [], [], []
-    for entry in layers:
-        weights.append(np.asarray(entry["weights"]))
-        biases.append(np.asarray(entry["bias"], dtype=float))
-        if "bn" in entry and entry["bn"] is not None:
-            blk = entry["bn"]
-            bn_blocks.append(BatchNorm(blk["gamma"], blk["beta"], blk["mu"], blk["var"]))
-        else:
-            bn_blocks.append(None)
+        if len(layers) != len(widths) - 1:
+            raise ValueError(
+                f"model file {path}: {len(layers)} layers inconsistent with widths {widths}"
+            )
+        weights, biases, bn_blocks = [], [], []
+        for entry in layers:
+            weights.append(np.asarray(entry["weights"]))
+            biases.append(np.asarray(entry["bias"], dtype=float))
+            blk = entry.get("bn")
+            if blk is not None:
+                blk = BatchNorm(blk["gamma"], blk["beta"], blk["mu"], blk["var"])
+            bn_blocks.append(blk)
+        bn_epsilon = float(doc.get("bn_epsilon", DEFAULT_BN_EPSILON))
+    except KeyError as exc:
+        raise ValueError(f"model file {path}: missing key {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        # a value of the wrong JSON type, e.g. a number where a list or an
+        # object belongs
+        raise ValueError(f"model file {path}: malformed ({exc})") from exc
     return RawBnn(
         widths=widths,
         weights=tuple(weights),
         biases=tuple(biases),
         bn=tuple(bn_blocks),
-        bn_epsilon=float(doc.get("bn_epsilon", DEFAULT_BN_EPSILON)),
+        bn_epsilon=bn_epsilon,
     )
 
 

@@ -1,17 +1,21 @@
 """First-order sparse pseudo-moment relaxation as a block conic problem.
 
-The quadratic encodings (standard and tightened) relax to a semidefinite
-program whose variables are pseudo-moments y indexed by monomials of degree
-at most 2: one variable per network variable, per clique-covered variable
-pair, and per input-coordinate square.  The constant moment is pinned to 1
-and every binary square collapses to 1, so neither is a variable; shared
-moments across cliques are literally the same variable (aliasing), which
-enforces clique consistency structurally.
+Every encoding relaxes to one form, whose variables are pseudo-moments y
+indexed by monomials of degree at most 2: one variable per network
+variable, per clique-covered variable pair, and per input-coordinate square
+on a clique.  The constant moment is pinned to 1 and every binary square
+collapses to 1, so neither is a variable; shared moments across cliques are
+literally the same variable (aliasing), which enforces clique consistency
+structurally.
 
-Each clique contributes one (|clique|+1)-dimensional PSD block -- its moment
-matrix over (1, x_clique) -- and every constraint polynomial contributes one
-scalar inequality row, its linearization L_y(g) >= 0.  The optimum of the
-resulting conic program is a certified lower bound for the encoded instance.
+Every constraint polynomial contributes one scalar inequality row, its
+linearization L_y(g) >= 0, and each clique contributes one
+(|clique|+1)-dimensional PSD block -- its moment matrix over (1, x_clique).
+The quadratic encodings (standard and tightened) use the cliques of
+`build_cliques`; the linear ones (lp and milp) use none, so their relaxation
+is the rows alone.  `MomentIndex.linearize` is the one place where a
+polynomial becomes a matrix row.  The optimum of the resulting conic program
+is a certified lower bound for the encoded instance.
 
 The conic form keeps its constraint matrix as a `SparseMatrix`: sorted
 (row, column, value) triplets with a matrix-vector product and a transpose,
@@ -21,7 +25,8 @@ columns), so a general sparse library buys nothing here, and importing
 
 This module also hosts two small analytic constructions used to compare the
 relaxation against the LP bound (`sdp_below_lp_witness`,
-`tightened_gap_witness`), and SDPA ".dat-s" export/ingest.
+`tightened_gap_witness`), SDPA ".dat-s" export/ingest, and the MPS export of
+the linear encodings.
 """
 
 from __future__ import annotations
@@ -34,7 +39,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from bnncert.encode import Clique, VerificationInstance, build_cliques, neuron_rows
+from bnncert.encode import (
+    Clique,
+    NeuronRow,
+    VerificationInstance,
+    build_cliques,
+    neuron_rows,
+)
 from bnncert.model import FoldedBnn
 from bnncert.poly import MultilinearPoly, Var
 
@@ -53,6 +64,7 @@ __all__ = [
     "svec",
     "tightened_gap_witness",
     "to_conic",
+    "write_mps",
 ]
 
 SQRT2 = math.sqrt(2.0)
@@ -63,15 +75,17 @@ MomentKey = tuple
 
 
 class MomentIndex:
-    """Canonical id per degree-<=2 monomial appearing in any clique block.
+    """Canonical id per degree-<=2 monomial of a relaxation: one per variable
+    (of `variables` or of a clique), and the input squares and variable pairs
+    of the clique blocks.
 
     Id 0 is the constant; binary squares are not indexed (they are the
     constant 1 after substitution).  Input squares are indexed: they sit on
     input-clique diagonals and appear in ball/box region rows.
     """
 
-    def __init__(self, cliques: Sequence[Clique]):
-        singles: set[MomentKey] = set()
+    def __init__(self, cliques: Sequence[Clique], variables: Sequence[Var]):
+        singles: set[MomentKey] = {(v,) for v in variables}
         pairs: set[MomentKey] = set()
         squares: set[MomentKey] = set()
         for clique in cliques:
@@ -172,13 +186,16 @@ class MomentSdp:
 def assemble_moment_sdp(
     instance: VerificationInstance, cliques: Optional[Sequence[Clique]] = None
 ) -> MomentSdp:
-    """Build the order-1 relaxation of a standard or tightened instance."""
-    if instance.encoding_kind not in ("standard", "tightened"):
-        raise ValueError("moment assembly expects a standard or tightened instance")
+    """Build the order-1 relaxation of an instance of any encoding kind.
+
+    By default a linear instance (lp, milp) gets no cliques, so no PSD
+    blocks, and a quadratic one gets `build_cliques`.
+    """
     if cliques is None:
-        cliques = build_cliques(instance.net)
+        linear = instance.encoding_kind in ("lp", "milp")
+        cliques = () if linear else build_cliques(instance.net)
     cliques = tuple(cliques)
-    index = MomentIndex(cliques)
+    index = MomentIndex(cliques, instance.variables())
 
     block_fixed = []
     block_entries = []
@@ -253,6 +270,15 @@ def smat(vec: np.ndarray, s: int) -> np.ndarray:
     return M
 
 
+def _dense(n: int, terms) -> np.ndarray:
+    """The length-n vector of linearized `terms` (moment id, coefficient):
+    moment id i is column i-1 (the constant id 0 is not a variable)."""
+    vec = np.zeros(n)
+    for idx, coeff in terms:
+        vec[idx - 1] = float(coeff)
+    return vec
+
+
 def _svec_pos(s: int, p: int, q: int) -> int:
     """Position of entry (p, q), p <= q, in the svec of a size-s matrix."""
     return p * s - p * (p - 1) // 2 + (q - p)
@@ -290,7 +316,7 @@ class ConicProblem:
 
     `A` is a `SparseMatrix`.  Its rows are ordered: the nonnegative rows
     first, then each PSD block's svec rows.  Column j corresponds to moment
-    id j+1 of `ids_order` (the constant id 0 is not a variable).
+    id j+1 of `index` (the constant id 0 is not a variable).
     """
 
     A: SparseMatrix
@@ -299,7 +325,7 @@ class ConicProblem:
     c0: float
     n_nonneg: int
     psd_sizes: tuple[int, ...]
-    ids_order: tuple[MomentKey, ...]
+    index: MomentIndex
 
     @property
     def n_vars(self) -> int:
@@ -322,25 +348,10 @@ class ConicProblem:
         """This problem with the cost c0 + c^T y of `objective`.
 
         A, b and the cones are shared (the same objects), so one solver
-        setup serves every objective.  Column j is the j-th non-constant key
-        of `ids_order`; binary squares reduce to 1 first.
+        setup serves every objective.
         """
-        column = {key: j for j, key in enumerate(k for k in self.ids_order if k)}
-        const = Fraction(0)
-        coeffs: dict[int, Fraction] = {}
-        for mono, coeff in objective.reduce_binary_squares().terms.items():
-            coeff = coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
-            key = tuple(v for v, e in mono for _ in range(e))
-            if not key:
-                const += coeff
-            elif key in column:
-                coeffs[column[key]] = coeffs.get(column[key], 0) + coeff
-            else:
-                raise ValueError(f"objective monomial {key} is not a problem column")
-        c = np.zeros(self.n_vars)
-        for j, coeff in coeffs.items():
-            c[j] = float(coeff)
-        return replace(self, c=c, c0=float(const))
+        const, coeffs = self.index.linearize(objective)
+        return replace(self, c=_dense(self.n_vars, coeffs.items()), c0=float(const))
 
     def split_cone_vector(self, vec: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Split a cone-space vector into (nonneg part, PSD matrices)."""
@@ -384,17 +395,14 @@ def to_conic(msdp: MomentSdp) -> ConicProblem:
 
     A = SparseMatrix(rows_i, cols_j, vals, (r, n_vars))
     b = np.concatenate(b_parts) if b_parts else np.zeros(0)
-    c = np.zeros(n_vars)
-    for idx, coeff in msdp.objective:
-        c[idx - 1] = float(coeff)
     return ConicProblem(
         A=A,
         b=b,
-        c=c,
+        c=_dense(n_vars, msdp.objective),
         c0=float(msdp.objective_const),
         n_nonneg=msdp.n_rows,
         psd_sizes=msdp.block_sizes,
-        ids_order=msdp.index.order,
+        index=msdp.index,
     )
 
 
@@ -446,6 +454,24 @@ class MomentWitness:
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
 
+def _witness_clique(
+    net: FoldedBnn, neuron: int
+) -> tuple[NeuronRow, np.ndarray, tuple[Var, ...]]:
+    """The `NeuronRow` of last-hidden-layer `neuron` (1-based), its weight row
+    as floats, and its clique: the previous layer, then the neuron."""
+    net.require_stabilized()
+    L = net.depth
+    if L < 2:
+        raise ValueError("construction needs at least two hidden layers")
+    rows = neuron_rows(net, L)
+    if not 1 <= neuron <= len(rows):
+        raise ValueError(f"neuron {neuron} outside 1..{len(rows)} of layer {L}")
+    row = rows[neuron - 1]
+    wf = net.weight(L)[neuron - 1].astype(float)
+    vs = tuple(Var(L - 1, k) for k in range(1, wf.shape[0] + 1)) + (row.var,)
+    return row, wf, vs
+
+
 def sdp_below_lp_witness(net: FoldedBnn, neuron: int = 1) -> MomentWitness:
     """A pseudo-moment matrix on which the order-1 relaxation undercuts the LP.
 
@@ -460,14 +486,8 @@ def sdp_below_lp_witness(net: FoldedBnn, neuron: int = 1) -> MomentWitness:
     products (diagonal lifted to 1 where the weight is zero), and all
     cross-moments with the neuron vanish.
     """
-    net.require_stabilized()
-    L = net.depth
-    if L < 2:
-        raise ValueError("construction needs at least two hidden layers")
-    row = neuron_rows(net, L)[neuron - 1]
-    wf = net.weight(L)[neuron - 1].astype(float)
+    row, wf, vs = _witness_clique(net, neuron)
     m = wf.shape[0]
-    vs = tuple([Var(L - 1, k) for k in range(1, m + 1)] + [row.var])
 
     M = np.zeros((m + 2, m + 2))
     M[0, 0] = 1.0
@@ -498,17 +518,11 @@ def tightened_gap_witness(net: FoldedBnn, neuron: int = 1) -> MomentWitness:
     standard one admits it.  A stabilized net has |bias| < nv on every row,
     which the construction needs.
     """
-    net.require_stabilized()
-    L = net.depth
-    if L < 2:
-        raise ValueError("construction needs at least two hidden layers")
-    row = neuron_rows(net, L)[neuron - 1]
+    row, wf, vs = _witness_clique(net, neuron)
     nv, b = float(row.row_bound), float(row.beta)
     a = 0.5 * math.sqrt(2.0 - (b / nv) ** 2) - b / (2.0 * nv)
     t = math.sqrt(1.0 - a * a)
-    wf = net.weight(L)[neuron - 1].astype(float)
     m = wf.shape[0]
-    vs = tuple([Var(L - 1, k) for k in range(1, m + 1)] + [row.var])
 
     M = np.zeros((m + 2, m + 2))
     M[0, 0] = 1.0
@@ -567,10 +581,7 @@ def export_sdpa(msdp: MomentSdp, path) -> None:
     lines.append(f"{n_vars}")
     lines.append(f"{len(sizes)}")
     lines.append(" ".join(sizes))
-    cvec = np.zeros(n_vars)
-    for idx, coeff in msdp.objective:
-        cvec[idx - 1] = float(coeff)
-    lines.append(" ".join(repr(float(v)) for v in cvec))
+    lines.append(" ".join(repr(float(v)) for v in _dense(n_vars, msdp.objective)))
 
     def entry(matno: int, blk: int, i: int, j: int, val: float) -> None:
         if val != 0.0:
@@ -644,3 +655,111 @@ def read_sdpa(path) -> SdpaProblem:
         entries=entries,
         objective_const=objective_const,
     )
+
+
+# ---------------------------------------------------------------------------
+# MPS export of the linear encodings
+# ---------------------------------------------------------------------------
+
+
+def _mps_name(v: Var) -> str:
+    return f"Z{v.layer}_{v.index}"
+
+
+def _export_data(instance: VerificationInstance):
+    if instance.encoding_kind not in ("lp", "milp"):
+        raise ValueError("only linear encodings export to MPS")
+    for c in instance.constraints.inequalities:
+        if c.poly.degree > 1:
+            raise ValueError(
+                "quadratic region constraint cannot be exported in a linear format; "
+                "use an linf region"
+            )
+    msdp = assemble_moment_sdp(instance)
+    n = msdp.index.total_count - 1
+    # without cliques the moment ids past the constant are the variables
+    variables = tuple(key[0] for key in msdp.index.order[1:])
+    A = np.array([_dense(n, coeffs) for _, coeffs in msdp.rows])
+    d = np.array([-float(const) for const, _ in msdp.rows])
+    return variables, A, d, _dense(n, msdp.objective), float(msdp.objective_const)
+
+
+def _z_bounds(instance: VerificationInstance, v: Var) -> tuple[float, float]:
+    if v.layer == 0:
+        lo = float(instance.region.lower[v.index - 1])
+        hi = float(instance.region.upper[v.index - 1])
+    else:
+        lo, hi = -1.0, 1.0
+    return (lo + 1.0) / 2.0, (hi + 1.0) / 2.0
+
+
+def write_mps(instance: VerificationInstance, path) -> None:
+    """Write the linear encoding as an MPS file over shifted variables.
+
+    Every variable x in [-1,1] is written as z = (x+1)/2 in [0,1]; hidden
+    variables are declared integer (hence binary).  The leading comment block
+    records the affine map and the objective constant.  Rows are all of type
+    G (>=) after the shift.
+    """
+    variables, A, d, c, c0 = _export_data(instance)
+    # x = 2z - 1:  sum c_v x_v >= d  =>  sum 2 c_v z_v >= d + sum c_v
+    binaries = set(instance.binary_vars)
+    obj_const_z = c0 - float(np.sum(c))
+    lines: list[str] = []
+    lines.append("* Linear robustness encoding; variables shifted by x = 2z - 1.")
+    lines.append("* Original variables lie in [-1,1]; integer z columns are the")
+    lines.append("* hidden +/-1 activations (x = -1 <-> z = 0, x = +1 <-> z = 1).")
+    lines.append(f"* Objective constant (add to solver optimum): {obj_const_z!r}")
+    lines.append("* The constant is also encoded as RHS on the objective row")
+    lines.append("* with the usual sign convention (rhs = -constant).")
+    for v in variables:
+        kind = "integer" if v in binaries else "continuous"
+        lines.append(f"* map {_mps_name(v)} <-> x[{v.layer},{v.index}] ({kind})")
+    lines.append("NAME          ROBUST")
+    lines.append("ROWS")
+    lines.append(" N  OBJ")
+    row_names = [f"R{r+1:06d}" for r in range(A.shape[0])]
+    for name in row_names:
+        lines.append(f" G  {name}")
+    lines.append("COLUMNS")
+    marker_open = "    MK0001    'MARKER'                 'INTORG'"
+    marker_close = "    MK0002    'MARKER'                 'INTEND'"
+
+    def column_lines(j: int, v: Var) -> list[str]:
+        entries = []
+        if c[j] != 0.0:
+            entries.append(("OBJ", 2.0 * float(c[j])))
+        for r in range(A.shape[0]):
+            if A[r, j] != 0.0:
+                entries.append((row_names[r], 2.0 * float(A[r, j])))
+        name = _mps_name(v)
+        return [f"    {name:<10}{row:<10}{val!r}" for row, val in entries]
+
+    int_cols = [(j, v) for j, v in enumerate(variables) if v in binaries]
+    cont_cols = [(j, v) for j, v in enumerate(variables) if v not in binaries]
+    if int_cols:
+        lines.append(marker_open)
+        for j, v in int_cols:
+            lines.extend(column_lines(j, v))
+        lines.append(marker_close)
+    for j, v in cont_cols:
+        lines.extend(column_lines(j, v))
+    lines.append("RHS")
+    if obj_const_z != 0.0:
+        lines.append(f"    RHS       OBJ       {-obj_const_z!r}")
+    for r in range(A.shape[0]):
+        rhs = float(d[r]) + float(np.sum(A[r]))
+        if rhs != 0.0:
+            lines.append(f"    RHS       {row_names[r]:<10}{rhs!r}")
+    lines.append("BOUNDS")
+    for j, v in enumerate(variables):
+        name = _mps_name(v)
+        if v in binaries:
+            lines.append(f" BV BND       {name}")
+        else:
+            lo, hi = _z_bounds(instance, v)
+            lines.append(f" LO BND       {name:<10}{lo!r}")
+            lines.append(f" UP BND       {name:<10}{hi!r}")
+    lines.append("ENDATA")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

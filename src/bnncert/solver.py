@@ -45,14 +45,16 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from bnncert.encode import (
-    Clique,
-    VerificationInstance,
-    build_cliques,
-    linear_inequalities,
-)
+from bnncert.encode import Clique, VerificationInstance, build_cliques
 from bnncert.poly import Var
-from bnncert.sdp import ConicProblem, SparseMatrix, smat, svec
+from bnncert.sdp import (
+    ConicProblem,
+    SparseMatrix,
+    assemble_moment_sdp,
+    smat,
+    svec,
+    to_conic,
+)
 
 __all__ = [
     "ConicSetup",
@@ -60,7 +62,6 @@ __all__ = [
     "SolveOptions",
     "SolveResult",
     "conic_setup",
-    "lp_to_conic",
     "rigorous_lower_bound",
     "solve_conic",
     "solve_lp",
@@ -406,33 +407,11 @@ def solve_conic(
     return result(status, it, *unscaled(y, s, u))
 
 
-# ---------------------------------------------------------------------------
-# LP routing
-# ---------------------------------------------------------------------------
-
-
-def lp_to_conic(instance: VerificationInstance) -> ConicProblem:
-    """Materialize an all-linear instance as a conic problem without PSD blocks."""
-    if instance.encoding_kind != "lp":
-        raise ValueError("expected an LP instance")
-    variables, A_ge, d = linear_inequalities(instance)
-    rows, cols = np.nonzero(A_ge)
-    return ConicProblem(
-        A=SparseMatrix(rows, cols, -A_ge[rows, cols], A_ge.shape),
-        b=-d,
-        c=np.zeros(len(variables)),
-        c0=0.0,
-        n_nonneg=A_ge.shape[0],
-        psd_sizes=(),
-        ids_order=tuple((v,) for v in variables),
-    ).with_objective(instance.objective)
-
-
 def solve_lp(
     instance: VerificationInstance, opts: Optional[SolveOptions] = None
 ) -> SolveResult:
-    """Solve the linear relaxation through the same conic iteration."""
-    return solve_conic(lp_to_conic(instance), opts)
+    """Solve the linear relaxation: its moment form has no PSD blocks."""
+    return solve_conic(to_conic(assemble_moment_sdp(instance)), opts)
 
 
 # ---------------------------------------------------------------------------

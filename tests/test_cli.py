@@ -220,6 +220,41 @@ def test_bad_arguments_exit_three(example1_files, tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
+def test_malformed_command_lines_exit_three(example1_files, capsys):
+    """argparse's own exit code 2 would read as "inconclusive"."""
+    model, inputs = example1_files
+    base = ["verify", "--model", str(model), "--input", str(inputs)]
+    for argv in (base + ["--eps", "abc"], base + ["--eps", "0.2", "--method", "foo"], base):
+        assert main(argv) == 3
+        assert "usage:" in capsys.readouterr().err
+    assert main(["verify", "--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def _with_first_layer(doc, **fields):
+    doc["layers"][0].update(fields)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "malform",
+    [
+        lambda doc: {**doc, "layers": [1, 2, 3]},
+        lambda doc: {**doc, "layers": 5},
+        lambda doc: _with_first_layer(doc, bn=[1, 2]),
+        lambda doc: {**doc, "bn_epsilon": [1]},
+    ],
+    ids=["layers-of-numbers", "layers-a-number", "bn-a-list", "bn-epsilon-a-list"],
+)
+def test_malformed_model_file_exits_three(example1_files, tmp_path, capsys, malform):
+    _, inputs = example1_files
+    model = tmp_path / "bad.json"
+    model.write_text(json.dumps(malform(json.loads(EXAMPLE1_JSON))))
+    argv = ["verify", "--model", str(model), "--input", str(inputs), "--eps", "0.2"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(f"error: model file {model}")
+
+
 OVERFLOWING_BIASES = [1e308, -1e308]  # finite, but their difference is not
 METHODS = ("lp", "sdp1", "sdp1-tight", "oracle", "sample-ub")
 

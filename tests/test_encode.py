@@ -1,5 +1,6 @@
 """Region polynomials, the four encodings, cliques, and the MPS writer."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from bnncert import (
     PerturbationRegion,
     StabilizationNeeded,
     Var,
+    assemble_moment_sdp,
     build_cliques,
     check_rip,
     encode_lp,
@@ -21,9 +23,9 @@ from bnncert import (
     encode_tightened,
     forward,
     linear_identity_residuals,
-    linear_inequalities,
     objective_targeted,
     region_polynomials,
+    to_conic,
     write_mps,
 )
 from bnncert.oracle import feasible_patterns
@@ -284,17 +286,18 @@ def test_milp_points_are_lp_feasible(seed):
     net = random_net(rng, (3, 3, 2))
     region = random_region(rng, 3)
     obj = objective_targeted(net, 1, 2)
-    inst = encode_lp(net, region, obj)
-    variables, A, d = linear_inequalities(inst)
-    pos = {v: i for i, v in enumerate(variables)}
+    problem = to_conic(assemble_moment_sdp(encode_lp(net, region, obj)))
+    assert problem.psd_sizes == ()
+    # without PSD blocks, column j is the moment of the j-th variable
+    pos = {key[0]: j for j, key in enumerate(problem.index.order[1:])}
     for record in feasible_patterns(net, region):
-        x = np.zeros(len(variables))
+        x = np.zeros(problem.n_vars)
         for k, val in enumerate(record.witness):
             x[pos[Var(0, k + 1)]] = val
         for i, layer in enumerate(record.pattern, start=1):
             for j, s in enumerate(layer, start=1):
                 x[pos[Var(i, j)]] = s
-        assert np.all(A @ x - d >= -1e-9)
+        assert np.all(problem.b - problem.A @ x >= -1e-9)
 
 
 def test_milp_marks_all_hidden_binaries(example1):
@@ -430,3 +433,19 @@ def test_write_mps_rejects_ball_region(example1, tmp_path):
     inst = encode_milp(example1, region1("l2", 1.0), objective1(example1))
     with pytest.raises(ValueError, match="linf"):
         write_mps(inst, tmp_path / "ball.mps")
+
+
+@pytest.mark.parametrize(
+    "threshold, digest",
+    [
+        (None, "fcac3364d9ce19ae70e1319c4713ffb9c5aa3a2135806f50eabdb77a29919fab"),
+        (0.0, "2f30fd858e115e7df645e998b69853e90e434b7aec4a0f35394f26adf219c365"),
+    ],
+    ids=["bound", "threshold-0"],
+)
+def test_write_mps_bytes_are_pinned(example1, tmp_path, threshold, digest):
+    """The README net's MILP at linf 1.0, as the writer has always written it."""
+    inst = encode_milp(example1, region1("linf", 1.0), objective1(example1), threshold)
+    path = tmp_path / "toy.mps"
+    write_mps(inst, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

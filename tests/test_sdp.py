@@ -43,7 +43,7 @@ def tight_instance(net, radius=1.0, kind="linf"):
 
 
 def test_moment_index_counts_example1(example1):
-    index = MomentIndex(build_cliques(example1))
+    index = MomentIndex(build_cliques(example1), ())
     # 7 singles; pairs: 3x2 input-hidden + 1 intra-layer-1 + 2x2 hidden-output
     assert index.n_singles == 7
     assert index.n_pairs == 6 + 1 + 4
@@ -55,7 +55,7 @@ def test_moment_index_counts_example1(example1):
 
 
 def test_moment_index_resolves_covered_monomials(example1):
-    index = MomentIndex(build_cliques(example1))
+    index = MomentIndex(build_cliques(example1), ())
     assert index.resolve(()) is None
     assert index.resolve(((Var(1, 1), 1),)) == (Var(1, 1),)
     assert index.resolve(((Var(0, 2), 2),)) == (Var(0, 2), Var(0, 2))
@@ -64,7 +64,7 @@ def test_moment_index_resolves_covered_monomials(example1):
 
 
 def test_moment_index_rejects_uncovered_pair(example1):
-    index = MomentIndex(build_cliques(example1))
+    index = MomentIndex(build_cliques(example1), ())
     with pytest.raises(ValueError, match=r"x\[0,1\].*x\[0,2\]"):
         index.resolve(((Var(0, 1), 1), (Var(0, 2), 1)))
 
@@ -108,7 +108,7 @@ def test_assemble_constant_objective(example1):
     assert msdp.objective_const == Fraction(7, 2)
 
 
-def test_assemble_rejects_linear_encodings(example1):
+def test_assemble_linear_encodings_without_blocks(example1):
     from bnncert import encode_lp
 
     lp = encode_lp(
@@ -116,8 +116,13 @@ def test_assemble_rejects_linear_encodings(example1):
         PerturbationRegion.linf([0, 0.5, 0], 1.0),
         objective_targeted(example1, 2, 1),
     )
-    with pytest.raises(ValueError, match="standard or tightened"):
-        assemble_moment_sdp(lp)
+    msdp = assemble_moment_sdp(lp)
+    assert msdp.cliques == () and msdp.block_sizes == ()
+    assert msdp.n_rows == len(lp.constraints.inequalities)
+    # one column per variable, in the instance's variable order
+    assert msdp.index.order[1:] == tuple((v,) for v in lp.variables())
+    cp = to_conic(msdp)
+    assert cp.n_vars == 7 and cp.n_rows == cp.n_nonneg == msdp.n_rows
 
 
 # -- conic form ---------------------------------------------------------------
@@ -263,6 +268,13 @@ def test_tightened_gap_witness_requires_strict_bias():
     # |b| = nv = 2 on the last hidden row: the construction must refuse
     with pytest.raises(ValueError, match="row 1-norm"):
         tightened_gap_witness(net, neuron=1)
+
+
+@pytest.mark.parametrize("witness", [sdp_below_lp_witness, tightened_gap_witness])
+def test_witnesses_reject_a_neuron_outside_the_layer(example1, witness):
+    for neuron in (0, -1, 3):  # the last hidden layer has neurons 1 and 2
+        with pytest.raises(ValueError, match=rf"neuron {neuron} outside 1\.\.2"):
+            witness(example1, neuron=neuron)
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from bnncert import (
     ConicProblem,
+    MomentIndex,
     MultilinearPoly,
     PerturbationRegion,
     SolveOptions,
@@ -41,7 +42,6 @@ from bnncert.solver import (
     _float_up,
     _project_cone,
     _psd_groups,
-    lp_to_conic,
 )
 
 from conftest import make_example1, random_net, random_region
@@ -65,7 +65,7 @@ def analytic_sdp() -> ConicProblem:
         c0=0.0,
         n_nonneg=0,
         psd_sizes=(2,),
-        ids_order=((Var(1, 1),),),
+        index=MomentIndex((), (Var(1, 1),)),
     )
 
 
@@ -87,7 +87,7 @@ def tiny_lp() -> ConicProblem:
         c0=0.0,
         n_nonneg=4,
         psd_sizes=(),
-        ids_order=((Var(0, 1),), (Var(0, 2),)),
+        index=MomentIndex((), (Var(0, 1), Var(0, 2))),
     )
 
 
@@ -157,7 +157,7 @@ def infeasible_lp() -> ConicProblem:
         c0=0.0,
         n_nonneg=2,
         psd_sizes=(),
-        ids_order=((Var(0, 1),),),
+        index=MomentIndex((), (Var(0, 1),)),
     )
 
 
@@ -309,13 +309,6 @@ def test_rigorous_bound_rejects_mismatched_certificate(example1):
         rigorous_lower_bound(bad, inst)
 
 
-def test_lp_to_conic_rejects_other_encodings(example1):
-    region = PerturbationRegion.linf([0, 0.5, 0], 1.0)
-    inst = encode_tightened(example1, region, objective_targeted(example1, 2, 1))
-    with pytest.raises(ValueError, match="LP"):
-        lp_to_conic(inst)
-
-
 def test_solve_options_validate():
     with pytest.raises(ValueError):
         SolveOptions(tol=0.0)
@@ -353,7 +346,7 @@ def mixed_cone_point(seed):
     dim = n_nonneg + sum(s * (s + 1) // 2 for s in MIXED_SIZES)
     problem = ConicProblem(
         A=SparseMatrix([], [], [], (dim, 0)), b=np.zeros(dim), c=np.zeros(0), c0=0.0,
-        n_nonneg=n_nonneg, psd_sizes=MIXED_SIZES, ids_order=(),
+        n_nonneg=n_nonneg, psd_sizes=MIXED_SIZES, index=MomentIndex((), ()),
     )
     return n_nonneg, _psd_groups(problem), np.random.default_rng(seed).normal(size=dim)
 
@@ -556,11 +549,12 @@ def test_shared_setup_matches_fresh_solve_for_every_target():
         assert all(a.tobytes() == b.tobytes() for a, b in zip(reused.grams, fresh.grams))
 
 
-def test_lp_with_objective_matches_lp_to_conic(example1):
+def test_lp_with_objective_matches_a_fresh_assembly(example1):
     region = PerturbationRegion.linf([0, 0.5, 0], 1.0)
-    shared = lp_to_conic(encode_lp(example1, region, objective_targeted(example1, 2, 1)))
+    lp = encode_lp(example1, region, objective_targeted(example1, 2, 1))
+    shared = to_conic(assemble_moment_sdp(lp))
     f = objective_targeted(example1, 1, 2)
-    fresh = lp_to_conic(encode_lp(example1, region, f))
+    fresh = to_conic(assemble_moment_sdp(encode_lp(example1, region, f)))
     problem = shared.with_objective(f)
     assert problem.c.tobytes() == fresh.c.tobytes() and problem.c0 == fresh.c0
     for name in ("row", "col", "data"):
@@ -642,16 +636,12 @@ def screen_instances():
 def test_float_screen_matches_rigorous_anchor_minus_residual():
     """dobj - ||c + A^T z||_1 is the float image of anchor - residual."""
     for inst, max_iter in screen_instances():
-        cliques = None if inst.encoding_kind == "lp" else build_cliques(inst.net)
-        problem = (
-            lp_to_conic(inst)
-            if cliques is None
-            else to_conic(assemble_moment_sdp(inst, cliques))
-        )
+        msdp = assemble_moment_sdp(inst)
+        problem = to_conic(msdp)
         res = solve_conic(problem, SolveOptions(tol=1e-4, max_iter=max_iter))
         z = np.concatenate([res.sigmas] + [svec(G) for G in res.grams])
         screen = res.dual_objective - float(np.abs(problem.c + problem.A.T @ z).sum())
-        rb = rigorous_lower_bound(res, inst, cliques)
+        rb = rigorous_lower_bound(res, inst, msdp.cliques)
         scale = max(1.0, abs(rb.anchor), rb.coefficient_residual)
         assert abs(screen - (rb.anchor - rb.coefficient_residual)) <= 1e-9 * scale
 
@@ -695,7 +685,7 @@ def test_equilibration_matches_the_per_group_loop():
         f = objective_targeted(net, label, target)
         problems = [
             to_conic(assemble_moment_sdp(encode_tightened(net, region, f), build_cliques(net))),
-            lp_to_conic(encode_lp(net, region, f)),
+            to_conic(assemble_moment_sdp(encode_lp(net, region, f))),
         ]
         for problem in problems:
             E, D = _equilibrate(problem)
