@@ -44,7 +44,7 @@ from bnncert import (
     encode_tightened,
     objective_targeted,
     relative_improvement,
-    sample_upper_bound,
+    sample_logits,
     solve_conic,
     solve_lp,
     to_conic,
@@ -111,9 +111,8 @@ def main(argv=None) -> int:
                 no_encode += 1
                 continue
             tau_lp = solve_lp(lp, OPTS).primal_objective
-            ub = sample_upper_bound(
-                net, region, objective, n_samples=args.samples, seed=args.seed
-            ).value
+            _, logits = sample_logits(net, region, args.samples, args.seed)
+            ub = float(np.min(logits[:, label - 1] - logits[:, target - 1]))
             if not ub - tau_lp > MIN_GAP:
                 no_gap += 1
                 continue

@@ -8,18 +8,26 @@ A robustness query is: does the predicted label of the reference input
 survive every perturbation in the region?  `verify` answers per attack
 target k != true label by lower-bounding the logit margin; "robust" demands a
 strictly positive rigorous bound for every target, "falsified" demands an
-explicit region point whose forward label differs.  Sampling always runs
-opportunistically first (seeded, cheap) so an easily-falsified query never
-burns solver time.
+explicit region point whose forward label differs.
 
-Targets are bounded in class order, and bounding stops as soon as the
-verdict cannot change: after a forward-checked counterexample (any method),
-or after an `lp`/`sdp1`/`sdp1-tight` target that is not certified (these
-engines return no witness, so the verdict can then only be "unknown").  The
-remaining targets keep their place in the report with status "skipped".
-`oracle` and `sample-ub` go on past an unconfirmed non-robust target, since
-a later target may still falsify.  `--metrics` compares the bounds target by
-target, so with it every target is bounded.
+Each query draws one seeded sample (`sample_logits`: the center plus
+`SAMPLES` region points, with their logits) and every sampling consumer
+reads it: the opening attack (the first row whose label differs, confirmed
+with `forward`), the exact margins at eps 0, and target k's sampled margin
+min(logit[label] - logit[k]) for `sample-ub` and `--metrics`.  The attack
+runs before any engine, so an easily-falsified query never burns solver
+time.  When it falsifies at a positive radius, no target is bounded: the
+report lists no targets, and `--metrics` no improvement entries.  At eps 0
+every target is listed with its exact forward margin.
+
+Otherwise targets are bounded in class order, and bounding stops as soon as
+the verdict cannot change: after a forward-checked counterexample (any
+method), or after an `lp`/`sdp1`/`sdp1-tight` target that is not certified
+(these engines return no witness, so the verdict can then only be
+"unknown").  The remaining targets keep their place in the report with
+status "skipped".  `oracle` and `sample-ub` go on past an unconfirmed
+non-robust target.  `--metrics` compares the bounds target by target, so
+with it every target is bounded.
 """
 
 from __future__ import annotations
@@ -48,18 +56,12 @@ from bnncert.model import (
     FoldedBnn,
     fold_batchnorm,
     forward,
-    forward_labels,
     load_inputs,
     load_model,
     stabilize,
     weight_sparsity,
 )
-from bnncert.oracle import (
-    exact_verify,
-    relative_improvement,
-    sample_region,
-    sample_upper_bound,
-)
+from bnncert.oracle import exact_verify, relative_improvement, sample_logits
 from bnncert.poly import MultilinearPoly
 from bnncert.sdp import (
     ConicProblem,
@@ -87,6 +89,10 @@ METHODS = ("lp", "sdp1", "sdp1-tight", "oracle", "sample-ub")
 #: (1/127.5), while the l2 budget is conventionally quoted against the raw
 #: 0..255 scale (1/255).
 PIXEL_SCALE = {"linf": 1.0 / 127.5, "l2": 1.0 / 255.0}
+
+#: region points drawn per query by `sample_logits`, besides the center; the
+#: attack, `sample-ub` and `--metrics` all read this one sample
+SAMPLES = 512
 
 
 @dataclass
@@ -171,48 +177,15 @@ def _prepare(args) -> tuple[FoldedBnn, np.ndarray, int, PerturbationRegion, floa
 
 
 def _find_counterexample(
-    net: FoldedBnn,
-    region: PerturbationRegion,
-    true_label: int,
-    n_samples: int,
-    seed: int,
+    net: FoldedBnn, points: np.ndarray, logits: np.ndarray, true_label: int
 ) -> Optional[np.ndarray]:
-    """Seeded sampling attack: the first region point whose forward label
-    differs.  All samples are labelled in one batched pass.  A mismatch is
-    confirmed with `forward` before it is returned: that one-row run of the
-    network's definition is the proof behind a "falsified" verdict."""
-    if forward(net, region.center).label != true_label:
-        return region.center.copy()
-    if region.radius == 0:
-        return None
-    points = sample_region(region, n_samples, np.random.default_rng(seed))
-    for x0 in points[forward_labels(net, points) != true_label]:
+    """The sampling attack: the first row of `sample_logits` whose label
+    differs, confirmed with `forward` before it is returned.  That one-row run
+    of the network's definition is the proof behind a "falsified" verdict."""
+    for x0 in points[np.argmax(logits, axis=1) + 1 != true_label]:
         if forward(net, x0).label != true_label:
             return x0
     return None
-
-
-def _margin_targets(net: FoldedBnn, x0: np.ndarray, label: int) -> list[TargetReport]:
-    """eps = 0: verdicts from the exact forward margins, no encodings."""
-    tr = forward(net, x0)
-    out = []
-    for k in range(1, net.n_classes + 1):
-        if k == label:
-            continue
-        t0 = time.perf_counter()
-        margin = float(tr.logits[label - 1] - tr.logits[k - 1])
-        status = "robust" if margin > 0 else ("falsified" if tr.label != label else "unknown")
-        out.append(
-            TargetReport(
-                target=k,
-                method="exact-forward",
-                lower_bound=margin,
-                approximate=margin,
-                status=status,
-                wall_time=time.perf_counter() - t0,
-            )
-        )
-    return out
 
 
 @dataclass(frozen=True)
@@ -284,6 +257,7 @@ def _bound_one_target(
     method: str,
     opts: SolveOptions,
     relaxation: Optional[_Relaxation],
+    upper: np.ndarray,
 ) -> tuple[TargetReport, Optional[np.ndarray]]:
     """The target's report, plus the engine's attack point when the engine
     found a non-positive margin there (still to be forward-checked)."""
@@ -300,17 +274,18 @@ def _bound_one_target(
         if lower <= 0:
             witness = result.witness
     elif method == "sample-ub":
-        sb = sample_upper_bound(net, region, objective, n_samples=512, seed=opts.seed)
+        # the attack read the same rows and found no label change, so no
+        # sampled margin is negative: the sample bounds, it never falsifies
         report = TargetReport(
             target=k,
             method=method,
             lower_bound=None,
-            approximate=sb.value,
+            approximate=float(upper[k - 1]),
             status="unknown",
             wall_time=time.perf_counter() - t0,
             solver_status="sampling",
         )
-        return report, (sb.x0 if sb.value < 0 else None)
+        return report, None
     else:
         raise ValueError(f"unknown method {method!r}")
     status = "robust" if lower > 0 else "unknown"
@@ -332,9 +307,13 @@ def _collect_metrics(
     region: PerturbationRegion,
     label: int,
     targets: Sequence[TargetReport],
+    objectives: dict[int, MultilinearPoly],
+    upper: np.ndarray,
     method: str,
     opts: SolveOptions,
 ) -> dict:
+    """The query's metrics; the improvement reads the query's own
+    objectives and sampled margins `upper`."""
     metrics: dict = {
         "weight_sparsity": weight_sparsity(net),
         "widths": list(net.widths),
@@ -342,32 +321,24 @@ def _collect_metrics(
         "stabilization_log": list(net.log),
     }
     if method in ("sdp1", "sdp1-tight") and region.radius > 0:
-        objectives = {
-            entry.target: objective_targeted(net, label, entry.target)
-            for entry in targets
-            if entry.lower_bound is not None
-        }
+        bounded = [entry for entry in targets if entry.lower_bound is not None]
         lp: Optional[_Relaxation] = None
-        if objectives:
-            k, objective = next(iter(objectives.items()))
+        if bounded:
+            k = bounded[0].target
             try:
-                lp = _relax(net, region, label, k, objective, "lp", opts)
+                lp = _relax(net, region, label, k, objectives[k], "lp", opts)
             except StabilizationNeeded:
                 # the LP cannot encode this region; the comparison is simply
                 # not available, the verdict stands
                 pass
         improvements = {}
-        for entry in targets:
-            if entry.target not in objectives:
-                continue
-            objective = objectives[entry.target]
-            ub = sample_upper_bound(
-                net, region, objective, n_samples=512, seed=opts.seed
-            ).value
+        for entry in bounded:
+            ub = float(upper[entry.target - 1])
             if lp is None:
                 tau_lp = rel = None
             else:
                 # solved to tolerance: the comparison wants the LP optimum
+                objective = objectives[entry.target]
                 tau_lp = lp.bound(objective, entry.target, opts, settle=False)[1].value
                 rel = relative_improvement(entry.lower_bound, tau_lp, ub)
             improvements[str(entry.target)] = {
@@ -382,46 +353,55 @@ def _collect_metrics(
 def run_verify(args) -> int:
     net, x0, label, region, eps = _prepare(args)
     opts = SolveOptions(tol=args.tol, max_iter=args.max_iter, seed=args.seed)
-    counterexample: Optional[np.ndarray] = None
+    points, logits = sample_logits(net, region, SAMPLES, args.seed)
+    counterexample = _find_counterexample(net, points, logits, label)
+    # each class's least sampled margin; at eps 0 the center's exact margin
+    upper = np.min(logits[:, label - 1, None] - logits, axis=0)
+    targets: list[TargetReport] = []
+    objectives: dict[int, MultilinearPoly] = {}
 
     if eps == 0:
-        targets = _margin_targets(net, x0, label)
-        if any(t.status == "falsified" for t in targets):
-            counterexample = x0
-    else:
-        counterexample = _find_counterexample(net, region, label, 200, args.seed)
-        targets = []
-        if counterexample is None:
-            objectives = {
-                k: objective_targeted(net, label, k)
-                for k in range(1, net.n_classes + 1)
-                if k != label
-            }
-            relaxation = None
-            if _encoder(args.method) is not None:
-                k, objective = next(iter(objectives.items()))
-                relaxation = _relax(net, region, label, k, objective, args.method, opts)
-            decided = False
-            for k, objective in objectives.items():
-                if decided:
-                    targets.append(TargetReport(k, args.method, None, None, "skipped", 0.0))
-                    continue
-                entry, witness = _bound_one_target(
-                    net, region, k, objective, args.method, opts, relaxation
-                )
-                # an engine's attack point downgrades the verdict only once
-                # a forward pass confirms it
-                if witness is not None and forward(net, witness).label != label:
-                    entry.status = "falsified"
-                    counterexample = witness
-                targets.append(entry)
-                # a relaxation returns no witness: once one of its targets is
-                # not certified, the verdict can only be "unknown".  --metrics
-                # compares every target's bound, so it bounds them all.
-                decided = not args.metrics and (
-                    counterexample is not None
-                    or (relaxation is not None and entry.status != "robust")
-                )
+        for k in range(1, net.n_classes + 1):
+            if k == label:
+                continue
+            margin = float(upper[k - 1])
+            status = (
+                "robust" if margin > 0
+                else "falsified" if counterexample is not None
+                else "unknown"
+            )
+            targets.append(TargetReport(k, "exact-forward", margin, margin, status, 0.0))
+    elif counterexample is None:
+        objectives = {
+            k: objective_targeted(net, label, k)
+            for k in range(1, net.n_classes + 1)
+            if k != label
+        }
+        relaxation = None
+        if _encoder(args.method) is not None:
+            k, objective = next(iter(objectives.items()))
+            relaxation = _relax(net, region, label, k, objective, args.method, opts)
+        decided = False
+        for k, objective in objectives.items():
+            if decided:
+                targets.append(TargetReport(k, args.method, None, None, "skipped", 0.0))
+                continue
+            entry, witness = _bound_one_target(
+                net, region, k, objective, args.method, opts, relaxation, upper
+            )
+            # an engine's attack point downgrades the verdict only once
+            # a forward pass confirms it
+            if witness is not None and forward(net, witness).label != label:
+                entry.status = "falsified"
+                counterexample = witness
+            targets.append(entry)
+            # a relaxation returns no witness: once one of its targets is
+            # not certified, the verdict can only be "unknown".  --metrics
+            # compares every target's bound, so it bounds them all.
+            decided = not args.metrics and (
+                counterexample is not None
+                or (relaxation is not None and entry.status != "robust")
+            )
 
     if counterexample is not None:
         verdict = "falsified"
@@ -431,7 +411,7 @@ def run_verify(args) -> int:
         verdict = "unknown"
 
     metrics = (
-        _collect_metrics(net, region, label, targets, args.method, opts)
+        _collect_metrics(net, region, label, targets, objectives, upper, args.method, opts)
         if args.metrics
         else None
     )

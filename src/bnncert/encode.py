@@ -73,8 +73,9 @@ class StabilizationNeeded(ValueError):
 
     Raised by the linear encodings when an envelope slope is non-positive
     (on a stabilized net only layer 1, whose box is the region's, can have
-    one); the caller should constant-propagate the neuron (see
-    `bnncert.model.stabilize`, applied after shrinking the region) and retry.
+    one).  Nothing folds such a neuron against the region yet, so no caller
+    retries: `verify --method lp` exits 3, and `--metrics` leaves out its LP
+    comparison.
     """
 
     def __init__(self, layer: int, neuron: int, detail: str):

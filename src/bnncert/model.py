@@ -28,7 +28,7 @@ __all__ = [
     "fold_batchnorm",
     "forward",
     "forward_activations",
-    "forward_labels",
+    "forward_logits",
     "forward_raw",
     "load_inputs",
     "load_model",
@@ -406,17 +406,15 @@ def forward_activations(net: FoldedBnn, xs: np.ndarray) -> tuple[np.ndarray, ...
     return tuple(acts)
 
 
-def forward_labels(net: FoldedBnn, xs: np.ndarray) -> np.ndarray:
-    """1-based labels of the rows of `xs`, from `forward_activations`.
+def forward_logits(net: FoldedBnn, xs: np.ndarray) -> np.ndarray:
+    """Logits of the rows of `xs`, one row each, from `forward_activations`.
 
-    The semantics of `forward` (sign(0) := +1, argmax ties to the lowest
-    class), with `forward`'s hidden signs.  The logits equal `forward`'s
-    byte for byte: W x_L is a product of int64 matrices, which no order
-    rounds, and the bias is added to it once, as in `forward`.
+    They equal `forward`'s byte for byte: W x_L is a product of int64
+    matrices, which no order rounds, and the bias is added to it once, as in
+    `forward`.  So `np.argmax(logits, axis=1) + 1` is `forward`'s label.
     """
     last = forward_activations(net, xs)[-1]
-    logits = last @ net.weight(net.depth + 1).T + net.bias(net.depth + 1)
-    return np.argmax(logits, axis=1) + 1
+    return last @ net.weight(net.depth + 1).T + net.bias(net.depth + 1)
 
 
 def forward_raw(raw: RawBnn, x0: Sequence[float]) -> int:

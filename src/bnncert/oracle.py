@@ -21,6 +21,12 @@ patterns, computed in exact rational arithmetic; it is the yardstick every
 relaxation bound is tested against, so nothing here shares code with the
 relaxation pipeline (the MILP route in `milp_feasible_patterns` reuses only
 the polytope deciders, on an independently built constraint system).
+
+The other side of the yardstick is sampled: `sample_logits` runs the
+network on the center and seeded region points in one batched pass.  Every
+row is a true execution, so a row's logit margin bounds the exact optimum
+from above and a row whose label differs is a counterexample.
+`relative_improvement` measures a relaxation against the sampled bound.
 """
 
 from __future__ import annotations
@@ -33,22 +39,21 @@ from typing import Optional, Sequence
 import numpy as np
 
 from bnncert.encode import PerturbationRegion, VerificationInstance
-from bnncert.model import FoldedBnn, forward_activations
+from bnncert.model import FoldedBnn, forward_logits
 from bnncert.poly import MultilinearPoly, Var
 
 __all__ = [
     "DEFAULT_PATTERN_CAP",
     "ExactResult",
     "PatternRecord",
-    "SampleBound",
     "enumerate_patterns",
     "exact_verify",
     "feasible_patterns",
     "milp_feasible_patterns",
     "pattern_assignment",
     "relative_improvement",
+    "sample_logits",
     "sample_region",
-    "sample_upper_bound",
 ]
 
 DEFAULT_PATTERN_CAP = 20
@@ -75,16 +80,6 @@ class ExactResult:
     @property
     def value(self) -> float:
         return float(self.tau)
-
-
-@dataclass(frozen=True)
-class SampleBound:
-    """Empirical upper bound: min objective over sampled region points."""
-
-    value: float
-    x0: np.ndarray
-    n_samples: int
-    seed: int
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +370,18 @@ def milp_feasible_patterns(
 ) -> list[PatternRecord]:
     """Feasible patterns of a MILP instance, decided from its own rows.
 
-    Fixes each +/-1 assignment in the encoded constraints and feeds the
+    Fixes +/-1 assignments in the encoded constraints and feeds the
     restricted system to the same polytope deciders as the enumeration
     oracle; the constraint systems themselves are built independently, so
     agreement with `feasible_patterns` is a meaningful exactness check.
 
     Every MILP row except the l2 ball quadratic is jointly affine in the
     inputs and the binaries, so the rows are split once into an exact input
-    part and binary part; per pattern only the binary part is re-evaluated.
+    part and binary part.  The binaries are fixed one at a time in
+    `enumerate_patterns` order.  A row without inputs is evaluated once, when
+    its last binary is fixed, and a failing row drops the whole prefix; the
+    input rows are decided by `_cell_witness` once, when their last binary
+    (at the latest, layer 1's) is fixed.
     """
     if instance.encoding_kind != "milp":
         raise ValueError("expected a MILP instance")
@@ -390,9 +389,12 @@ def milp_feasible_patterns(
     region = instance.region
     n0 = net.input_dim
     binary_order = instance.binary_vars
+    _require_cap(net, cap)
 
     # one-time exact split: row = <x0_coeffs, x0> + <bin_coeffs, sigma> + const
-    split_rows = []
+    input_rows = []
+    checks: list[list] = [[] for _ in binary_order]  # by the row's last binary
+    cell_at = net.hidden_widths[0] - 1  # where the input rows are decided
     has_ball = False
     for con in instance.constraints.inequalities:
         poly = con.poly.to_exact()
@@ -414,32 +416,44 @@ def milp_feasible_patterns(
                 else:
                     pos = binary_order.index(v)
                     bin_coeffs[pos] = bin_coeffs.get(pos, Fraction(0)) + coeff
-        split_rows.append((tuple(x0_coeffs), tuple(bin_coeffs.items()), const))
+        last = max(bin_coeffs, default=-1)
+        if any(x0_coeffs):
+            input_rows.append((tuple(x0_coeffs), tuple(bin_coeffs.items()), const))
+            cell_at = max(cell_at, last)
+        else:  # a constant row is checked with the first binary
+            checks[max(last, 0)].append((tuple(bin_coeffs.items()), const))
     if region.kind == "l2" and not has_ball:
         raise ValueError("l2 MILP instance lost its ball row")
 
+    def value(bin_coeffs, const) -> Fraction:
+        return const + sum((c * signs[p] for p, c in bin_coeffs), Fraction(0))
+
+    ends = list(itertools.accumulate(net.hidden_widths, initial=0))
+    signs = [0] * len(binary_order)
     out = []
-    for pattern in enumerate_patterns(net, cap):
-        flat = [s for layer in pattern for s in layer]
-        rows: list[Row] = []
-        ok = True
-        for x0_coeffs, bin_coeffs, const in split_rows:
-            val = const + sum((c * flat[p] for p, c in bin_coeffs), Fraction(0))
-            if any(x0_coeffs):
-                rows.append((x0_coeffs, val))
-            elif val < 0:
-                ok = False
-                break
-        if not ok:
-            continue
-        witness = _cell_witness(rows, region)
-        if witness is not None:
+
+    def walk(p: int, witness: Optional[np.ndarray]) -> None:
+        if p == len(signs):
+            pattern = tuple(tuple(signs[a:b]) for a, b in zip(ends, ends[1:]))
             out.append(PatternRecord(pattern, witness))
+            return
+        for s in (-1, 1):
+            signs[p] = s
+            if any(value(bc, const) < 0 for bc, const in checks[p]):
+                continue
+            if p == cell_at:
+                rows = [(x0c, value(bc, const)) for x0c, bc, const in input_rows]
+                witness = _cell_witness(rows, region)
+                if witness is None:
+                    continue
+            walk(p + 1, witness)
+
+    walk(0, None)
     return out
 
 
 # ---------------------------------------------------------------------------
-# sampling upper bound and the improvement metric
+# sampled logits and the improvement metric
 # ---------------------------------------------------------------------------
 
 
@@ -461,52 +475,22 @@ def sample_region(
     return np.clip(pts, -1.0, 1.0)
 
 
-def sample_upper_bound(
-    net: FoldedBnn,
-    region: PerturbationRegion,
-    objective: MultilinearPoly,
-    n_samples: int = 256,
-    seed: int = 0,
-) -> SampleBound:
-    """Minimum objective value over forward traces of sampled region points.
+def sample_logits(
+    net: FoldedBnn, region: PerturbationRegion, n_samples: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded region points, one per row, and their logits.
 
-    Every sample is a true network execution, so the result is always an
-    upper bound on the exact optimum (for radius 0 the single sample is the
-    center).  Deterministic for a fixed seed.  The samples' activations come
-    from one batched pass with `forward`'s signs; an objective without input
-    variables is evaluated once per distinct activation pattern.  Ties keep
-    the first minimizing sample.
+    Row 0 is the center; `n_samples` points of `sample_region` follow
+    (none at radius 0).  The logits come from one batched pass and equal
+    `forward`'s byte for byte, so every row is a true network execution and
+    min_rows(logits[:, label-1] - logits[:, k-1]) is an upper bound on the
+    exact margin against target k.  Deterministic for a fixed seed.
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    if region.dim != net.input_dim:
-        raise ValueError("region dimension does not match the network input")
-    rng = np.random.default_rng(seed)
-    if region.radius == 0:
-        pts = np.tile(region.center, (1, 1))
-    else:
-        pts = sample_region(region, n_samples, rng)
-    acts = np.hstack(forward_activations(net, pts))
-    hidden = [Var(i, j) for i, width in enumerate(net.hidden_widths, start=1)
-              for j in range(1, width + 1)]
-    inputs = [Var(0, k) for k in range(1, net.input_dim + 1)]
-
-    def value(x0, pattern) -> float:
-        assignment = dict(zip(inputs, map(float, x0)))
-        assignment.update(zip(hidden, map(float, pattern)))
-        return float(objective.evaluate(assignment))
-
-    if any(v.layer == 0 for v in objective.variables()):
-        values = np.array([value(x0, pattern) for x0, pattern in zip(pts, acts)])
-    else:
-        # constant on each activation pattern: evaluate each pattern once
-        patterns, which = np.unique(acts, axis=0, return_inverse=True)
-        per_pattern = np.array([value((), pattern) for pattern in patterns])
-        values = per_pattern[which.reshape(-1)]
-    best = int(np.argmin(values))  # the first minimum in sample order
-    return SampleBound(
-        value=float(values[best]), x0=pts[best], n_samples=n_samples, seed=seed
-    )
+    points = region.center[None, :]
+    if region.radius > 0:
+        drawn = sample_region(region, n_samples, np.random.default_rng(seed))
+        points = np.vstack([points, drawn])
+    return points, forward_logits(net, points)
 
 
 def relative_improvement(

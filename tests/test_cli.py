@@ -13,7 +13,7 @@ import bnncert.cli as cli
 from bnncert.cli import main
 from bnncert.encode import PerturbationRegion, objective_targeted
 from bnncert.model import FoldedBnn, fold_batchnorm, forward, load_model, stabilize
-from bnncert.oracle import sample_region
+from bnncert.oracle import sample_logits, sample_region
 from bnncert.sdp import read_sdpa
 from bnncert.solver import SolveOptions
 
@@ -443,10 +443,10 @@ def test_oracle_witness_is_not_recomputed(example1_files, tmp_path, monkeypatch)
 
 
 def attack_loop(net, region, label, n, seed):
-    """Reference: the sampling attack as one `forward` per sample."""
-    if forward(net, region.center).label != label:
-        return region.center
-    for x0 in sample_region(region, n, np.random.default_rng(seed)):
+    """Reference: the sampling attack as one `forward` per row, the center
+    first."""
+    points = [region.center, *sample_region(region, n, np.random.default_rng(seed))]
+    for x0 in points:
         if forward(net, x0).label != label:
             return x0
     return None
@@ -465,14 +465,30 @@ def test_batched_attack_returns_the_loop_counterexample():
             for eps in (0.3, 0.7, 1.0):
                 region = getattr(PerturbationRegion, norm)(x, eps)
                 for seed in (0, 1):
-                    got = cli._find_counterexample(net, region, label, 200, seed)
-                    want = attack_loop(net, region, label, 200, seed)
+                    points, logits = sample_logits(net, region, cli.SAMPLES, seed)
+                    got = cli._find_counterexample(net, points, logits, label)
+                    want = attack_loop(net, region, label, cli.SAMPLES, seed)
                     assert (got is None) == (want is None)
                     if got is not None:
                         found += 1
                         assert got.tobytes() == want.tobytes()
                         assert forward(net, got).label != label
     assert found >= 10
+
+
+def test_attack_falsified_report_lists_no_targets(example1_files, tmp_path, monkeypatch):
+    """A query the opening attack falsifies bounds no target: the report
+    has no targets, and --metrics no improvement entries."""
+    exact = count_calls(monkeypatch, "exact_verify")
+    solves = count_calls(monkeypatch, "solve_conic")
+    for method in ("sdp1-tight", "oracle", "sample-ub"):
+        rc, rep = run_json(
+            example1_files, tmp_path, "--eps", "1.0", "--method", method, "--metrics"
+        )
+        assert (rc, rep["verdict"], rep["targets"]) == (1, "falsified", [])
+        # only the SDP methods carry an improvement table
+        assert rep["metrics"].get("improvement") == ({} if method == "sdp1-tight" else None)
+    assert exact == solves == []
 
 
 # -- stopping once the verdict is decided ---------------------------------------
@@ -580,7 +596,7 @@ def test_robust_query_bounds_every_target(tmp_path, monkeypatch):
 def test_oracle_stops_at_a_confirmed_counterexample(tmp_path, monkeypatch):
     # the sampling attack misses at this radius; the first target's exact
     # minimizer falsifies
-    net, x = seeded_net(9, (4, 3, 3, 3))
+    net, x = seeded_net(13, (4, 3, 3, 3))
     calls = count_calls(monkeypatch, "exact_verify")
     rc, rep = run_json(
         write_query(tmp_path, net, x), tmp_path, "--eps", "0.3", "--method", "oracle"
@@ -594,7 +610,7 @@ def test_oracle_stops_at_a_confirmed_counterexample(tmp_path, monkeypatch):
 
 
 def test_sample_ub_without_a_witness_samples_every_target(tmp_path, monkeypatch):
-    calls = count_calls(monkeypatch, "sample_upper_bound")
+    calls = count_calls(monkeypatch, "sample_logits")
     rc, rep = run_json(
         write_query(tmp_path, *dominant_net()), tmp_path, "--eps", "0.1",
         "--method", "sample-ub",
@@ -602,7 +618,28 @@ def test_sample_ub_without_a_witness_samples_every_target(tmp_path, monkeypatch)
     assert rc == 2
     assert [t["status"] for t in rep["targets"]] == ["unknown", "unknown"]
     assert all(t["approximate"] > 0 for t in rep["targets"])
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--eps", "0.1", "--method", "sample-ub"),
+        ("--eps", "0.1", "--tol", "1e-4", "--max-iter", "200", "--metrics"),
+        ("--eps", "0",),
+    ],
+    ids=["sample-ub", "metrics", "eps-0"],
+)
+def test_one_sample_per_query(tmp_path, monkeypatch, flags):
+    """The attack, every target's sampled margin and --metrics read one
+    `sample_logits` call, on a query with two targets."""
+    calls = count_calls(monkeypatch, "sample_logits")
+    rc, rep = run_json(write_query(tmp_path, *dominant_net()), tmp_path, *flags)
+    assert len(rep["targets"]) == 2
+    assert all(t["status"] != "skipped" for t in rep["targets"])
+    assert len(calls) == 1
+    if "--metrics" in flags:
+        assert sorted(rep["metrics"]["improvement"]) == ["2", "3"]
 
 
 def test_cli_import_and_small_verifies_load_no_scipy(example1_files):

@@ -19,7 +19,7 @@ from bnncert import (
     stabilize,
     weight_sparsity,
 )
-from bnncert.model import DEFAULT_BN_EPSILON, forward_activations
+from bnncert.model import DEFAULT_BN_EPSILON, forward_activations, forward_logits
 
 from conftest import make_example1, random_net
 
@@ -345,8 +345,10 @@ def test_batched_activations_have_the_forward_signs(seed):
         xs[r, k] -= (w[j] @ xs[r] + b[j]) / w[j, k]
     assert any(forward(net, x).any_zero_preactivation() for x in xs[100:])
     acts = forward_activations(net, xs)
-    for x, *rows in zip(xs, *acts):
-        assert all(np.array_equal(a, r) for a, r in zip(forward(net, x).activations, rows))
+    for x, logits, *rows in zip(xs, forward_logits(net, xs), *acts):
+        trace = forward(net, x)
+        assert all(np.array_equal(a, r) for a, r in zip(trace.activations, rows))
+        assert logits.tobytes() == trace.logits.tobytes()
 
 
 def test_batched_activations_reject_wrong_width(example1):

@@ -18,7 +18,7 @@ from bnncert import (
     forward,
     objective_targeted,
     relative_improvement,
-    sample_upper_bound,
+    sample_logits,
 )
 from bnncert import oracle
 from bnncert.oracle import (
@@ -177,7 +177,8 @@ def assert_milp_matches_oracle(net, region, f, true_label, target):
     oracle = [r.pattern for r in feasible_patterns(net, region)]
     milp = [r.pattern for r in milp_feasible_patterns(inst)]
     assert oracle == milp
-    assert oracle == [p for p in enumerate_patterns(net) if p in set(oracle)]
+    feasible = set(oracle)
+    assert oracle == [p for p in enumerate_patterns(net) if p in feasible]
     return oracle
 
 
@@ -205,6 +206,28 @@ def test_milp_patterns_match_oracle_random(seed):
             f.to_exact().evaluate(pattern_assignment(net, p)) for p in patterns
         )
         assert milp_min == ex.tau
+
+
+@pytest.mark.parametrize(
+    "kind, seed, widths",
+    [
+        ("linf", 1313, (3, 6, 4, 3, 3)),
+        ("l2", 1414, (3, 5, 5, 4, 3)),
+        ("linf", 1516, (3, 6, 6, 4, 3)),
+        ("l2", 1516, (3, 6, 6, 4, 3)),
+    ],
+)
+def test_milp_patterns_match_oracle_wide(kind, seed, widths):
+    """13-16 hidden neurons, each net also with integer deeper biases (ties):
+    the MILP side prunes a prefix at its first failing row, so it never
+    walks the 2^H full patterns."""
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, widths)
+    region = getattr(PerturbationRegion, kind)(rng.uniform(-0.2, 0.2, widths[0]), 0.8)
+    for net in (net, with_integer_deeper_biases(net, rng)):
+        assert 13 <= net.hidden_count() <= 16
+        patterns = assert_milp_matches_oracle(net, region, objective_targeted(net, 1, 2), 1, 2)
+        assert patterns
 
 
 def test_each_layer1_cell_is_decided_once(monkeypatch):
@@ -238,19 +261,29 @@ def test_milp_threshold_feasibility_matches_sign(example1, x0_example):
         assert f.to_exact().evaluate(pattern_assignment(example1, p)) <= 0
 
 
+def sampled_margin(logits, label, k):
+    return float(np.min(logits[:, label - 1] - logits[:, k - 1]))
+
+
 def test_sample_upper_bound_point_region(example1, x0_example):
+    """At radius 0 the sample is the center alone, with `forward`'s logits."""
     region = PerturbationRegion.linf(x0_example, 0.0)
-    sb = sample_upper_bound(example1, region, objective1(example1), n_samples=1)
-    assert sb.value == 3.0
-    np.testing.assert_allclose(sb.x0, x0_example)
+    points, logits = sample_logits(example1, region, 512, 0)
+    assert points.tobytes() == x0_example[None, :].tobytes()
+    assert logits.tobytes() == forward(example1, x0_example).logits[None, :].tobytes()
+    assert sampled_margin(logits, 2, 1) == 3.0
 
 
 def test_sample_upper_bound_is_deterministic(example1, x0_example):
-    region = PerturbationRegion.linf(x0_example, 1.0)
-    a = sample_upper_bound(example1, region, objective1(example1), seed=7)
-    b = sample_upper_bound(example1, region, objective1(example1), seed=7)
-    assert a.value == b.value
-    np.testing.assert_array_equal(a.x0, b.x0)
+    for norm in ("linf", "l2"):
+        region = getattr(PerturbationRegion, norm)(x0_example, 1.0)
+        a, b, c = (sample_logits(example1, region, 64, seed) for seed in (7, 7, 8))
+        assert a[0].shape == (65, 3)
+        assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
+        assert a[0].tobytes() != c[0].tobytes()
+        # row 0 is the center, the rest is `sample_region`'s draw
+        drawn = sample_region(region, 64, np.random.default_rng(7))
+        assert a[0].tobytes() == np.vstack([x0_example, drawn]).tobytes()
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -259,16 +292,15 @@ def test_sample_upper_bound_dominates_exact_optimum(seed):
     rng = np.random.default_rng(seed)
     net = random_net(rng, (3, 3, 2))
     region = random_region(rng, 3, "l2" if seed % 3 == 0 else "linf")
-    f = objective_targeted(net, 1, 2)
-    ub = sample_upper_bound(net, region, f, n_samples=64, seed=seed)
-    ex = exact_verify(net, region, f)
-    assert ub.value >= float(ex.tau) - 1e-12
+    _, logits = sample_logits(net, region, 64, seed)
+    ex = exact_verify(net, region, objective_targeted(net, 1, 2))
+    assert sampled_margin(logits, 1, 2) >= float(ex.tau) - 1e-12
 
 
 def test_sample_upper_bound_l2_samples_stay_in_ball(example1, x0_example):
     region = PerturbationRegion.l2(x0_example, 0.3)
-    sb = sample_upper_bound(example1, region, objective1(example1), n_samples=128)
-    assert region.contains(sb.x0)
+    points, _ = sample_logits(example1, region, 128, 0)
+    assert all(region.contains(x) for x in points)
 
 
 def test_relative_improvement_endpoints():
@@ -279,37 +311,16 @@ def test_relative_improvement_endpoints():
     assert relative_improvement(0.0, 1.0, 0.5) is None
 
 
-def sample_bound_loop(net, region, objective, n_samples, seed):
-    """Reference: one `forward` and one exact evaluation per sample."""
-    pts = sample_region(region, n_samples, np.random.default_rng(seed))
-    best = None
-    for x0 in pts:
-        assignment = {Var(0, k + 1): float(v) for k, v in enumerate(x0)}
-        for i, act in enumerate(forward(net, x0).activations, start=1):
-            for j, s in enumerate(act, start=1):
-                assignment[Var(i, j)] = float(s)
-        val = float(objective.evaluate(assignment))
-        if best is None or val < best[0]:
-            best = (val, x0)
-    return best
-
-
 def test_batched_sample_bound_equals_the_per_sample_loop():
-    queries = [(make_example1(), np.array([0.0, 0.5, 0.0]), 2)]
+    """Each row's batched logits are `forward`'s, byte for byte."""
+    queries = [(make_example1(), np.array([0.0, 0.5, 0.0]))]
     rng = np.random.default_rng(11)
     for _ in range(3):
-        net = random_net(rng, (10, 8, 8, 3))
-        queries.append((net, rng.uniform(-0.2, 0.2, 10), 1))
-    for net, x, label in queries:
-        objectives = [objective_targeted(net, label, k)
-                      for k in range(1, net.n_classes + 1) if k != label]
-        # one objective that also reads an input coordinate
-        objectives.append(objectives[0] + MultilinearPoly.variable(Var(0, 1), 0.75))
+        queries.append((random_net(rng, (10, 8, 8, 3)), rng.uniform(-0.2, 0.2, 10)))
+    for net, x in queries:
         for norm in ("linf", "l2"):
             region = getattr(PerturbationRegion, norm)(x, 0.6)
-            for f in objectives:
-                for seed in (0, 3, 8):
-                    sb = sample_upper_bound(net, region, f, n_samples=200, seed=seed)
-                    val, x0 = sample_bound_loop(net, region, f, 200, seed)
-                    assert sb.value == val
-                    assert sb.x0.tobytes() == x0.tobytes()
+            for seed in (0, 3, 8):
+                points, logits = sample_logits(net, region, 200, seed)
+                for point, row in zip(points, logits):
+                    assert row.tobytes() == forward(net, point).logits.tobytes()
