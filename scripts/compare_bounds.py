@@ -5,10 +5,10 @@ Two experiments, printed as tables:
 
 1. The worked 3-2-2-2 network at several radii.  At small radius the
    tautology-tightened SDP certifies robustness (bound near +3, the exact
-   optimum) while the standard first-order SDP is stuck at -1 and the LP
-   cannot even encode the region (a first-level neuron is constant there).
-   At large radius a real adversarial pattern exists and every bound
-   collapses onto the exact optimum -1.
+   optimum) while the standard first-order SDP and the LP are stuck at -1
+   (every first-level neuron is constant there; their rows hold but do not
+   pin its sign).  At large radius a real adversarial pattern exists and every
+   bound collapses onto the exact optimum -1.
 
 2. Random ternary networks (four levels, widths <= 6), where each row checks
    the ordering
@@ -35,7 +35,6 @@ from bnncert import (
     FoldedBnn,
     PerturbationRegion,
     SolveOptions,
-    StabilizationNeeded,
     assemble_moment_sdp,
     build_cliques,
     encode_lp,
@@ -114,12 +113,9 @@ def sample_instance(rng: np.random.Generator, norm: str):
 
 
 def ladder(net, region, label, target, objective, opts):
-    """(tau_lp | None, tau_sdp1, tau_tight, rig_tight, tau_exact)."""
-    try:
-        lp = encode_lp(net, region, objective, true_label=label, target=target)
-        tau_lp = solve_lp(lp, opts).primal_objective
-    except StabilizationNeeded:
-        tau_lp = None
+    """(tau_lp, tau_sdp1, tau_tight, rig_tight, tau_exact)."""
+    lp = encode_lp(net, region, objective, true_label=label, target=target)
+    tau_lp = solve_lp(lp, opts).primal_objective
     cliques = build_cliques(net)
     std = encode_standard(net, region, objective, true_label=label, target=target)
     tau_std = solve_conic(to_conic(assemble_moment_sdp(std, cliques)), opts).primal_objective
@@ -131,7 +127,7 @@ def ladder(net, region, label, target, objective, opts):
 
 
 def fmt(v, width=9):
-    return f"{'n/a':>{width}}" if v is None else f"{v:>{width}.4f}"
+    return f"{v:>{width}.4f}"
 
 
 def showcase() -> None:
@@ -168,7 +164,7 @@ def random_table(n: int, seed: int, norm: str) -> int:
         )
         tol = 1e-5
         ordered = (
-            (tau_lp is None or tau_lp - tol <= tau_tight)
+            tau_lp - tol <= tau_tight
             and tau_std <= tau_tight + tol
             and tau_tight <= tau_exact + tol
             and rig <= tau_exact

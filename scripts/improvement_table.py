@@ -11,16 +11,14 @@ relaxation provably closed the whole estimated gap).
 
 The average runs over instances with a meaningful estimated gap
 (ub - tau_lp > 0.05): when the LP is already tight the metric is 0/0 and
-solver noise would dominate.  Instances where the LP cannot encode the
-region (a first-level neuron is constant over it) are skipped as well; both
-skip counts are reported.
+solver noise would dominate.  The skip count is reported.
 
 At this scale the typical result is ~0%: on tiny random networks the
 first-order relaxations track the LP almost everywhere, and the instances
 with a real gap keep it under every first-order bound.  The separation in
 favor of the tightened encoding lives on structured small-radius instances
 (see scripts/compare_bounds.py, where it certifies the worked network at a
-radius the LP cannot even encode).
+radius where the LP and the standard SDP stop at -1).
 
 Usage:
     python3 scripts/improvement_table.py [--n 20] [--seed 3] [--samples 2000]
@@ -36,7 +34,6 @@ from bnncert import (
     FoldedBnn,
     PerturbationRegion,
     SolveOptions,
-    StabilizationNeeded,
     assemble_moment_sdp,
     build_cliques,
     encode_lp,
@@ -86,14 +83,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     print(
-        f"{'radius':>7} {'drawn':>6} {'no-enc':>7} {'no-gap':>7} "
+        f"{'radius':>7} {'drawn':>6} {'no-gap':>7} "
         f"{'used':>5} {'mean gap':>9} {'sdp1 %':>8} {'tight %':>8}"
     )
     t0 = time.monotonic()
     for eps in RADII:
         rng = np.random.default_rng(args.seed)
         gains_std, gains_tight, gaps = [], [], []
-        no_encode = no_gap = 0
+        no_gap = 0
         for _ in range(args.n):
             net = random_net(rng)
             n_out = net.widths[-1]
@@ -103,13 +100,7 @@ def main(argv=None) -> int:
             region = PerturbationRegion.linf(center, eps)
             objective = objective_targeted(net, label, target)
 
-            try:
-                lp = encode_lp(
-                    net, region, objective, true_label=label, target=target
-                )
-            except StabilizationNeeded:
-                no_encode += 1
-                continue
+            lp = encode_lp(net, region, objective, true_label=label, target=target)
             tau_lp = solve_lp(lp, OPTS).primal_objective
             _, logits = sample_logits(net, region, args.samples, args.seed)
             ub = float(np.min(logits[:, label - 1] - logits[:, target - 1]))
@@ -142,7 +133,7 @@ def main(argv=None) -> int:
 
         mean_gap = f"{np.mean(gaps):>9.3f}" if gaps else f"{'n/a':>9}"
         print(
-            f"{eps:>7.2f} {args.n:>6} {no_encode:>7} {no_gap:>7} "
+            f"{eps:>7.2f} {args.n:>6} {no_gap:>7} "
             f"{len(gaps):>5} {mean_gap} {pct(gains_std)} {pct(gains_tight)}"
         )
     print(f"\ndone in {time.monotonic() - t0:.1f}s")

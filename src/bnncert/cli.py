@@ -2,7 +2,7 @@
 
 Exit codes: 0 the query is certified robust, 1 a counterexample was found,
 2 inconclusive, 3 error (malformed command line, bad inputs, degenerate
-network, unsupported combo).
+network, unsupported combo, or any other exception a command raises).
 
 A robustness query is: does the predicted label of the reference input
 survive every perturbation in the region?  `verify` answers per attack
@@ -44,7 +44,6 @@ import numpy as np
 
 from bnncert.encode import (
     PerturbationRegion,
-    StabilizationNeeded,
     VerificationInstance,
     encode_lp,
     encode_milp,
@@ -322,29 +321,19 @@ def _collect_metrics(
     }
     if method in ("sdp1", "sdp1-tight") and region.radius > 0:
         bounded = [entry for entry in targets if entry.lower_bound is not None]
-        lp: Optional[_Relaxation] = None
         if bounded:
             k = bounded[0].target
-            try:
-                lp = _relax(net, region, label, k, objectives[k], "lp", opts)
-            except StabilizationNeeded:
-                # the LP cannot encode this region; the comparison is simply
-                # not available, the verdict stands
-                pass
+            lp = _relax(net, region, label, k, objectives[k], "lp", opts)
         improvements = {}
         for entry in bounded:
-            ub = float(upper[entry.target - 1])
-            if lp is None:
-                tau_lp = rel = None
-            else:
-                # solved to tolerance: the comparison wants the LP optimum
-                objective = objectives[entry.target]
-                tau_lp = lp.bound(objective, entry.target, opts, settle=False)[1].value
-                rel = relative_improvement(entry.lower_bound, tau_lp, ub)
-            improvements[str(entry.target)] = {
+            k = entry.target
+            ub = float(upper[k - 1])
+            # solved to tolerance: the comparison wants the LP optimum
+            tau_lp = lp.bound(objectives[k], k, opts, settle=False)[1].value
+            improvements[str(k)] = {
                 "lp_bound": tau_lp,
                 "sample_upper": ub,
-                "relative_improvement": rel,
+                "relative_improvement": relative_improvement(entry.lower_bound, tau_lp, ub),
             }
         metrics["improvement"] = improvements
     return metrics
@@ -546,6 +535,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return run_export(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        # a defect rather than an input error, but an exception escaping
+        # here would exit 1, which reads as "falsified"
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

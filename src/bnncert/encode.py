@@ -30,9 +30,9 @@ R = sum_k |W_jk| r_k and the effective bias is beta = b_j + <W_row, c>.  The
 row-bound products and the linear envelopes are built from that record.  The
 box is the only difference between layers: layer 1 sees the region's box,
 a deeper layer the +/-1 box (c = 0, r = 1, so R is the row 1-norm and beta
-the bias).  A neuron whose envelope slope R +/- beta is non-positive is
-constant over the box; we signal `StabilizationNeeded` rather than emit a
-vacuous constraint.
+the bias).  Every row holds for every neuron, one that is constant over the
+box included: the linear envelopes are exact sums of a one-sided sign
+product and a row-bound product of the tightened encoding.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ __all__ = [
     "ConstraintSet",
     "NeuronRow",
     "PerturbationRegion",
-    "StabilizationNeeded",
     "VerificationInstance",
     "build_cliques",
     "check_rip",
@@ -66,25 +65,6 @@ __all__ = [
     "objective_targeted",
     "region_polynomials",
 ]
-
-
-class StabilizationNeeded(ValueError):
-    """A hidden neuron is constant over the given region.
-
-    Raised by the linear encodings when an envelope slope is non-positive
-    (on a stabilized net only layer 1, whose box is the region's, can have
-    one).  Nothing folds such a neuron against the region yet, so no caller
-    retries: `verify --method lp` exits 3, and `--metrics` leaves out its LP
-    comparison.
-    """
-
-    def __init__(self, layer: int, neuron: int, detail: str):
-        self.layer = layer
-        self.neuron = neuron
-        super().__init__(
-            f"neuron ({layer},{neuron}) is constant over the region ({detail}); "
-            "stabilize against the region and re-encode"
-        )
 
 
 @dataclass(frozen=True)
@@ -231,7 +211,10 @@ class NeuronRow:
     `row_bound` R = sum_k |W_jk| r_k (so |zeta| <= R on the box) and `beta`
     = b + <W_row, c> the effective bias.  Over the box z = zeta + beta ranges
     over [beta - R, beta + R], so the envelope slopes c_plus = R + beta and
-    c_minus = R - beta are z_max and -z_min.
+    c_minus = R - beta are z_max and -z_min.  A slope is non-positive only
+    where the neuron is constant over the box; the envelopes
+    (x+1)*c_plus - 2z and (1-x)*c_minus + 2z stay valid there, as the exact
+    sums (x-1)*z + (x+1)*(R - zeta) and (x+1)*z + (1-x)*(R + zeta).
     """
 
     var: Var
@@ -244,19 +227,19 @@ class NeuronRow:
         return self.z - self.beta
 
     def envelope_slopes(self) -> tuple[Fraction, Fraction]:
-        """(c_plus, c_minus); a non-positive slope means the neuron is
-        constant over the box and raises `StabilizationNeeded`."""
-        c_plus = self.row_bound + self.beta
-        c_minus = self.row_bound - self.beta
-        if c_plus <= 0 or c_minus <= 0:
-            sign = "never" if c_plus <= 0 else "always"
-            raise StabilizationNeeded(self.var.layer, self.var.index, f"{sign} activated")
-        return c_plus, c_minus
+        """(c_plus, c_minus) = (z_max, -z_min) over the box."""
+        return self.row_bound + self.beta, self.row_bound - self.beta
 
     def unit_envelopes(self) -> tuple[MultilinearPoly, MultilinearPoly]:
         """The linear envelopes scaled to unit slack: (x+1) - 2z/c_plus and
-        (1-x) + 2z/c_minus, both >= 0 on the box wherever x = sign(z)."""
+        (1-x) + 2z/c_minus, both >= 0 on the box wherever x = sign(z).
+        Raises `ValueError` where a slope is non-positive."""
         c_plus, c_minus = self.envelope_slopes()
+        if c_plus <= 0 or c_minus <= 0:
+            raise ValueError(
+                f"neuron {self.var!r}: z_max = {c_plus} and z_min = {-c_minus} "
+                "over the box leave no unit envelopes"
+            )
         x = MultilinearPoly.variable(self.var)
         up = (x + 1) - self.z * (Fraction(2) / c_plus)
         down = (1 - x) + self.z * (Fraction(2) / c_minus)
@@ -609,7 +592,9 @@ def linear_identity_residuals(
     * comb+/comb-: normalized envelopes as plain sums of a one-sided product
       and a row-bound product, scaled by the envelope slope.
 
-    All coefficients are exact rationals.
+    All coefficients are exact rationals.  The normalized forms divide by
+    the envelope slopes, so a neuron with a non-positive slope (one constant
+    over its box, or a tie whose z_max is 0) raises `ValueError`.
     """
     net.require_stabilized()
     out: list[tuple[str, MultilinearPoly]] = []

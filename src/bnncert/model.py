@@ -5,9 +5,10 @@ real-valued biases and sign activations; the output layer is affine and the
 predicted class is the argmax of its logits.  Batch normalisation, when
 present, is folded into the effective biases so that every downstream encoding
 sees only ternary weights and real biases.  `stabilize` then removes neurons
-whose sign is constant (|bias| >= row 1-norm), propagating the constant into
-the next layer, which establishes the standing assumption |b_k| < nv_k used by
-all relaxations.
+whose sign is constant on the cube [-1, 1]^n (b_k >= nv_k or b_k < -nv_k,
+with nv_k the row 1-norm), propagating the constant into the next layer.
+Every neuron it keeps, -nv_k <= b_k < nv_k, takes both signs on the cube; at
+the tie b_k = -nv_k the +1 side is the one corner where z = 0.
 
 Class labels and neuron indices are 1-based throughout the package.
 """
@@ -186,18 +187,18 @@ class FoldedBnn:
         return self.biases[layer - 1]
 
     def is_stabilized(self) -> bool:
-        """True iff every hidden neuron satisfies |b_k| < nv_k (nv_k > 0)."""
-        for i in range(1, self.depth + 1):
-            nv = row_norm1(self.weight(i))
-            if np.any(np.abs(self.bias(i)) >= nv):
-                return False
-        return True
+        """True iff every hidden neuron satisfies -nv_k <= b_k < nv_k, the
+        rule `stabilize` keeps a neuron by (so nv_k > 0)."""
+        return not any(
+            _constant(self.bias(i), row_norm1(self.weight(i))).any()
+            for i in range(1, self.depth + 1)
+        )
 
     def require_stabilized(self) -> "FoldedBnn":
         if not self.is_stabilized():
             raise ValueError(
-                "network has constant-sign hidden neurons (|bias| >= row 1-norm); "
-                "run stabilize() first"
+                "network has constant-sign hidden neurons (bias >= row 1-norm or "
+                "bias < -row 1-norm); run stabilize() first"
             )
         return self
 
@@ -282,7 +283,7 @@ def fold_batchnorm(raw: RawBnn) -> FoldedBnn:
     additionally flips the row (weights stay ternary).  gamma = 0 would make
     the neuron's output independent of z and is rejected.
 
-    The result may violate |b| < nv; call `stabilize` before encoding.
+    The result may have constant neurons; call `stabilize` before encoding.
     """
     weights, biases, log = [], [], []
     for i in range(1, len(raw.widths)):
@@ -309,9 +310,12 @@ def fold_batchnorm(raw: RawBnn) -> FoldedBnn:
 def stabilize(net: FoldedBnn) -> FoldedBnn:
     """Remove hidden neurons whose sign is constant, to fixpoint.
 
-    A hidden neuron with |b_k| >= nv_k (including all-zero rows) always takes
-    the value sign(b_k) (with sign(0) := +1); it is deleted and the constant
-    folded into the next layer's bias through the corresponding column.
+    Over the cube [-1, 1]^n, z = <W_row, x> + b_k ranges over [b_k - nv_k,
+    b_k + nv_k].  With sign(0) := +1, the neuron is constant +1 when b_k >= nv_k
+    and constant -1 when b_k < -nv_k (an all-zero row is one or the other);
+    it is deleted and the constant folded into the next layer's bias through
+    the corresponding column.  The tie b_k = -nv_k is kept: z = 0, hence +1,
+    where every input agrees with the row's signs.
     Removal can stabilise further neurons downstream, so the sweep iterates
     until nothing changes.  Raises if a hidden layer empties out entirely.
     """
@@ -325,8 +329,7 @@ def stabilize(net: FoldedBnn) -> FoldedBnn:
     while changed:
         changed = False
         for i in range(1, depth + 1):
-            nv = np.abs(weights[i - 1]).sum(axis=1).astype(float)
-            const = np.abs(biases[i - 1]) >= nv
+            const = _constant(biases[i - 1], row_norm1(weights[i - 1]))
             if not const.any():
                 continue
             changed = True
@@ -344,6 +347,11 @@ def stabilize(net: FoldedBnn) -> FoldedBnn:
     return FoldedBnn(
         widths=tuple(widths), weights=tuple(weights), biases=tuple(biases), log=tuple(log)
     ).require_stabilized()
+
+
+def _constant(bias: np.ndarray, nv: np.ndarray) -> np.ndarray:
+    """Mask of the neurons whose sign is constant on the cube [-1, 1]^n."""
+    return (bias >= nv) | (bias < -nv)
 
 
 def _sign_pm1(z: np.ndarray) -> np.ndarray:

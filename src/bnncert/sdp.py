@@ -515,10 +515,11 @@ def tightened_gap_witness(net: FoldedBnn, neuron: int = 1) -> MomentWitness:
     with a chosen so the matrix stays PSD with spectrum {0 x m, 1, nv+1} and
     the objective strictly negative; the row-bound product rows evaluate
     negative on it, so the tightened relaxation excludes the matrix while the
-    standard one admits it.  A stabilized net has |bias| < nv on every row,
-    which the construction needs.
+    standard one admits it.  The construction needs |bias| < nv; the tie
+    bias = -nv, which a stabilized net keeps, raises `ValueError`.
     """
     row, wf, vs = _witness_clique(net, neuron)
+    objective = row.unit_envelopes()[0]
     nv, b = float(row.row_bound), float(row.beta)
     a = 0.5 * math.sqrt(2.0 - (b / nv) ** 2) - b / (2.0 * nv)
     t = math.sqrt(1.0 - a * a)
@@ -537,7 +538,7 @@ def tightened_gap_witness(net: FoldedBnn, neuron: int = 1) -> MomentWitness:
     return MomentWitness(
         variables=vs,
         matrix=M,
-        objective=row.unit_envelopes()[0],
+        objective=objective,
         params={"a": a, "t": t, "objective_value": value, "nv": nv, "bias": b},
     )
 

@@ -4,11 +4,11 @@ The toy network (widths (3,2,2,2), reference input (0, 0.5, 0)) is small
 enough that every quantity in the suite — forward trace, LP rows, moment
 counts, exact optima — can be checked against hand computation.
 
-`random_net` draws ternary nets that are guaranteed to survive both
-`stabilize` and the linear encodings over the regions drawn by
-`random_region`: hidden biases are capped at 0.3 * nv while centers stay in
-[-0.2, 0.2]^n0 and radii in [0.6, 1.0], so every layer-1 envelope coefficient
-stays strictly positive.
+`random_net` draws ternary nets that survive `stabilize`: hidden biases are
+capped at 0.3 * nv.  `random_region` centers its regions in [-0.2, 0.2]^n0
+with radii in [0.6, 1.0] by default, where every layer-1 neuron takes both
+signs; small radii make layer-1 neurons constant over the region, which every
+encoding accepts too.
 """
 
 import numpy as np
@@ -93,9 +93,11 @@ def random_net(rng: np.random.Generator, widths) -> FoldedBnn:
     return FoldedBnn(widths=widths, weights=tuple(weights), biases=tuple(biases))
 
 
-def random_region(rng: np.random.Generator, dim: int, kind: str = "linf") -> PerturbationRegion:
+def random_region(
+    rng: np.random.Generator, dim: int, kind: str = "linf", radii=(0.6, 1.0)
+) -> PerturbationRegion:
     center = rng.uniform(-0.2, 0.2, size=dim)
-    radius = float(rng.uniform(0.6, 1.0))
+    radius = float(rng.uniform(*radii))
     if kind == "linf":
         return PerturbationRegion.linf(center, radius)
     return PerturbationRegion.l2(center, radius)

@@ -101,11 +101,14 @@ def test_sampling_finds_counterexample_before_solving(example1_files, tmp_path):
     assert forward(net, rep["counterexample"]).label != 2
 
 
-def test_tightened_certifies_where_lp_cannot_encode(example1_files, tmp_path):
-    # radius 0.2 pins every layer-1 neuron to +1: the linear encoder
-    # refuses (exit 3) while the tightened relaxation recovers the margin
-    rc = run(example1_files, "--eps", "0.2", "--method", "lp")
-    assert rc == 3
+def test_tightened_certifies_where_lp_is_loose(example1_files, tmp_path):
+    # radius 0.2 pins every layer-1 neuron to +1: the LP's envelopes still
+    # hold there, but its sound bound stops at -1 (exit 2), while the
+    # tightened relaxation recovers the margin of +3
+    rc, rep = run_json(example1_files, tmp_path, "--eps", "0.2", "--method", "lp")
+    assert rc == 2
+    (target,) = rep["targets"]
+    assert target["lower_bound"] == pytest.approx(-1.0, abs=1e-4)
     rc, rep = run_json(
         example1_files,
         tmp_path,
@@ -125,8 +128,8 @@ def test_tightened_certifies_where_lp_cannot_encode(example1_files, tmp_path):
 
 
 def test_metrics_never_turn_a_decided_query_into_an_error(example1_files, tmp_path):
-    # the README example: the LP cannot encode radius 0.2, so --metrics
-    # records the comparison as unavailable instead of aborting
+    # the README example: --metrics adds the LP comparison and leaves the
+    # verdict and the bounds alone
     readme = ("--eps", "0.2", "--method", "sdp1-tight", "--tol", "1e-4", "--max-iter", "20000")
     rc_plain, plain = run_json(example1_files, tmp_path, *readme)
     rc, rep = run_json(example1_files, tmp_path, *readme, "--metrics")
@@ -137,9 +140,12 @@ def test_metrics_never_turn_a_decided_query_into_an_error(example1_files, tmp_pa
             target.pop("wall_time")
     assert rep["targets"] == plain["targets"]
     (imp,) = rep["metrics"]["improvement"].values()
-    assert imp["lp_bound"] is None
-    assert imp["relative_improvement"] is None
-    assert imp["sample_upper"] >= rep["targets"][0]["lower_bound"]
+    lower = rep["targets"][0]["lower_bound"]
+    assert imp["lp_bound"] == pytest.approx(-1.0, abs=1e-4)
+    assert imp["sample_upper"] >= lower
+    assert imp["relative_improvement"] == (lower - imp["lp_bound"]) / (
+        imp["sample_upper"] - imp["lp_bound"]
+    )
 
 
 def test_standard_relaxation_weaker_than_tightened(example1_files, tmp_path):
@@ -267,9 +273,7 @@ METHODS = ("lp", "sdp1", "sdp1-tight", "oracle", "sample-ub")
         ("0 0.5 0", 0, [float("nan")], "0", None),
         ("0 0.5 0", 2, [float("inf")], "0.2", None),
         ("0 0.5 0", 2, OVERFLOWING_BIASES, "0", None),
-        # the LP cannot encode radius 0.2 (an exit 3 of its own), but 1.0
-        *[("0 0.5 0", 2, OVERFLOWING_BIASES, "1.0" if m == "lp" else "0.2", m)
-          for m in METHODS],
+        *[("0 0.5 0", 2, OVERFLOWING_BIASES, "0.2", m) for m in METHODS],
     ],
     ids=["nan-input-eps0", "nan-input-eps0.2", "nan-hidden-bias", "inf-output-bias",
          "overflowing-output-biases-eps0",
@@ -440,6 +444,21 @@ def test_oracle_witness_is_not_recomputed(example1_files, tmp_path, monkeypatch)
     assert rc == 1
     assert rep["targets"][0]["status"] == "falsified"
     assert len(calls) == len(rep["targets"]) == 1
+
+
+def test_a_crash_exits_three_not_falsified(example1_files, capsys, monkeypatch):
+    """An exception that is not an input error (say the oracle's
+    Fourier-Motzkin row guard) still exits 3: escaping `main`, it would
+    exit 1, the "falsified" code."""
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("elimination blow-up; region system too large")
+
+    monkeypatch.setattr(cli, "exact_verify", crash)
+    assert run(example1_files, "--eps", "0.2", "--method", "oracle") == 3
+    assert capsys.readouterr().err == (
+        "error: RuntimeError: elimination blow-up; region system too large\n"
+    )
 
 
 def attack_loop(net, region, label, n, seed):

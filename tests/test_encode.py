@@ -12,7 +12,6 @@ from bnncert import (
     Clique,
     MultilinearPoly,
     PerturbationRegion,
-    StabilizationNeeded,
     Var,
     assemble_moment_sdp,
     build_cliques,
@@ -23,6 +22,7 @@ from bnncert import (
     encode_tightened,
     forward,
     linear_identity_residuals,
+    neuron_rows,
     objective_targeted,
     region_polynomials,
     to_conic,
@@ -240,12 +240,41 @@ def test_lp_row_counts(example1):
     assert inst.constraints.equalities == ()
 
 
-def test_lp_raises_stabilization_needed_on_tight_region(example1):
-    # at eps = 0.2 every layer-1 neuron of the toy net is constant
-    with pytest.raises(StabilizationNeeded, match="always activated"):
-        encode_lp(example1, region1("linf", 0.2), objective1(example1))
-    with pytest.raises(StabilizationNeeded):
-        encode_lp(example1, region1("l2", 0.2), objective1(example1))
+def corner_envelopes(net, layer, region):
+    """(lin1, lin2) of every neuron of `layer`, keyed by neuron, from the
+    extremes of z over the box computed corner-wise: (x+1)*z_max - 2z and
+    (1-x)*(-z_min) + 2z."""
+    if layer == 1:
+        lo = [Fraction(v) for v in region.lower.tolist()]
+        hi = [Fraction(v) for v in region.upper.tolist()]
+    else:
+        lo, hi = [-1] * net.widths[layer - 1], [1] * net.widths[layer - 1]
+    out = {}
+    for j, (w, b) in enumerate(zip(net.weight(layer).tolist(), net.bias(layer).tolist()), 1):
+        b = Fraction(b)
+        z = MultilinearPoly.linear({Var(layer - 1, k): wk for k, wk in enumerate(w, 1)}, b)
+        z_max = b + sum(max(wk * l, wk * h) for wk, l, h in zip(w, lo, hi))
+        z_min = b + sum(min(wk * l, wk * h) for wk, l, h in zip(w, lo, hi))
+        x = MultilinearPoly.variable(Var(layer, j))
+        out[j] = ((x + 1) * z_max - z * 2, (1 - x) * (-z_min) + z * 2)
+    return out
+
+
+def test_lp_encodes_constant_layer1_neurons(example1):
+    """At eps 0.2 both layer-1 neurons of the toy net are +1 over the box
+    (z_min > 0, so c_minus < 0); the LP still emits both envelopes for them,
+    in both norms (the l2 ball's box enclosure is the linf box)."""
+    for region in (region1("linf", 0.2), region1("l2", 0.2)):
+        inst = encode_lp(example1, region, objective1(example1))
+        counts = inst.constraints.family_counts()
+        assert counts == {"lin1": 4, "lin2": 4, "lin0": 8, "region": 6}
+        assert all(row.envelope_slopes()[1] < 0 for row in neuron_rows(example1, 1, region))
+        for layer in (1, 2):
+            expected = corner_envelopes(example1, layer, region)
+            for family, side in (("lin1", 0), ("lin2", 1)):
+                cs = inst.constraints.by_family(family)
+                rows = {c.neuron: c.poly for c in cs if c.layer == layer}
+                assert rows == {j: pair[side] for j, pair in expected.items()}
 
 
 def test_layer1_rows_are_centered_on_the_clipped_box(example1):
@@ -254,13 +283,19 @@ def test_layer1_rows_are_centered_on_the_clipped_box(example1):
     region = PerturbationRegion.linf([1, -1, -1], 0.2)
     assert region.lower.tolist() == [0.8, -1.0, -1.0]
     assert region.upper.tolist() == [1.0, -0.8, -0.8]
-    # neuron (1,1): z = -x1 + x2 + x3 + 1.5 is at most -0.9 on the box
-    with pytest.raises(StabilizationNeeded, match="never activated") as info:
-        encode_lp(example1, region, objective1(example1))
-    assert (info.value.layer, info.value.neuron) == (1, 1)
+    # neuron (1,1): z = -x1 + x2 + x3 + 1.5 runs over [-1.5, 1.5 - 3a] on
+    # the box, so it is -1 there and c_plus = 1.5 - 3a is negative
+    a = Fraction(0.8)
+    lp = encode_lp(example1, region, objective1(example1))
+    rows = {
+        c.family: c.poly for c in lp.constraints.inequalities if (c.layer, c.neuron) == (1, 1)
+    }
+    x = MultilinearPoly.variable(Var(1, 1))
+    z = MultilinearPoly.linear({Var(0, 1): -1, Var(0, 2): 1, Var(0, 3): 1}, Fraction(3, 2))
+    assert rows["lin1"] == (x + 1) * (Fraction(3, 2) - 3 * a) - z * 2
+    assert rows["lin2"] == (1 - x) * Fraction(3, 2) + z * 2
     # neuron (1,2): z = -x1 - x2 + x3 + 2, R = 3(1 - a)/2 with a = 0.8 and
     # zeta = z - beta = -x1 - x2 + x3 + (1 + a)/2
-    a = Fraction(0.8)
     inst = encode_tightened(example1, region, objective1(example1))
     rows = {
         c.family: c.poly for c in inst.constraints.inequalities if (c.layer, c.neuron) == (1, 2)
@@ -411,6 +446,41 @@ def test_identity_residuals_vanish_on_random_nets(seed):
     region = random_region(rng, 3, "linf" if seed % 2 else "l2")
     for label, poly in linear_identity_residuals(net, region):
         assert poly.identity_zero(), label
+
+
+def assert_envelopes_are_tightened_sums(net, region):
+    """lin1 = g2 + t1 and lin2 = g1 + t2, exactly, for every hidden neuron."""
+    f = objective_targeted(net, 1, 2)
+    lp = encode_lp(net, region, f).constraints
+    tight = encode_tightened(net, region, f).constraints
+
+    def rows(cs, family):
+        return {(c.layer, c.neuron): c.poly for c in cs.by_family(family)}
+
+    g1, g2, t1, t2 = (rows(tight, family) for family in ("g1", "g2", "t1", "t2"))
+    lin1, lin2 = rows(lp, "lin1"), rows(lp, "lin2")
+    assert lin1.keys() == lin2.keys() == g1.keys() and len(lin1) == net.hidden_count()
+    for key in lin1:
+        assert lin1[key] == g2[key] + t1[key], key
+        assert lin2[key] == g1[key] + t2[key], key
+
+
+def test_envelopes_are_tightened_sums_on_example1(example1):
+    for kind, radius in itertools.product(("linf", "l2"), (0.02, 0.2, 1.0)):
+        assert_envelopes_are_tightened_sums(example1, region1(kind, radius))
+    # the clipped corner region, where neuron (1,1) is -1 over the box
+    assert_envelopes_are_tightened_sums(example1, PerturbationRegion.linf([1, -1, -1], 0.2))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=15)
+def test_envelopes_are_tightened_sums_on_random_nets(seed):
+    """Small radii too, where layer-1 neurons are constant over the region."""
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, (3, 4, 3, 2))
+    kind = "linf" if seed % 2 else "l2"
+    for radii in ((0.6, 1.0), (0.02, 0.3)):
+        assert_envelopes_are_tightened_sums(net, random_region(rng, 3, kind, radii))
 
 
 # -- MPS writer ---------------------------------------------------------------

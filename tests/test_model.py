@@ -1,5 +1,6 @@
 """Loading, batch-norm folding, stabilization and the forward pass."""
 
+import itertools
 import json
 
 import numpy as np
@@ -163,7 +164,7 @@ def test_stabilize_leaves_example1_alone(example1):
 
 
 def test_stabilize_zero_row_uses_sign_zero_convention():
-    # all-zero row with b=0: nv=0 <= |b|, sign(0) := +1
+    # all-zero row with b = 0 >= nv = 0: z = 0 everywhere, sign(0) := +1
     net = FoldedBnn(
         widths=(2, 2, 2),
         weights=(np.array([[0, 0], [1, 1]]), np.array([[1, 0], [-1, 1]])),
@@ -329,6 +330,57 @@ def test_stabilize_preserves_forward_labels(seed):
     for _ in range(5):
         x0 = rng.uniform(-1, 1, size=widths[0])
         assert forward(out, x0).label == forward(net, x0).label
+
+
+def tie_layer2_net(bias):
+    """2-2-2-2 net whose neuron (2,1) sums both layer-1 signs plus `bias`."""
+    return FoldedBnn(
+        widths=(2, 2, 2, 2),
+        weights=(np.eye(2, dtype=int), np.array([[1, 1], [1, -1]]), np.array([[1, 0], [-1, 0]])),
+        biases=(np.zeros(2), np.array([bias, 0.5]), np.zeros(2)),
+    )
+
+
+def test_stabilize_keeps_the_tie_neuron():
+    """At bias -nv = -2, z = 0 where both layer-1 signs are +1, and
+    sign(0) = +1 there: the neuron is not constant, so it stays."""
+    net = tie_layer2_net(-2.0)
+    assert net.is_stabilized()
+    out = stabilize(net)
+    assert out.widths == net.widths
+    assert forward(out, [0.5, 0.5]).label == forward(net, [0.5, 0.5]).label == 1
+    # below the tie the neuron is -1 everywhere and folds away
+    below = tie_layer2_net(-2.5)
+    assert not below.is_stabilized()
+    out = stabilize(below)
+    assert out.widths == (2, 2, 1, 2)
+    assert "layer 2 neuron 1: constant -1, removed" in out.log
+
+
+def test_stabilize_preserves_labels_at_ties():
+    """Integer biases put pre-activations exactly at zero on the {-1,0,1}^3
+    grid, where sign(0) = +1 decides every neuron with bias -nv."""
+    rng = np.random.default_rng(0)
+    widths = (3, 4, 3, 2)
+    grid = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=3)))
+    compared = kept_ties = 0
+    for _ in range(200):
+        weights = [rng.choice([-1, 0, 1], size=(n, m)) for m, n in zip(widths, widths[1:])]
+        biases = [rng.integers(-3, 4, size=n).astype(float) for n in widths[1:]]
+        net = FoldedBnn(widths=widths, weights=tuple(weights), biases=tuple(biases))
+        try:
+            out = stabilize(net)
+        except ValueError:
+            continue  # a layer emptied out; nothing to compare
+        compared += 1
+        kept_ties += any(
+            np.any(out.bias(i) == -row_norm1(out.weight(i))) for i in range(1, out.depth + 1)
+        )
+        np.testing.assert_array_equal(
+            np.argmax(forward_logits(out, grid), axis=1),
+            np.argmax(forward_logits(net, grid), axis=1),
+        )
+    assert compared >= 100 and kept_ties >= 10
 
 
 @pytest.mark.parametrize("seed", range(3))

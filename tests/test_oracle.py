@@ -1,5 +1,6 @@
 """Exhaustive pattern oracle, MILP cross-check, and the sampling upper bound."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -184,9 +185,17 @@ def assert_milp_matches_oracle(net, region, f, true_label, target):
 
 @pytest.mark.parametrize("kind", ["linf", "l2"])
 def test_milp_patterns_match_oracle_example1(example1, x0_example, kind):
-    """The worked net, and the tie net whose every cell completes twice."""
-    for net, center in ((example1, x0_example), (tie_net(), np.zeros(2))):
-        region = getattr(PerturbationRegion, kind)(center, 1.0)
+    """The worked net, and the tie net whose every cell completes twice; at
+    the small radii every layer-1 neuron of both nets is constant over the
+    region."""
+    for net, center, radius in (
+        (example1, x0_example, 1.0),
+        (example1, x0_example, 0.2),
+        (example1, x0_example, 0.02),
+        (tie_net(), np.zeros(2), 1.0),
+        (tie_net(), np.zeros(2), 0.05),
+    ):
+        region = getattr(PerturbationRegion, kind)(center, radius)
         assert_milp_matches_oracle(net, region, objective_targeted(net, 2, 1), 2, 1)
 
 
@@ -196,8 +205,12 @@ def test_milp_patterns_match_oracle_random(seed):
     """Random nets, each also with integer deeper biases (ties), in both norms."""
     rng = np.random.default_rng(seed)
     net = random_net(rng, (3, 3, 2, 2))
-    region = random_region(rng, 3, "linf" if seed % 2 else "l2")
-    for net in (net, with_integer_deeper_biases(net, rng)):
+    kind = "linf" if seed % 2 else "l2"
+    region = random_region(rng, 3, kind)
+    nets = (net, with_integer_deeper_biases(net, rng))
+    # a small radius, where layer-1 neurons are mostly constant over the region
+    small = random_region(rng, 3, kind, radii=(0.02, 0.3))
+    for net, region in itertools.product(nets, (region, small)):
         f = objective_targeted(net, 1, 2)
         patterns = assert_milp_matches_oracle(net, region, f, 1, 2)
         # and the minimum over encoded patterns is the oracle's tau
@@ -224,7 +237,10 @@ def test_milp_patterns_match_oracle_wide(kind, seed, widths):
     rng = np.random.default_rng(seed)
     net = random_net(rng, widths)
     region = getattr(PerturbationRegion, kind)(rng.uniform(-0.2, 0.2, widths[0]), 0.8)
-    for net in (net, with_integer_deeper_biases(net, rng)):
+    nets = (net, with_integer_deeper_biases(net, rng))
+    # a small radius, where layer-1 neurons are mostly constant over the region
+    small = random_region(rng, widths[0], kind, radii=(0.02, 0.3))
+    for net, region in itertools.product(nets, (region, small)):
         assert 13 <= net.hidden_count() <= 16
         patterns = assert_milp_matches_oracle(net, region, objective_targeted(net, 1, 2), 1, 2)
         assert patterns

@@ -268,6 +268,12 @@ def test_tightened_gap_witness_requires_strict_bias():
     # |b| = nv = 2 on the last hidden row: the construction must refuse
     with pytest.raises(ValueError, match="row 1-norm"):
         tightened_gap_witness(net, neuron=1)
+    # b = -nv = -2 is a tie that stabilize keeps, but z_max = 0 leaves no
+    # unit envelope for either witness
+    tie = FoldedBnn(net.widths, net.weights, (np.zeros(2), np.array([-2.0]), np.zeros(2)))
+    for witness in (sdp_below_lp_witness, tightened_gap_witness):
+        with pytest.raises(ValueError, match="z_max = 0 and z_min = -4"):
+            witness(tie, neuron=1)
 
 
 @pytest.mark.parametrize("witness", [sdp_below_lp_witness, tightened_gap_witness])

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bnncert import (
     ConicProblem,
@@ -192,23 +192,19 @@ def test_example1_bounds_bracket_the_exact_optimum(example1):
 def test_lp_point_region_bounded_by_forward_value():
     rng = np.random.default_rng(5)
     net = random_net(rng, (3, 3, 2, 2))
-    # a zero layer-1 bias keeps that layer's envelopes positive at any radius
-    # (deeper envelopes use the plain row 1-norm and are radius-independent)
-    biases = (np.zeros_like(net.biases[0]),) + net.biases[1:]
-    from bnncert import FoldedBnn, forward
+    from bnncert import forward
 
-    pin = FoldedBnn(widths=net.widths, weights=net.weights, biases=biases)
     center = np.array([1e-4, -2e-4, 1.5e-4])
     region = PerturbationRegion.linf(center, 1e-3)
-    trace = forward(pin, center)
+    trace = forward(net, center)
     assert not trace.any_zero_preactivation()
-    f = objective_targeted(pin, trace.label, 2 if trace.label != 2 else 1)
+    f = objective_targeted(net, trace.label, 2 if trace.label != 2 else 1)
     point = {
         Var(i, j + 1): int(v)
         for i, act in enumerate(trace.activations, start=1)
         for j, v in enumerate(act)
     }
-    res = solve_lp(encode_lp(pin, region, f))
+    res = solve_lp(encode_lp(net, region, f))
     assert res.status == "optimal"
     assert res.primal_objective <= float(f.evaluate(point)) + 1e-5
 
@@ -235,6 +231,20 @@ def test_lp_bound_is_monotone_in_radius():
         r_small = solve_lp(encode_lp(net, small, f))
         r_large = solve_lp(encode_lp(net, large, f))
         assert r_large.primal_objective <= r_small.primal_objective + 2e-5
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_lp_rigorous_bound_below_exact_on_small_regions(seed):
+    """Radii of 0.02-0.3, where layer-1 neurons are mostly constant over the
+    region: the LP's rigorous bound never exceeds the exact optimum."""
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, (3, 3, 2, 2))
+    region = random_region(rng, 3, "linf" if seed % 2 else "l2", radii=(0.02, 0.3))
+    f = objective_targeted(net, 1, 2)
+    inst = encode_lp(net, region, f)
+    bound = rigorous_lower_bound(solve_lp(inst), inst).value
+    assert Fraction(bound) <= exact_verify(net, region, f).tau
 
 
 # -- rigorous lower bound -----------------------------------------------------
