@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -115,7 +116,7 @@ class VerdictReport:
     input_values: tuple
     true_label: int
     norm: str
-    eps: float
+    eps: Optional[float]  # None for an infinite radius: JSON has no infinity
     pixel_scale: bool
     method: str
     seed: int
@@ -204,7 +205,7 @@ class _Relaxation:
         """Solve for target k; with `settle`, stop at the first iterate whose
         rigorous bound is positive.  Each iterate is rigorized at most once."""
         constraints = replace(self.instance.constraints, objective=objective)
-        instance = replace(self.instance, constraints=constraints, target=k)
+        instance = replace(self.instance, constraints=constraints)
         bounds: dict[int, RigorousBound] = {}
 
         def certified(res: SolveResult) -> bool:
@@ -248,57 +249,39 @@ def _relax(
     return _Relaxation(instance, problem, conic_setup(problem), msdp.cliques)
 
 
-def _bound_one_target(
+def _bounder(
+    method: str,
     net: FoldedBnn,
     region: PerturbationRegion,
-    k: int,
-    objective: MultilinearPoly,
-    method: str,
+    label: int,
+    objectives: dict[int, MultilinearPoly],
     opts: SolveOptions,
-    relaxation: Optional[_Relaxation],
     upper: np.ndarray,
-) -> tuple[TargetReport, Optional[np.ndarray]]:
-    """The target's report, plus the engine's attack point when the engine
-    found a non-positive margin there (still to be forward-checked)."""
-    t0 = time.perf_counter()
-    witness = None
-    if relaxation is not None:
-        res, rb = relaxation.bound(objective, k, opts, settle=True)
-        lower, approx = rb.value, res.primal_objective
-        iters, sstat = res.iterations, res.status
-    elif method == "oracle":
-        result = exact_verify(net, region, objective)
-        lower = approx = result.value
-        iters, sstat = None, "exact"
-        if lower <= 0:
-            witness = result.witness
-    elif method == "sample-ub":
+):
+    """The query's bounding function, chosen once: (k, objective) -> (lower
+    bound, approximate value, iterations, solver status, attack point).  The
+    attack point is an input where the engine found a non-positive margin,
+    still to be forward-checked."""
+    if method == "sample-ub":
         # the attack read the same rows and found no label change, so no
         # sampled margin is negative: the sample bounds, it never falsifies
-        report = TargetReport(
-            target=k,
-            method=method,
-            lower_bound=None,
-            approximate=float(upper[k - 1]),
-            status="unknown",
-            wall_time=time.perf_counter() - t0,
-            solver_status="sampling",
-        )
-        return report, None
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    status = "robust" if lower > 0 else "unknown"
-    report = TargetReport(
-        target=k,
-        method=method,
-        lower_bound=lower,
-        approximate=approx,
-        status=status,
-        wall_time=time.perf_counter() - t0,
-        iterations=iters,
-        solver_status=sstat,
-    )
-    return report, witness
+        return lambda k, objective: (None, float(upper[k - 1]), None, "sampling", None)
+    if method == "oracle":
+
+        def exact(k, objective):
+            result = exact_verify(net, region, objective)
+            witness = result.witness if result.value <= 0 else None
+            return result.value, result.value, None, "exact", witness
+
+        return exact
+    k, objective = next(iter(objectives.items()))
+    relaxation = _relax(net, region, label, k, objective, method, opts)
+
+    def relaxed(k, objective):
+        res, rb = relaxation.bound(objective, k, opts, settle=True)
+        return rb.value, res.primal_objective, res.iterations, res.status, None
+
+    return relaxed
 
 
 def _collect_metrics(
@@ -341,7 +324,7 @@ def _collect_metrics(
 
 def run_verify(args) -> int:
     net, x0, label, region, eps = _prepare(args)
-    opts = SolveOptions(tol=args.tol, max_iter=args.max_iter, seed=args.seed)
+    opts = SolveOptions(tol=args.tol, max_iter=args.max_iter)
     points, logits = sample_logits(net, region, SAMPLES, args.seed)
     counterexample = _find_counterexample(net, points, logits, label)
     # each class's least sampled margin; at eps 0 the center's exact margin
@@ -366,30 +349,28 @@ def run_verify(args) -> int:
             for k in range(1, net.n_classes + 1)
             if k != label
         }
-        relaxation = None
-        if _encoder(args.method) is not None:
-            k, objective = next(iter(objectives.items()))
-            relaxation = _relax(net, region, label, k, objective, args.method, opts)
+        bound = _bounder(args.method, net, region, label, objectives, opts, upper)
+        relaxed = _encoder(args.method) is not None
         decided = False
         for k, objective in objectives.items():
             if decided:
                 targets.append(TargetReport(k, args.method, None, None, "skipped", 0.0))
                 continue
-            entry, witness = _bound_one_target(
-                net, region, k, objective, args.method, opts, relaxation, upper
-            )
+            t0 = time.perf_counter()
+            lower, approx, iters, sstat, witness = bound(k, objective)
+            wall = time.perf_counter() - t0
+            status = "robust" if lower is not None and lower > 0 else "unknown"
             # an engine's attack point downgrades the verdict only once
             # a forward pass confirms it
             if witness is not None and forward(net, witness).label != label:
-                entry.status = "falsified"
+                status = "falsified"
                 counterexample = witness
-            targets.append(entry)
+            targets.append(TargetReport(k, args.method, lower, approx, status, wall, iters, sstat))
             # a relaxation returns no witness: once one of its targets is
             # not certified, the verdict can only be "unknown".  --metrics
             # compares every target's bound, so it bounds them all.
             decided = not args.metrics and (
-                counterexample is not None
-                or (relaxation is not None and entry.status != "robust")
+                counterexample is not None or (relaxed and status != "robust")
             )
 
     if counterexample is not None:
@@ -412,7 +393,7 @@ def run_verify(args) -> int:
         input_values=tuple(float(v) for v in x0),
         true_label=label,
         norm=args.norm,
-        eps=eps,
+        eps=None if math.isinf(eps) else eps,
         pixel_scale=bool(args.pixel_scale),
         method=args.method,
         seed=args.seed,

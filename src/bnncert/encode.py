@@ -4,8 +4,7 @@ Given a folded, stabilized network and a perturbation region around a
 reference input, this module builds the four encodings used throughout the
 package:
 
-* ``standard``  -- quadratic sign-consistency products x*(Wx'+b) >= 0 plus
-  the binary-square equalities x^2 = 1;
+* ``standard``  -- quadratic sign-consistency products x*(Wx'+b) >= 0;
 * ``tightened`` -- the four-product family per hidden neuron: both one-sided
   sign products (x+1)*(Wx'+b) and (x-1)*(Wx'+b) and two always-valid
   "row-bound" products derived from |<W_row, x' - c>| <= R, which enlarge
@@ -16,9 +15,11 @@ package:
 * ``milp``      -- the LP rows plus integrality marks on the hidden variables
   (exact once the region rows are exact).
 
-An encoding is polynomials only.  `bnncert.sdp` turns every kind into matrix
-rows through one moment assembly (the linear kinds without PSD blocks), and
-also writes the MPS file of a linear encoding.
+An encoding is polynomial inequalities only: x^2 = 1 is applied
+structurally, not stored, since the moment assembly fixes every binary square
+to 1 and the rigorization reduces modulo x^2 = 1.  `bnncert.sdp` turns every
+kind into matrix rows through one moment assembly (the linear kinds without
+PSD blocks), and also writes the MPS file of a linear encoding.
 
 Polynomial coefficients are exact rationals end to end (weights are integers,
 biases are binary64 and hence dyadic rationals), so identity checks downstream
@@ -131,7 +132,7 @@ class PerturbationRegion:
 
 @dataclass(frozen=True)
 class Constraint:
-    """One tagged constraint polynomial; equalities mean poly = 0, else poly >= 0."""
+    """One tagged constraint polynomial, poly >= 0."""
 
     family: str
     layer: int
@@ -141,7 +142,6 @@ class Constraint:
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    equalities: tuple[Constraint, ...]
     inequalities: tuple[Constraint, ...]
     objective: MultilinearPoly
 
@@ -172,7 +172,6 @@ class VerificationInstance:
     true_label: Optional[int] = None
     target: Optional[int] = None
     binary_vars: tuple[Var, ...] = ()
-    feasibility_threshold: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.encoding_kind not in ("standard", "tightened", "lp", "milp"):
@@ -196,10 +195,6 @@ class VerificationInstance:
 # ---------------------------------------------------------------------------
 # polynomial builders
 # ---------------------------------------------------------------------------
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -302,15 +297,16 @@ def region_polynomials(region: PerturbationRegion) -> list[MultilinearPoly]:
     if region.kind == "linf":
         for j in range(1, n0 + 1):
             v = Var(0, j)
-            lo, hi = _frac(region.lower[j - 1]), _frac(region.upper[j - 1])
+            lo, hi = region.lower[j - 1], region.upper[j - 1]
             upper = MultilinearPoly.linear({v: -1}, hi)
             above = MultilinearPoly.linear({v: 1}, -lo)
             polys.append(upper * above)
         return polys
-    ball = MultilinearPoly.constant(_frac(min(region.radius, 2 * n0)) ** 2)
+    radius = MultilinearPoly.constant(min(region.radius, 2 * n0))
+    ball = radius * radius
     for j in range(1, n0 + 1):
         v = Var(0, j)
-        diff = MultilinearPoly.linear({v: 1}, -_frac(region.center[j - 1]))
+        diff = MultilinearPoly.linear({v: 1}, -region.center[j - 1])
         ball = ball - diff * diff
     polys.append(ball)
     for j in range(1, n0 + 1):
@@ -345,8 +341,7 @@ def objective_targeted(net: FoldedBnn, true_label: int, target: int) -> Multilin
     coeffs = {
         Var(net.depth, k + 1): int(row[k]) for k in range(row.shape[0]) if row[k] != 0
     }
-    const = _frac(b[true_label - 1]) - _frac(b[target - 1])
-    return MultilinearPoly.linear(coeffs, const)
+    return MultilinearPoly.linear(coeffs, b[true_label - 1]) - b[target - 1]
 
 
 def _check_objective(net: FoldedBnn, objective: MultilinearPoly) -> None:
@@ -360,16 +355,6 @@ def _check_objective(net: FoldedBnn, objective: MultilinearPoly) -> None:
             raise ValueError(f"objective variable {v} outside layer width {width}")
 
 
-def _equalities(net: FoldedBnn) -> list[Constraint]:
-    eqs = []
-    for i, n in enumerate(net.hidden_widths, start=1):
-        for j in range(1, n + 1):
-            v = Var(i, j)
-            sq = MultilinearPoly({((v, 2),): 1, (): -1})
-            eqs.append(Constraint("h", i, j, sq))
-    return eqs
-
-
 def encode_standard(
     net: FoldedBnn,
     region: PerturbationRegion,
@@ -378,7 +363,7 @@ def encode_standard(
     true_label: Optional[int] = None,
     target: Optional[int] = None,
 ) -> VerificationInstance:
-    """Quadratic sign-consistency encoding: x^2 = 1 and x*(Wx'+b) >= 0."""
+    """Quadratic sign-consistency encoding: x*(Wx'+b) >= 0 (with x^2 = 1)."""
     net.require_stabilized()
     _check_objective(net, objective)
     ineqs: list[Constraint] = []
@@ -387,7 +372,7 @@ def encode_standard(
             x = MultilinearPoly.variable(row.var)
             ineqs.append(Constraint("std", i, row.var.index, x * row.z))
     ineqs.extend(_region_constraints(region))
-    cs = ConstraintSet(tuple(_equalities(net)), tuple(ineqs), objective)
+    cs = ConstraintSet(tuple(ineqs), objective)
     return VerificationInstance(net, region, cs, "standard", true_label, target)
 
 
@@ -420,7 +405,7 @@ def encode_tightened(
             ineqs.append(Constraint("t1", i, j, up * (row.row_bound - row.zeta)))
             ineqs.append(Constraint("t2", i, j, (1 - x) * (row.row_bound + row.zeta)))
     ineqs.extend(_region_constraints(region))
-    cs = ConstraintSet(tuple(_equalities(net)), tuple(ineqs), objective)
+    cs = ConstraintSet(tuple(ineqs), objective)
     return VerificationInstance(net, region, cs, "tightened", true_label, target)
 
 
@@ -447,7 +432,7 @@ def _lp_rows(
             rows.append(Constraint("lin0", i, j, x + 1))
     for j in range(1, region.dim + 1):
         v = Var(0, j)
-        lo, hi = _frac(region.lower[j - 1]), _frac(region.upper[j - 1])
+        lo, hi = region.lower[j - 1], region.upper[j - 1]
         rows.append(Constraint("region", 0, j, MultilinearPoly.linear({v: -1}, hi)))
         rows.append(Constraint("region", 0, j, MultilinearPoly.linear({v: 1}, -lo)))
     return rows
@@ -461,14 +446,14 @@ def encode_lp(
     true_label: Optional[int] = None,
     target: Optional[int] = None,
 ) -> VerificationInstance:
-    """All-linear relaxation: envelopes, box rows, interval rows; no equalities.
+    """All-linear relaxation: envelopes, box rows, interval rows.
 
     For an l2 region the interval rows describe the ball's box enclosure, so
     the LP optimum stays a valid lower bound.
     """
     net.require_stabilized()
     rows = _lp_rows(net, region, objective)
-    cs = ConstraintSet((), tuple(rows), objective)
+    cs = ConstraintSet(tuple(rows), objective)
     return VerificationInstance(net, region, cs, "lp", true_label, target)
 
 
@@ -500,7 +485,7 @@ def encode_milp(
         rows.append(Constraint("region", 0, 0, ball))
     reported = objective
     if feasibility_threshold is not None:
-        cut = MultilinearPoly.constant(_frac(feasibility_threshold)) - objective
+        cut = MultilinearPoly.constant(feasibility_threshold) - objective
         rows.append(Constraint("threshold", 0, 0, cut))
         reported = MultilinearPoly.zero()
     binaries = tuple(
@@ -508,16 +493,9 @@ def encode_milp(
         for i, n in enumerate(net.hidden_widths, start=1)
         for j in range(1, n + 1)
     )
-    cs = ConstraintSet((), tuple(rows), reported)
+    cs = ConstraintSet(tuple(rows), reported)
     return VerificationInstance(
-        net,
-        region,
-        cs,
-        "milp",
-        true_label,
-        target,
-        binary_vars=binaries,
-        feasibility_threshold=feasibility_threshold,
+        net, region, cs, "milp", true_label, target, binary_vars=binaries
     )
 
 
@@ -585,7 +563,7 @@ def linear_identity_residuals(
     polynomials; a correct implementation reduces every residual to the exact
     zero polynomial.  Families:
 
-    * box+/box-  : box rows as half-squares plus half the binary equality;
+    * box+/box-  : box rows as half-squares plus half of x^2 - 1;
     * sos+/sos-  : normalized envelopes as square-weighted combinations of the
       sign product and per-coordinate slack squares (deep layers) or centered
       slack terms (layer 1);

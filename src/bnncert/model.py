@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 DEFAULT_BN_EPSILON = 1e-5
+BN_KEYS = ("gamma", "beta", "mu", "var")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -57,7 +58,7 @@ class BatchNorm:
     var: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("gamma", "beta", "mu", "var"):
+        for name in BN_KEYS:
             object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name), dtype=float)))
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"batch-norm {name} must be finite")
@@ -230,13 +231,27 @@ def row_norm1(matrix: np.ndarray) -> np.ndarray:
     return np.abs(m).sum(axis=1)
 
 
+def _numbers(path, what: str, value) -> np.ndarray:
+    """`value`, a JSON number or nested list of numbers, as a float array.
+    A string or a bool, which numpy would read as a number, raises."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack.extend(v)
+        elif type(v) not in (int, float):  # a bool is an int subclass
+            raise ValueError(f"model file {path}: {what} holds {v!r}, not a number")
+    return np.asarray(value, dtype=float)
+
+
 def load_model(path) -> RawBnn:
     """Parse a JSON model file into a `RawBnn`.
 
     Schema: ``{"widths": [n0, ...], "bn_epsilon": float?, "layers": [{"weights":
     [[...]], "bias": [...], "bn": {"gamma": [...], "beta": [...], "mu": [...],
     "var": [...]}?}, ...]}`` with one entry per layer, output layer last and
-    without a "bn" block.
+    without a "bn" block.  Widths are JSON integers and every other value a
+    JSON number; a string or a bool in their place raises `ValueError`.
     """
     with open(path, "r") as fh:
         try:
@@ -244,21 +259,25 @@ def load_model(path) -> RawBnn:
         except json.JSONDecodeError as exc:
             raise ValueError(f"model file {path}: invalid JSON ({exc})") from exc
     try:
-        widths = tuple(int(w) for w in doc["widths"])
+        widths = tuple(doc["widths"])
+        if not all(type(w) is int for w in widths):
+            raise ValueError(f"model file {path}: widths {list(widths)} are not all integers")
         layers = doc["layers"]
         if len(layers) != len(widths) - 1:
             raise ValueError(
                 f"model file {path}: {len(layers)} layers inconsistent with widths {widths}"
             )
         weights, biases, bn_blocks = [], [], []
-        for entry in layers:
-            weights.append(np.asarray(entry["weights"]))
-            biases.append(np.asarray(entry["bias"], dtype=float))
+        for i, entry in enumerate(layers, start=1):
+            weights.append(_numbers(path, f"layer {i} weights", entry["weights"]))
+            biases.append(_numbers(path, f"layer {i} bias", entry["bias"]))
             blk = entry.get("bn")
             if blk is not None:
-                blk = BatchNorm(blk["gamma"], blk["beta"], blk["mu"], blk["var"])
+                blk = BatchNorm(*(_numbers(path, f"layer {i} bn {k}", blk[k]) for k in BN_KEYS))
             bn_blocks.append(blk)
-        bn_epsilon = float(doc.get("bn_epsilon", DEFAULT_BN_EPSILON))
+        bn_epsilon = doc.get("bn_epsilon", DEFAULT_BN_EPSILON)
+        if type(bn_epsilon) not in (int, float):
+            raise ValueError(f"model file {path}: bn_epsilon {bn_epsilon!r} is not a number")
     except KeyError as exc:
         raise ValueError(f"model file {path}: missing key {exc}") from exc
     except (TypeError, AttributeError) as exc:
@@ -270,7 +289,7 @@ def load_model(path) -> RawBnn:
         weights=tuple(weights),
         biases=tuple(biases),
         bn=tuple(bn_blocks),
-        bn_epsilon=bn_epsilon,
+        bn_epsilon=float(bn_epsilon),
     )
 
 
@@ -308,7 +327,7 @@ def fold_batchnorm(raw: RawBnn) -> FoldedBnn:
 
 
 def stabilize(net: FoldedBnn) -> FoldedBnn:
-    """Remove hidden neurons whose sign is constant, to fixpoint.
+    """Remove hidden neurons whose sign is constant, in one pass.
 
     Over the cube [-1, 1]^n, z = <W_row, x> + b_k ranges over [b_k - nv_k,
     b_k + nv_k].  With sign(0) := +1, the neuron is constant +1 when b_k >= nv_k
@@ -316,34 +335,30 @@ def stabilize(net: FoldedBnn) -> FoldedBnn:
     it is deleted and the constant folded into the next layer's bias through
     the corresponding column.  The tie b_k = -nv_k is kept: z = 0, hence +1,
     where every input agrees with the row's signs.
-    Removal can stabilise further neurons downstream, so the sweep iterates
-    until nothing changes.  Raises if a hidden layer empties out entirely.
+    Removal can stabilise further neurons downstream only: folding layer i
+    changes only layer i's rows and layer i+1's bias and columns, and layer
+    i+1 is visited next, so one pass reaches the fixpoint.  Raises if a
+    hidden layer empties out entirely.
     """
     widths = list(net.widths)
     weights = [w.copy() for w in net.weights]
     biases = [b.copy() for b in net.biases]
     log = list(net.log)
-    depth = len(widths) - 2
-
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, depth + 1):
-            const = _constant(biases[i - 1], row_norm1(weights[i - 1]))
-            if not const.any():
-                continue
-            changed = True
-            keep = ~const
-            for k in np.flatnonzero(const):
-                c = 1 if biases[i - 1][k] >= 0 else -1
-                biases[i] = biases[i] + weights[i][:, k] * c
-                log.append(f"layer {i} neuron {k + 1}: constant {'+1' if c > 0 else '-1'}, removed")
-            weights[i] = weights[i][:, keep]
-            weights[i - 1] = weights[i - 1][keep, :]
-            biases[i - 1] = biases[i - 1][keep]
-            widths[i] = int(keep.sum())
-            if widths[i] == 0:
-                raise ValueError(f"layer {i} fully stabilized; verification degenerate")
+    for i in range(1, len(widths) - 1):
+        const = _constant(biases[i - 1], row_norm1(weights[i - 1]))
+        if not const.any():
+            continue
+        keep = ~const
+        for k in np.flatnonzero(const):
+            c = 1 if biases[i - 1][k] >= 0 else -1
+            biases[i] = biases[i] + weights[i][:, k] * c
+            log.append(f"layer {i} neuron {k + 1}: constant {'+1' if c > 0 else '-1'}, removed")
+        weights[i] = weights[i][:, keep]
+        weights[i - 1] = weights[i - 1][keep, :]
+        biases[i - 1] = biases[i - 1][keep]
+        widths[i] = int(keep.sum())
+        if widths[i] == 0:
+            raise ValueError(f"layer {i} fully stabilized; verification degenerate")
     return FoldedBnn(
         widths=tuple(widths), weights=tuple(weights), biases=tuple(biases), log=tuple(log)
     ).require_stabilized()

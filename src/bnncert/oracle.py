@@ -87,17 +87,18 @@ class ExactResult:
 # ---------------------------------------------------------------------------
 
 
-def _require_cap(net: FoldedBnn, cap: int) -> None:
-    total = net.hidden_count()
-    if total > cap:
+def _require_cap(net: FoldedBnn) -> None:
+    if net.hidden_count() > DEFAULT_PATTERN_CAP:
         raise ValueError(
-            f"pattern enumeration needs at most {cap} hidden neurons, got {total}"
+            f"pattern enumeration needs at most {DEFAULT_PATTERN_CAP} hidden neurons, "
+            f"got {net.hidden_count()}"
         )
 
 
-def enumerate_patterns(net: FoldedBnn, cap: int = DEFAULT_PATTERN_CAP):
-    """Yield every hidden sign pattern, layer-major; guarded by `cap`."""
-    _require_cap(net, cap)
+def enumerate_patterns(net: FoldedBnn):
+    """Yield every hidden sign pattern, layer-major; at most
+    `DEFAULT_PATTERN_CAP` hidden neurons."""
+    _require_cap(net)
     widths = net.hidden_widths
     per_layer = [list(itertools.product((-1, 1), repeat=n)) for n in widths]
     for combo in itertools.product(*per_layer):
@@ -303,9 +304,7 @@ def _completions(net: FoldedBnn, first: tuple[int, ...]) -> list[Pattern]:
     return patterns
 
 
-def feasible_patterns(
-    net: FoldedBnn, region: PerturbationRegion, cap: int = DEFAULT_PATTERN_CAP
-) -> list[PatternRecord]:
+def feasible_patterns(net: FoldedBnn, region: PerturbationRegion) -> list[PatternRecord]:
     """All feasible patterns with witnesses, in enumeration order.
 
     Each layer-1 cell is decided once by `_cell_witness`; a feasible cell
@@ -314,7 +313,7 @@ def feasible_patterns(
     net.require_stabilized()
     if region.dim != net.input_dim:
         raise ValueError("region dimension does not match the network input")
-    _require_cap(net, cap)
+    _require_cap(net)
     out = []
     for first in itertools.product((-1, 1), repeat=net.hidden_widths[0]):
         witness = _cell_witness(_layer1_rows(net, first), region)
@@ -324,10 +323,7 @@ def feasible_patterns(
 
 
 def exact_verify(
-    net: FoldedBnn,
-    region: PerturbationRegion,
-    objective: MultilinearPoly,
-    cap: int = DEFAULT_PATTERN_CAP,
+    net: FoldedBnn, region: PerturbationRegion, objective: MultilinearPoly
 ) -> ExactResult:
     """Exact minimum of a binary-variable objective over the region.
 
@@ -341,14 +337,12 @@ def exact_verify(
     """
     if any(v.layer == 0 for v in objective.variables()):
         raise ValueError("exact verification needs an objective over binary variables only")
-    records = feasible_patterns(net, region, cap)
+    records = feasible_patterns(net, region)
     if not records:
         raise ValueError("no feasible pattern; region is empty or network unstable")
-    exact_obj = objective.to_exact()
     best: Optional[tuple[Fraction, PatternRecord]] = None
     for rec in records:
-        val = exact_obj.evaluate(pattern_assignment(net, rec.pattern))
-        val = val if isinstance(val, Fraction) else Fraction(val)
+        val = Fraction(objective.evaluate(pattern_assignment(net, rec.pattern)))
         if best is None or val < best[0]:
             best = (val, rec)
     tau, rec = best
@@ -365,9 +359,7 @@ def exact_verify(
 # ---------------------------------------------------------------------------
 
 
-def milp_feasible_patterns(
-    instance: VerificationInstance, cap: int = DEFAULT_PATTERN_CAP
-) -> list[PatternRecord]:
+def milp_feasible_patterns(instance: VerificationInstance) -> list[PatternRecord]:
     """Feasible patterns of a MILP instance, decided from its own rows.
 
     Fixes +/-1 assignments in the encoded constraints and feeds the
@@ -389,7 +381,7 @@ def milp_feasible_patterns(
     region = instance.region
     n0 = net.input_dim
     binary_order = instance.binary_vars
-    _require_cap(net, cap)
+    _require_cap(net)
 
     # one-time exact split: row = <x0_coeffs, x0> + <bin_coeffs, sigma> + const
     input_rows = []
@@ -397,8 +389,7 @@ def milp_feasible_patterns(
     cell_at = net.hidden_widths[0] - 1  # where the input rows are decided
     has_ball = False
     for con in instance.constraints.inequalities:
-        poly = con.poly.to_exact()
-        if poly.degree > 1:
+        if con.poly.degree > 1:
             if region.kind == "l2" and con.family == "region" and con.neuron == 0:
                 has_ball = True  # handled by the ball decider below
                 continue
@@ -406,7 +397,7 @@ def milp_feasible_patterns(
         x0_coeffs = [Fraction(0)] * n0
         bin_coeffs: dict[int, Fraction] = {}
         const = Fraction(0)
-        for mono, coeff in poly.terms.items():
+        for mono, coeff in con.poly.terms.items():
             if not mono:
                 const += coeff
             else:

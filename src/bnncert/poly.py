@@ -3,18 +3,18 @@
 Variables are identified by (layer, index): layer 0 holds the continuous
 input coordinates, layers >= 1 the +/-1 activations.  Binary variables obey
 x^2 = 1, applied explicitly via `reduce_binary_squares`; input variables are
-never reduced.  Coefficients are whatever numeric type the caller supplies --
-`fractions.Fraction` for identity checking (all checks in this package that
-claim a polynomial is *identically* zero run on exact rationals), float for
-plain encoding work.  Arithmetic never rounds on its own: Fraction + Fraction
-stays exact, anything involving a float degrades to float in the usual Python
-way.
+never reduced.  Coefficients are exact: ints stay ints, and a float (a binary64
+value, hence a dyadic rational) is stored as the `fractions.Fraction` it
+equals, so arithmetic never rounds and every check that claims a polynomial is
+*identically* zero is an exact statement.  An infinite or NaN coefficient
+raises `ValueError`.
 
 Everything here is a pure value; polynomials are immutable once built.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Tuple, Union
 
@@ -63,12 +63,20 @@ def _mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
+def _exact(c: Scalar) -> Scalar:
+    """The coefficient c as an exact number: a float becomes its Fraction."""
+    if isinstance(c, float):
+        if not math.isfinite(c):
+            raise ValueError(f"coefficient {c!r} is not finite")
+        return Fraction(c)
+    return c
+
+
 class MultilinearPoly:
     """Sparse polynomial in the network variables.
 
-    Stored as monomial -> coefficient with zero coefficients dropped, so
-    `is_zero` means the polynomial is identically zero over the coefficient
-    field (for Fraction coefficients this is an exact statement).
+    Stored as monomial -> exact coefficient with zero coefficients dropped,
+    so `is_zero` means the polynomial is identically zero over the rationals.
     """
 
     __slots__ = ("terms",)
@@ -77,6 +85,7 @@ class MultilinearPoly:
         clean: dict[Monomial, Scalar] = {}
         if terms:
             for mono, coeff in terms.items():
+                coeff = _exact(coeff)
                 if coeff == 0:
                     continue
                 mono = _mono(mono)
@@ -132,6 +141,7 @@ class MultilinearPoly:
         return MultilinearPoly.constant(other) + (-self)
 
     def scale(self, c: Scalar) -> "MultilinearPoly":
+        c = _exact(c)
         if c == 0:
             return MultilinearPoly.zero()
         return MultilinearPoly({m: coeff * c for m, coeff in self.terms.items()})
@@ -184,12 +194,9 @@ class MultilinearPoly:
     def coefficient(self, mono: Iterable[Tuple[Var, int]]) -> Scalar:
         return self.terms.get(_mono(mono), 0)
 
-    def map_coefficients(self, fn) -> "MultilinearPoly":
-        return MultilinearPoly({m: fn(c) for m, c in self.terms.items()})
-
     def to_exact(self) -> "MultilinearPoly":
-        """Convert float coefficients to the rationals they represent exactly."""
-        return self.map_coefficients(lambda c: c if isinstance(c, (int, Fraction)) else Fraction(c))
+        """This polynomial: its coefficients are stored exact already."""
+        return self
 
     def evaluate(self, assignment: Mapping[Var, Scalar]) -> Scalar:
         """Evaluate at a point; raises on any unassigned variable."""

@@ -151,7 +151,6 @@ class MomentIndex:
         const = Fraction(0)
         coeffs: dict[int, Fraction] = {}
         for mono, coeff in poly.reduce_binary_squares().terms.items():
-            coeff = coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
             key = self.resolve(mono)
             if key is None:
                 const += coeff
@@ -435,7 +434,7 @@ class MomentWitness:
         exactly)."""
         pos = {v: p for p, v in enumerate(self.variables, start=1)}
         total = Fraction(0)
-        for mono, coeff in poly.reduce_binary_squares().to_exact().terms.items():
+        for mono, coeff in poly.reduce_binary_squares().terms.items():
             if not mono:
                 total += coeff * Fraction(self.matrix[0, 0])
             elif len(mono) == 1 and mono[0][1] == 1:

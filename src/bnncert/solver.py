@@ -68,20 +68,23 @@ __all__ = [
 ]
 
 
+#: iterations between convergence checks; a divisor of 200, so the
+#: every-200 infeasibility test and residual balancing fall on a check
+CHECK_EVERY = 25
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     tol: float = 1e-6
     max_iter: int = 50000
+    #: not read by the solver, whose iteration is deterministic
     seed: int = 0
-    check_every: int = 25
 
     def __post_init__(self) -> None:
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.check_every < 1:
-            raise ValueError("check_every must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -373,22 +376,18 @@ def solve_conic(
         s = _project_cone(w, problem.n_nonneg, groups)
         u = s - w  # = u + Ay + s - b
 
-        check = it % opts.check_every == 0 or it == opts.max_iter
-        # every 200 iterations, whatever check_every is
-        rebalance = it % 200 == 0
-        if not (check or rebalance):
+        if it % CHECK_EVERY and it != opts.max_iter:
             continue
         y_o, s_o, z_o = unscaled(y, s, u)
         pres, dres, gap, pobj, dobj, dual_res = true_residuals(y_o, s_o, z_o)
-        if check:
-            if pres <= opts.tol and dres <= opts.tol and gap <= opts.tol:
-                status = "optimal"
-                break
-            if settled is not None and min(pobj, dobj - float(np.abs(dual_res).sum())) > 0:
-                candidate = result("settled", it, y_o, s_o, z_o)
-                if settled(candidate):
-                    return candidate
-        if rebalance:
+        if pres <= opts.tol and dres <= opts.tol and gap <= opts.tol:
+            status = "optimal"
+            break
+        if settled is not None and min(pobj, dobj - float(np.abs(dual_res).sum())) > 0:
+            candidate = result("settled", it, y_o, s_o, z_o)
+            if settled(candidate):
+                return candidate
+        if it % 200 == 0:
             # certified infeasibility: a dual ray
             znorm = np.linalg.norm(z_o)
             if znorm > 1e-10:
@@ -474,11 +473,6 @@ def _reduce_mono(mono: tuple) -> tuple:
     )
 
 
-def _rational(c):
-    """An exact int or Fraction equal to the coefficient c."""
-    return c if isinstance(c, (int, Fraction)) else Fraction(c)
-
-
 def _mono_of(u: Optional[Var], v: Optional[Var]) -> tuple:
     """The monomial u * v, where None stands for the constant 1."""
     if u is None:
@@ -506,7 +500,7 @@ def _number_terms(objective, rows, cliques: Sequence[Clique]):
         return k
 
     def terms(poly):
-        return [(slot(mono), _rational(c)) for mono, c in poly.terms.items()]
+        return [(slot(mono), c) for mono, c in poly.terms.items()]
 
     objective_terms = terms(objective)
     row_terms = [terms(row) for row in rows]

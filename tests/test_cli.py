@@ -249,8 +249,19 @@ def _with_first_layer(doc, **fields):
         lambda doc: {**doc, "layers": 5},
         lambda doc: _with_first_layer(doc, bn=[1, 2]),
         lambda doc: {**doc, "bn_epsilon": [1]},
+        lambda doc: {**doc, "widths": [3, 2.7, 2, 2]},
+        lambda doc: {**doc, "widths": [3, "2", 2, 2]},
+        lambda doc: {**doc, "widths": [3, True, 2, 2]},
+        lambda doc: _with_first_layer(doc, bias=["1.5", "2.0"]),
+        lambda doc: {**doc, "bn_epsilon": "1e-5"},
+        lambda doc: _with_first_layer(doc, weights=[[False, True, True], [False, False, True]]),
+        lambda doc: _with_first_layer(
+            doc, bn={"gamma": [1, 1], "beta": [0, 0], "mu": ["0", 0], "var": [1, 1]}
+        ),
     ],
-    ids=["layers-of-numbers", "layers-a-number", "bn-a-list", "bn-epsilon-a-list"],
+    ids=["layers-of-numbers", "layers-a-number", "bn-a-list", "bn-epsilon-a-list",
+         "fractional-width", "string-width", "bool-width", "string-bias",
+         "string-bn-epsilon", "bool-weights", "string-bn-mu"],
 )
 def test_malformed_model_file_exits_three(example1_files, tmp_path, capsys, malform):
     _, inputs = example1_files
@@ -259,6 +270,42 @@ def test_malformed_model_file_exits_three(example1_files, tmp_path, capsys, malf
     argv = ["verify", "--model", str(model), "--input", str(inputs), "--eps", "0.2"]
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith(f"error: model file {model}")
+
+
+def strict_json(text):
+    """Parse `text` as RFC 8259 JSON: NaN and Infinity raise."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "flags, rc_want",
+    [
+        (("--norm", "l2", "--eps", "inf"), 1),
+        (("--eps", "0.2", "--metrics"), 0),
+        (("--eps", "0.2", "--method", "lp", "--metrics"), 2),
+    ],
+    ids=["l2-eps-inf", "metrics", "lp-metrics"],
+)
+def test_reports_are_strict_json(example1_files, tmp_path, flags, rc_want):
+    out = tmp_path / "report.json"
+    assert run(example1_files, "--json", str(out), *flags) == rc_want
+    report = strict_json(out.read_text())
+    if "inf" in flags:
+        assert report["eps"] is None
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+def test_tolerance_must_be_positive_and_finite(example1_files, tmp_path, capsys, tol):
+    """--tol inf would stop the solve at its first check: on the README net
+    at radius 0.2 that is a bound of -0.6, where the default certifies."""
+    out = tmp_path / "report.json"
+    assert run(example1_files, "--eps", "0.2", "--tol", tol, "--json", str(out)) == 3
+    assert "tol must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 OVERFLOWING_BIASES = [1e308, -1e308]  # finite, but their difference is not

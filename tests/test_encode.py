@@ -117,7 +117,6 @@ def test_objective_rejects_bad_labels(example1):
 
 def test_standard_example1_counts(example1):
     inst = encode_standard(example1, region1("l2", 0.2), objective1(example1))
-    assert len(inst.constraints.equalities) == 4
     counts = inst.constraints.family_counts()
     assert counts["std"] == 4
     assert counts["region"] == 1
@@ -130,7 +129,6 @@ def test_standard_single_hidden_counts():
     inst = encode_standard(
         net, PerturbationRegion.linf([0, 0], 0.5), objective_targeted(net, 1, 2)
     )
-    assert len(inst.constraints.equalities) == 3
     assert inst.constraints.family_counts() == {"std": 3, "region": 2}
 
 
@@ -148,8 +146,6 @@ def test_standard_feasible_at_forward_points(seed):
     for i, act in enumerate(trace.activations, start=1):
         point.update({Var(i, j + 1): int(v) for j, v in enumerate(act)})
     inst = encode_standard(net, region, objective_targeted(net, 1, 2))
-    for eq in inst.constraints.equalities:
-        assert eq.poly.evaluate(point) == 0
     for con in inst.constraints.inequalities:
         assert con.poly.evaluate(point) >= -1e-12
 
@@ -161,7 +157,6 @@ def test_tightened_example1_counts(example1):
     inst = encode_tightened(example1, region1("l2", 0.2), objective1(example1))
     counts = inst.constraints.family_counts()
     assert counts == {"g1": 4, "g2": 4, "t1": 4, "t2": 4, "region": 1, "box": 3}
-    assert len(inst.constraints.equalities) == 4
 
 
 def test_tightened_one_sided_products_average_to_standard(example1):
@@ -237,7 +232,6 @@ def test_lp_row_counts(example1):
     inst = encode_lp(example1, region1("linf", 1.0), objective1(example1))
     counts = inst.constraints.family_counts()
     assert counts == {"lin1": 4, "lin2": 4, "lin0": 8, "region": 6}
-    assert inst.constraints.equalities == ()
 
 
 def corner_envelopes(net, layer, region):

@@ -383,6 +383,79 @@ def test_stabilize_preserves_labels_at_ties():
     assert compared >= 100 and kept_ties >= 10
 
 
+def stabilize_to_fixpoint(net):
+    """Reference: sweep every hidden layer, folding each neuron constant on
+    the cube, until a whole sweep folds nothing."""
+    widths, log = list(net.widths), list(net.log)
+    weights, biases = list(net.weights), list(net.biases)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(1, len(widths) - 1):
+            nv = np.abs(weights[i - 1]).sum(axis=1)
+            const = (biases[i - 1] >= nv) | (biases[i - 1] < -nv)
+            if not const.any():
+                continue
+            changed = True
+            for k in np.flatnonzero(const):
+                c = 1 if biases[i - 1][k] >= 0 else -1
+                biases[i] = biases[i] + weights[i][:, k] * c
+                log.append(f"layer {i} neuron {k + 1}: constant {'+1' if c > 0 else '-1'}, removed")
+            weights[i] = weights[i][:, ~const]
+            weights[i - 1] = weights[i - 1][~const, :]
+            biases[i - 1] = biases[i - 1][~const]
+            widths[i] = int((~const).sum())
+            if widths[i] == 0:
+                raise ValueError(f"layer {i} fully stabilized; verification degenerate")
+    return FoldedBnn(tuple(widths), tuple(weights), tuple(biases), tuple(log))
+
+
+def induced_fold_run(net, out):
+    """The longest run of consecutive hidden layers in which `stabilize`
+    folded a neuron that is not constant in `net` itself: one made constant
+    by a fold in the layer before."""
+    constant = [
+        (net.bias(i) >= row_norm1(net.weight(i))) | (net.bias(i) < -row_norm1(net.weight(i)))
+        for i in range(1, net.depth + 1)
+    ]
+    induced = set()
+    for line in out.log:
+        _, layer, _, neuron, *_ = line.split()
+        i, k = int(layer), int(neuron.rstrip(":"))
+        if not constant[i - 1][k - 1]:
+            induced.add(i)
+    best = run = 0
+    for i in range(1, net.depth + 1):
+        run = run + 1 if i in induced else 0
+        best = max(best, run)
+    return best
+
+
+def test_one_stabilize_pass_reaches_the_fixpoint():
+    """Folds that cascade through several layers: the single pass gives the
+    fixpoint loop's net and log, or raises where it raises."""
+    rng = np.random.default_rng(0)
+    widths = (3, 4, 4, 4, 2)
+    cascades = raised = 0
+    for _ in range(200):
+        weights = [rng.choice([-1, 0, 1], size=(n, m)) for m, n in zip(widths, widths[1:])]
+        biases = [rng.integers(-4, 5, size=n).astype(float) for n in widths[1:]]
+        net = FoldedBnn(widths=widths, weights=tuple(weights), biases=tuple(biases))
+        try:
+            expected = stabilize_to_fixpoint(net)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                stabilize(net)
+            raised += 1
+            continue
+        out = stabilize(net)
+        assert out.widths == expected.widths and out.log == expected.log
+        for a, b in zip(out.weights + out.biases, expected.weights + expected.biases):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        cascades += induced_fold_run(net, out) >= 2
+    assert cascades >= 20 and raised >= 50
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_batched_activations_have_the_forward_signs(seed):
     rng = np.random.default_rng(seed)

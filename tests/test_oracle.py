@@ -47,9 +47,9 @@ def test_enumerate_patterns_shape(example1):
 
 def test_enumerate_patterns_cap():
     rng = np.random.default_rng(0)
-    net = random_net(rng, (3, 4, 4, 2))
-    with pytest.raises(ValueError, match="at most 6"):
-        list(enumerate_patterns(net, cap=6))
+    net = random_net(rng, (3, 11, 10, 2))  # 21 hidden neurons
+    with pytest.raises(ValueError, match="at most 20"):
+        list(enumerate_patterns(net))
 
 
 def test_pattern_assignment_values(example1):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from bnncert import MultilinearPoly, Var, objective_targeted
@@ -75,6 +76,20 @@ def test_to_exact_reproduces_float_coefficients():
     assert q.coefficient([(X11, 1)]) == Fraction(0.1)  # the binary64 value
     assert q.coefficient([(X12, 1)]) == Fraction(-5, 2)
     assert q.constant_term() == Fraction(3, 4)
+
+
+def test_float_coefficients_are_stored_exactly():
+    p = MultilinearPoly.linear({X11: 0.1}, 0.75)
+    assert p.terms == {((X11, 1),): Fraction(0.1), (): Fraction(3, 4)}
+    assert all(type(c) is Fraction for c in p.terms.values())
+    # a float scale factor is made exact before it multiplies
+    assert p.scale(0.1).coefficient([(X11, 1)]) == Fraction(0.1) ** 2
+    assert (p + 0.1).constant_term() == Fraction(3, 4) + Fraction(0.1)
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="not finite"):
+            MultilinearPoly.constant(bad)
+        with pytest.raises(ValueError, match="not finite"):
+            p.scale(bad)
 
 
 coeffs = st.integers(-4, 4)

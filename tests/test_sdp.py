@@ -97,7 +97,6 @@ def test_assemble_constant_objective(example1):
         inst.net,
         inst.region,
         ConstraintSet(
-            inst.constraints.equalities,
             inst.constraints.inequalities,
             MultilinearPoly.constant(Fraction(7, 2)),
         ),
@@ -143,7 +142,7 @@ def test_to_conic_empty_inequalities(example1):
     inst = VerificationInstance(
         example1,
         region,
-        ConstraintSet((), (), objective_targeted(example1, 2, 1)),
+        ConstraintSet((), objective_targeted(example1, 2, 1)),
         "standard",
     )
     cp = to_conic(assemble_moment_sdp(inst))
@@ -348,7 +347,7 @@ def test_sdpa_rejects_empty_problem(example1):
     inst = VerificationInstance(
         example1,
         region,
-        ConstraintSet((), (), MultilinearPoly.constant(1)),
+        ConstraintSet((), MultilinearPoly.constant(1)),
         "standard",
     )
     msdp = assemble_moment_sdp(inst, cliques=[])

@@ -166,10 +166,8 @@ def test_infeasible_lp_is_certified():
     assert res.status == "infeasible_certificate"
 
 
-@pytest.mark.parametrize("check_every", [25, 30, 7])
-def test_infeasibility_test_runs_every_200_iterations(check_every):
-    # the ray test and the residual balancing do not wait for a check
-    res = solve_conic(infeasible_lp(), SolveOptions(max_iter=20000, check_every=check_every))
+def test_infeasibility_test_runs_every_200_iterations():
+    res = solve_conic(infeasible_lp(), SolveOptions(max_iter=20000))
     assert res.status == "infeasible_certificate"
     assert res.iterations == 200
 
@@ -324,9 +322,6 @@ def test_solve_options_validate():
         SolveOptions(tol=0.0)
     with pytest.raises(ValueError):
         SolveOptions(max_iter=0)
-    for every in (0, -5):
-        with pytest.raises(ValueError, match="check_every"):
-            SolveOptions(check_every=every)
 
 
 # -- cone projection ------------------------------------------------------------
@@ -604,10 +599,10 @@ def test_settled_stops_at_the_first_accepted_iterate():
         seen.append(res)
         return len(seen) == 2
 
-    res = solve_conic(problem, SolveOptions(check_every=5), settled=settled)
+    res = solve_conic(problem, SolveOptions(tol=1e-12), settled=settled)
     assert res.status == "settled"
     assert res is seen[-1]
-    assert res.iterations == 10  # the second check
+    assert res.iterations == 50  # the second check
     assert res.primal_objective > 0
 
 
