@@ -20,14 +20,15 @@ time.  When it falsifies at a positive radius, no target is bounded: the
 report lists no targets, and `--metrics` no improvement entries.  At eps 0
 every target is listed with its exact forward margin.
 
-Otherwise targets are bounded in class order, and bounding stops as soon as
-the verdict cannot change: after a forward-checked counterexample (any
-method), or after an `lp`/`sdp1`/`sdp1-tight` target that is not certified
-(these engines return no witness, so the verdict can then only be
-"unknown").  The remaining targets keep their place in the report with
-status "skipped".  `oracle` and `sample-ub` go on past an unconfirmed
-non-robust target.  `--metrics` compares the bounds target by target, so
-with it every target is bounded.
+Otherwise targets are bounded in class order, sharing what does not depend
+on the target, built once per query: a relaxation's conic problem, or the
+oracle's layer-1 cells.  Bounding stops as soon as the verdict cannot
+change: after a forward-checked counterexample (any method), or after an
+`lp`/`sdp1`/`sdp1-tight` target that is not certified (these engines return
+no witness, so the verdict can then only be "unknown").  The remaining
+targets keep their place in the report with status "skipped".  `oracle` and
+`sample-ub` go on past an unconfirmed non-robust target.  `--metrics`
+compares the bounds target by target, so with it every target is bounded.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from bnncert.model import (
     stabilize,
     weight_sparsity,
 )
-from bnncert.oracle import exact_verify, relative_improvement, sample_logits
+from bnncert.oracle import exact_minimum, feasible_patterns, relative_improvement, sample_logits
 from bnncert.poly import MultilinearPoly
 from bnncert.sdp import (
     ConicProblem,
@@ -200,10 +201,11 @@ class _Relaxation:
     cliques: tuple
 
     def bound(
-        self, objective: MultilinearPoly, k: int, opts: SolveOptions, settle: bool
+        self, objective: MultilinearPoly, opts: SolveOptions, settle: bool
     ) -> tuple[SolveResult, RigorousBound]:
-        """Solve for target k; with `settle`, stop at the first iterate whose
-        rigorous bound is positive.  Each iterate is rigorized at most once."""
+        """Solve for one target's objective; with `settle`, stop at the first
+        iterate whose rigorous bound is positive.  Each iterate is rigorized
+        at most once."""
         constraints = replace(self.instance.constraints, objective=objective)
         instance = replace(self.instance, constraints=constraints)
         bounds: dict[int, RigorousBound] = {}
@@ -233,17 +235,11 @@ def _encoder(method: str):
 
 
 def _relax(
-    net: FoldedBnn,
-    region: PerturbationRegion,
-    label: int,
-    k: int,
-    objective: MultilinearPoly,
-    method: str,
-    opts: SolveOptions,
+    net: FoldedBnn, region: PerturbationRegion, objective: MultilinearPoly, method: str
 ) -> _Relaxation:
-    """Encode the query for `method` (with target k's objective) and prepare
-    its conic problem for every target."""
-    instance = _encoder(method)(net, region, objective, true_label=label, target=k)
+    """Encode the query for `method` (with one target's objective) and
+    prepare its conic problem for every target."""
+    instance = _encoder(method)(net, region, objective)
     msdp = assemble_moment_sdp(instance)
     problem = to_conic(msdp)
     return _Relaxation(instance, problem, conic_setup(problem), msdp.cliques)
@@ -253,7 +249,6 @@ def _bounder(
     method: str,
     net: FoldedBnn,
     region: PerturbationRegion,
-    label: int,
     objectives: dict[int, MultilinearPoly],
     opts: SolveOptions,
     upper: np.ndarray,
@@ -267,18 +262,19 @@ def _bounder(
         # sampled margin is negative: the sample bounds, it never falsifies
         return lambda k, objective: (None, float(upper[k - 1]), None, "sampling", None)
     if method == "oracle":
+        # the layer-1 cells do not depend on the target: decided once
+        records = feasible_patterns(net, region)
 
         def exact(k, objective):
-            result = exact_verify(net, region, objective)
+            result = exact_minimum(net, records, objective)
             witness = result.witness if result.value <= 0 else None
             return result.value, result.value, None, "exact", witness
 
         return exact
-    k, objective = next(iter(objectives.items()))
-    relaxation = _relax(net, region, label, k, objective, method, opts)
+    relaxation = _relax(net, region, next(iter(objectives.values())), method)
 
     def relaxed(k, objective):
-        res, rb = relaxation.bound(objective, k, opts, settle=True)
+        res, rb = relaxation.bound(objective, opts, settle=True)
         return rb.value, res.primal_objective, res.iterations, res.status, None
 
     return relaxed
@@ -287,7 +283,6 @@ def _bounder(
 def _collect_metrics(
     net: FoldedBnn,
     region: PerturbationRegion,
-    label: int,
     targets: Sequence[TargetReport],
     objectives: dict[int, MultilinearPoly],
     upper: np.ndarray,
@@ -305,14 +300,13 @@ def _collect_metrics(
     if method in ("sdp1", "sdp1-tight") and region.radius > 0:
         bounded = [entry for entry in targets if entry.lower_bound is not None]
         if bounded:
-            k = bounded[0].target
-            lp = _relax(net, region, label, k, objectives[k], "lp", opts)
+            lp = _relax(net, region, objectives[bounded[0].target], "lp")
         improvements = {}
         for entry in bounded:
             k = entry.target
             ub = float(upper[k - 1])
             # solved to tolerance: the comparison wants the LP optimum
-            tau_lp = lp.bound(objectives[k], k, opts, settle=False)[1].value
+            tau_lp = lp.bound(objectives[k], opts, settle=False)[1].value
             improvements[str(k)] = {
                 "lp_bound": tau_lp,
                 "sample_upper": ub,
@@ -349,7 +343,7 @@ def run_verify(args) -> int:
             for k in range(1, net.n_classes + 1)
             if k != label
         }
-        bound = _bounder(args.method, net, region, label, objectives, opts, upper)
+        bound = _bounder(args.method, net, region, objectives, opts, upper)
         relaxed = _encoder(args.method) is not None
         decided = False
         for k, objective in objectives.items():
@@ -381,7 +375,7 @@ def run_verify(args) -> int:
         verdict = "unknown"
 
     metrics = (
-        _collect_metrics(net, region, label, targets, objectives, upper, args.method, opts)
+        _collect_metrics(net, region, targets, objectives, upper, args.method, opts)
         if args.metrics
         else None
     )
@@ -434,6 +428,8 @@ def run_export(args) -> int:
         target = 1 if label != 1 else 2
     if target == label:
         raise ValueError("--target must differ from the true label")
+    if args.threshold is not None and args.kind == "sdpa":
+        raise ValueError("--threshold applies to --kind mps only")
     objective = objective_targeted(net, label, target)
     if args.kind == "sdpa":
         instance = _encoder(args.method)(

@@ -17,7 +17,8 @@ branch while the closure admits both); `ForwardTrace.zero_preactivation_flags`
 reports when that matters.
 
 The exact optimum `tau` is the minimum of the objective over feasible
-patterns, computed in exact rational arithmetic; it is the yardstick every
+patterns (which do not depend on it, so one walk serves every target of a
+query), computed in exact rational arithmetic; it is the yardstick every
 relaxation bound is tested against, so nothing here shares code with the
 relaxation pipeline (the MILP route in `milp_feasible_patterns` reuses only
 the polytope deciders, on an independently built constraint system).
@@ -47,6 +48,7 @@ __all__ = [
     "ExactResult",
     "PatternRecord",
     "enumerate_patterns",
+    "exact_minimum",
     "exact_verify",
     "feasible_patterns",
     "milp_feasible_patterns",
@@ -242,9 +244,9 @@ def _ball_feasible(
     The nearest point x of the cell (the rows plus the region's box rows) to
     the center is accepted when it satisfies every row to within
     1e-9 * (1 + max|d|) and lies within radius * (1 + 1e-9) + 1e-12 of the
-    center, the slacks documented by `exact_verify`.  A center that meets
-    every row in floating point is its own nearest point: the NNLS solve
-    starts and stops at w = 0 and returns the center unchanged.
+    center, so borderline cells that touch the ball are accepted.  A center
+    that meets every row in floating point is its own nearest point: the NNLS
+    solve starts and stops at w = 0 and returns the center unchanged.
     """
     center = region.center
     A = np.vstack([rows_A, np.eye(region.dim), -np.eye(region.dim)])
@@ -307,8 +309,9 @@ def _completions(net: FoldedBnn, first: tuple[int, ...]) -> list[Pattern]:
 def feasible_patterns(net: FoldedBnn, region: PerturbationRegion) -> list[PatternRecord]:
     """All feasible patterns with witnesses, in enumeration order.
 
-    Each layer-1 cell is decided once by `_cell_witness`; a feasible cell
-    contributes every pattern of `_completions`, all with the cell's witness.
+    Each layer-1 cell is decided once by `_cell_witness` (for l2 in floating
+    point, with the slacks of `_ball_feasible`); a feasible cell contributes
+    every pattern of `_completions`, all with the cell's witness.
     """
     net.require_stabilized()
     if region.dim != net.input_dim:
@@ -322,36 +325,35 @@ def feasible_patterns(net: FoldedBnn, region: PerturbationRegion) -> list[Patter
     return out
 
 
-def exact_verify(
-    net: FoldedBnn, region: PerturbationRegion, objective: MultilinearPoly
+def exact_minimum(
+    net: FoldedBnn, records: Sequence[PatternRecord], objective: MultilinearPoly
 ) -> ExactResult:
-    """Exact minimum of a binary-variable objective over the region.
+    """Exact minimum of a binary-variable objective over the patterns
+    `records` of `feasible_patterns`, which serve every objective alike.
 
     The objective must involve hidden (binary) variables only, so its value
     is constant on each pattern; tau is then the exact rational minimum over
-    feasible patterns.  For l2 regions a layer-1 cell is decided in floating
-    point by its nearest point to the center, with two slacks: the point may
-    violate a cell row by 1e-9 * (1 + max|d|) (d the rows' right-hand sides)
-    and may lie radius * (1 + 1e-9) + 1e-12 from the center, so borderline
-    cells that touch the ball are accepted.
+    the records, the first minimal record supplying minimizer and witness.
     """
     if any(v.layer == 0 for v in objective.variables()):
         raise ValueError("exact verification needs an objective over binary variables only")
-    records = feasible_patterns(net, region)
     if not records:
         raise ValueError("no feasible pattern; region is empty or network unstable")
-    best: Optional[tuple[Fraction, PatternRecord]] = None
-    for rec in records:
-        val = Fraction(objective.evaluate(pattern_assignment(net, rec.pattern)))
-        if best is None or val < best[0]:
-            best = (val, rec)
-    tau, rec = best
+
+    def value(rec: PatternRecord) -> Fraction:
+        return Fraction(objective.evaluate(pattern_assignment(net, rec.pattern)))
+
+    rec = min(records, key=value)
     return ExactResult(
-        tau=tau,
-        minimizer=rec.pattern,
-        witness=rec.witness,
-        n_feasible=len(records),
+        tau=value(rec), minimizer=rec.pattern, witness=rec.witness, n_feasible=len(records)
     )
+
+
+def exact_verify(
+    net: FoldedBnn, region: PerturbationRegion, objective: MultilinearPoly
+) -> ExactResult:
+    """`exact_minimum` over the region's feasible patterns."""
+    return exact_minimum(net, feasible_patterns(net, region), objective)
 
 
 # ---------------------------------------------------------------------------

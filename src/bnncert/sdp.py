@@ -635,6 +635,8 @@ def read_sdpa(path) -> SdpaProblem:
     sizes = tuple(
         int(tok.strip("(){},")) for tok in body[2].replace(",", " ").split()
     )[:n_blocks]
+    if len(sizes) < n_blocks:
+        raise ValueError(f"SDPA file {path}: {n_blocks} blocks but {len(sizes)} sizes")
     objective = np.array([float(tok) for tok in body[3].replace(",", " ").split()])
     if objective.shape[0] != n_constraints:
         raise ValueError(f"SDPA file {path}: objective length mismatch")
@@ -645,6 +647,11 @@ def read_sdpa(path) -> SdpaProblem:
         matno, blk, i, j = (int(t) for t in toks[:4])
         val = float(toks[4])
         key = (matno, blk, i, j)
+        if not (0 <= matno <= n_constraints and 1 <= blk <= n_blocks):
+            raise ValueError(f"SDPA file {path}: entry {key} outside the header's matrices")
+        size = sizes[blk - 1]
+        if not (1 <= i <= abs(size) and 1 <= j <= abs(size)) or (size < 0 and i != j):
+            raise ValueError(f"SDPA file {path}: entry {key} outside its block")
         if key in entries:
             raise ValueError(f"SDPA file {path}: duplicate entry {key}")
         entries[key] = val

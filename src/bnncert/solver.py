@@ -71,6 +71,8 @@ __all__ = [
 #: iterations between convergence checks; a divisor of 200, so the
 #: every-200 infeasibility test and residual balancing fall on a check
 CHECK_EVERY = 25
+#: Ruiz scaling sweeps of `_equilibrate`
+EQUILIBRATE_SWEEPS = 10
 
 
 @dataclass(frozen=True)
@@ -184,7 +186,7 @@ def _row_groups(
     return starts, lengths
 
 
-def _equilibrate(problem: ConicProblem, iters: int = 10):
+def _equilibrate(problem: ConicProblem):
     """Ruiz-style scaling with cone-respecting row groups; returns (E, D)."""
     A = problem.A
     m, n = A.shape
@@ -192,7 +194,7 @@ def _equilibrate(problem: ConicProblem, iters: int = 10):
     D = np.ones(n)
     starts, lengths = _row_groups(problem.n_nonneg, problem.psd_sizes)
     absA = np.abs(A.data)
-    for _ in range(iters):
+    for _ in range(EQUILIBRATE_SWEEPS):
         rmax = np.zeros(m)
         np.maximum.at(rmax, A.row, absA)
         g = np.maximum.reduceat(rmax, starts)

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import bnncert.cli as cli
+import bnncert.oracle as oracle
 from bnncert.cli import main
 from bnncert.encode import PerturbationRegion, objective_targeted
 from bnncert.model import FoldedBnn, fold_batchnorm, forward, load_model, stabilize
-from bnncert.oracle import sample_logits, sample_region
+from bnncert.oracle import exact_verify, sample_logits, sample_region
 from bnncert.sdp import read_sdpa
 from bnncert.solver import SolveOptions
 
@@ -405,6 +406,18 @@ def test_export_rejects_a_non_finite_threshold(example1_files, tmp_path, capsys,
     assert "threshold" in err
 
 
+def test_sdpa_export_refuses_a_threshold(example1_files, tmp_path, capsys):
+    model, inputs = example1_files
+    out = tmp_path / "instance.dat-s"
+    rc = main(
+        ["export", "--model", str(model), "--input", str(inputs), "--eps", "1.0",
+         "--kind", "sdpa", "--out", str(out), "--target", "1", "--threshold", "0.5"]
+    )
+    assert rc == 3
+    assert "--threshold" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def wide_margin_files(tmp_path):
     """The README net with output biases [20, -20]: label 1 everywhere."""
     doc = json.loads(EXAMPLE1_JSON)
@@ -479,18 +492,13 @@ def test_unsettled_solve_never_asks_the_callback(example1_files, tmp_path, monke
 
 
 def test_oracle_witness_is_not_recomputed(example1_files, tmp_path, monkeypatch):
-    calls = []
-    exact = cli.exact_verify
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return exact(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "exact_verify", spy)
+    walks = count_calls(monkeypatch, "feasible_patterns")
+    minima = count_calls(monkeypatch, "exact_minimum")
     rc, rep = run_json(example1_files, tmp_path, "--eps", "0.7", "--method", "oracle")
     assert rc == 1
     assert rep["targets"][0]["status"] == "falsified"
-    assert len(calls) == len(rep["targets"]) == 1
+    assert len(walks) == 1
+    assert len(minima) == len(rep["targets"]) == 1
 
 
 def test_a_crash_exits_three_not_falsified(example1_files, capsys, monkeypatch):
@@ -501,7 +509,7 @@ def test_a_crash_exits_three_not_falsified(example1_files, capsys, monkeypatch):
     def crash(*args, **kwargs):
         raise RuntimeError("elimination blow-up; region system too large")
 
-    monkeypatch.setattr(cli, "exact_verify", crash)
+    monkeypatch.setattr(cli, "feasible_patterns", crash)
     assert run(example1_files, "--eps", "0.2", "--method", "oracle") == 3
     assert capsys.readouterr().err == (
         "error: RuntimeError: elimination blow-up; region system too large\n"
@@ -545,7 +553,7 @@ def test_batched_attack_returns_the_loop_counterexample():
 def test_attack_falsified_report_lists_no_targets(example1_files, tmp_path, monkeypatch):
     """A query the opening attack falsifies bounds no target: the report
     has no targets, and --metrics no improvement entries."""
-    exact = count_calls(monkeypatch, "exact_verify")
+    walks = count_calls(monkeypatch, "feasible_patterns")
     solves = count_calls(monkeypatch, "solve_conic")
     for method in ("sdp1-tight", "oracle", "sample-ub"):
         rc, rep = run_json(
@@ -554,7 +562,7 @@ def test_attack_falsified_report_lists_no_targets(example1_files, tmp_path, monk
         assert (rc, rep["verdict"], rep["targets"]) == (1, "falsified", [])
         # only the SDP methods carry an improvement table
         assert rep["metrics"].get("improvement") == ({} if method == "sdp1-tight" else None)
-    assert exact == solves == []
+    assert walks == solves == []
 
 
 # -- stopping once the verdict is decided ---------------------------------------
@@ -614,8 +622,8 @@ def test_relaxation_stops_at_its_first_uncertified_target(tmp_path, monkeypatch,
     k = first["target"]
     objective = objective_targeted(net, label, k)
     opts = SolveOptions(tol=1e-4, max_iter=200)
-    relaxation = cli._relax(net, region, label, k, objective, "sdp1-tight", opts)
-    res, rb = relaxation.bound(objective, k, opts, settle=True)
+    relaxation = cli._relax(net, region, objective, "sdp1-tight")
+    res, rb = relaxation.bound(objective, opts, settle=True)
     assert first["lower_bound"] == rb.value
     assert first["approximate"] == res.primal_objective
     assert first["iterations"] == res.iterations
@@ -663,7 +671,8 @@ def test_oracle_stops_at_a_confirmed_counterexample(tmp_path, monkeypatch):
     # the sampling attack misses at this radius; the first target's exact
     # minimizer falsifies
     net, x = seeded_net(13, (4, 3, 3, 3))
-    calls = count_calls(monkeypatch, "exact_verify")
+    walks = count_calls(monkeypatch, "feasible_patterns")
+    minima = count_calls(monkeypatch, "exact_minimum")
     rc, rep = run_json(
         write_query(tmp_path, net, x), tmp_path, "--eps", "0.3", "--method", "oracle"
     )
@@ -671,8 +680,35 @@ def test_oracle_stops_at_a_confirmed_counterexample(tmp_path, monkeypatch):
     first, second = rep["targets"]
     assert first["status"] == "falsified"
     assert second["status"] == "skipped"
-    assert len(calls) == 1
+    assert len(walks) == len(minima) == 1
     assert forward(net, rep["counterexample"]).label != rep["true_label"]
+
+
+def test_oracle_decides_each_cell_once_for_every_target(tmp_path, monkeypatch):
+    """The layer-1 cells do not depend on the target: a robust query with
+    three targets decides each of its 2^5 cells once, and every target's
+    bound is the exact minimum `exact_verify` gives on its own."""
+    net, x = seeded_net(0, (6, 5, 5, 4))
+    biases = net.biases[:-1] + (np.array([50.0, -50.0, -50.0, -50.0]),)
+    net = FoldedBnn(net.widths, net.weights, biases)
+    cells = []
+    witness = oracle._cell_witness
+
+    def spy(*args):
+        cells.append(args)
+        return witness(*args)
+
+    monkeypatch.setattr(oracle, "_cell_witness", spy)
+    rc, rep = run_json(
+        write_query(tmp_path, net, x), tmp_path, "--eps", "0.3", "--method", "oracle"
+    )
+    assert (rc, rep["true_label"]) == (0, 1)
+    assert [t["target"] for t in rep["targets"]] == [2, 3, 4]
+    assert len(cells) == 2 ** net.hidden_widths[0] == 32
+    region = PerturbationRegion.linf(x, 0.3)
+    for t in rep["targets"]:
+        objective = objective_targeted(net, 1, t["target"])
+        assert t["lower_bound"] == exact_verify(net, region, objective).value
 
 
 def test_sample_ub_without_a_witness_samples_every_target(tmp_path, monkeypatch):

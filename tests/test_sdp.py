@@ -360,3 +360,26 @@ def test_sdpa_rejects_duplicate_entries(tmp_path):
     path.write_text("1\n1\n2\n1.0\n1 1 1 1 1.0\n1 1 1 1 2.0\n")
     with pytest.raises(ValueError, match="duplicate"):
         read_sdpa(path)
+
+
+@pytest.mark.parametrize(
+    "body, match",
+    [
+        ("1\n5\n4 4 -2\n1.0\n1 1 1 1 1.0\n1 9 7 7 2.0\n", "5 blocks but 3 sizes"),
+        ("1\n2\n2 -2\n1.0\n2 1 1 1 1.0\n", "outside the header's matrices"),
+        ("1\n2\n2 -2\n1.0\n-1 1 1 1 1.0\n", "outside the header's matrices"),
+        ("1\n2\n2 -2\n1.0\n1 3 1 1 1.0\n", "outside the header's matrices"),
+        ("1\n2\n2 -2\n1.0\n1 0 1 1 1.0\n", "outside the header's matrices"),
+        ("1\n2\n2 -2\n1.0\n1 1 3 1 1.0\n", "outside its block"),
+        ("1\n2\n2 -2\n1.0\n1 2 1 3 1.0\n", "outside its block"),
+        ("1\n2\n2 -2\n1.0\n1 1 0 1 1.0\n", "outside its block"),
+        ("1\n2\n2 -2\n1.0\n1 2 1 2 1.0\n", "outside its block"),
+    ],
+    ids=["few-sizes", "matrix-high", "matrix-low", "block-high", "block-zero",
+         "row-high", "col-high", "row-zero", "diagonal-block-off-diagonal"],
+)
+def test_sdpa_rejects_entries_the_header_does_not_declare(tmp_path, body, match):
+    path = tmp_path / "bad.dat-s"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=match):
+        read_sdpa(path)
