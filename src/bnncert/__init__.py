@@ -67,7 +67,6 @@ from bnncert.solver import (
     solve_lp,
 )
 from bnncert.oracle import (
-    enumerate_patterns,
     exact_verify,
     feasible_patterns,
     relative_improvement,
@@ -105,7 +104,6 @@ __all__ = [
     "encode_milp",
     "encode_standard",
     "encode_tightened",
-    "enumerate_patterns",
     "exact_verify",
     "export_sdpa",
     "feasible_patterns",

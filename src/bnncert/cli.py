@@ -128,18 +128,10 @@ class VerdictReport:
     counterexample: Optional[tuple]
     metrics: Optional[dict]
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["widths"] = list(self.widths)
-        d["input_values"] = list(self.input_values)
-        d["counterexample"] = (
-            None if self.counterexample is None else list(self.counterexample)
-        )
-        return d
-
     def save(self, path) -> None:
+        # json writes the tuple fields as arrays
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 

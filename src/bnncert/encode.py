@@ -19,7 +19,7 @@ An encoding is polynomial inequalities only: x^2 = 1 is applied
 structurally, not stored, since the moment assembly fixes every binary square
 to 1 and the rigorization reduces modulo x^2 = 1.  `bnncert.sdp` turns every
 kind into matrix rows through one moment assembly (the linear kinds without
-PSD blocks), and also writes the MPS file of a linear encoding.
+PSD blocks), and also writes the MPS file of the MILP encoding.
 
 Polynomial coefficients are exact rationals end to end (weights are integers,
 biases are binary64 and hence dyadic rationals), so identity checks downstream
@@ -157,7 +157,6 @@ class ConstraintSet:
 
 @dataclass(frozen=True)
 class Clique:
-    id: int
     variables: tuple[Var, ...]
 
 
@@ -171,7 +170,6 @@ class VerificationInstance:
     encoding_kind: str
     true_label: Optional[int] = None
     target: Optional[int] = None
-    binary_vars: tuple[Var, ...] = ()
 
     def __post_init__(self) -> None:
         if self.encoding_kind not in ("standard", "tightened", "lp", "milp"):
@@ -183,6 +181,14 @@ class VerificationInstance:
     @property
     def objective(self) -> MultilinearPoly:
         return self.constraints.objective
+
+    @property
+    def binary_vars(self) -> tuple[Var, ...]:
+        """The integer variables: every hidden activation, in layer order, for
+        the MILP; none for the relaxations."""
+        if self.encoding_kind != "milp":
+            return ()
+        return self.variables()[self.net.input_dim :]
 
     def variables(self) -> tuple[Var, ...]:
         """All decision variables: inputs, then hidden activations, sorted."""
@@ -488,15 +494,8 @@ def encode_milp(
         cut = MultilinearPoly.constant(feasibility_threshold) - objective
         rows.append(Constraint("threshold", 0, 0, cut))
         reported = MultilinearPoly.zero()
-    binaries = tuple(
-        Var(i, j)
-        for i, n in enumerate(net.hidden_widths, start=1)
-        for j in range(1, n + 1)
-    )
     cs = ConstraintSet(tuple(rows), reported)
-    return VerificationInstance(
-        net, region, cs, "milp", true_label, target, binary_vars=binaries
-    )
+    return VerificationInstance(net, region, cs, "milp", true_label, target)
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +527,7 @@ def build_cliques(net: FoldedBnn) -> list[Clique]:
     if L >= 2:
         for k in range(1, widths[L] + 1):
             cliques.append(layer_vars(L - 1) + [Var(L, k)])
-    return [
-        Clique(i, tuple(sorted(vs))) for i, vs in enumerate(cliques, start=1)
-    ]
+    return [Clique(tuple(sorted(vs))) for vs in cliques]
 
 
 def check_rip(cliques: Sequence[Clique]) -> bool:

@@ -213,7 +213,6 @@ class ForwardTrace:
     was exercised and both signs would satisfy the product encoding.
     """
 
-    x0: np.ndarray
     activations: tuple[np.ndarray, ...]
     logits: np.ndarray
     label: int
@@ -393,7 +392,6 @@ def forward(net: FoldedBnn, x0: Sequence[float]) -> ForwardTrace:
     logits = net.weight(net.depth + 1) @ cur + net.bias(net.depth + 1)
     label = int(np.argmax(logits)) + 1
     return ForwardTrace(
-        x0=_freeze(x),
         activations=tuple(activations),
         logits=_freeze(logits),
         label=label,

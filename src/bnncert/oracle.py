@@ -47,7 +47,6 @@ __all__ = [
     "DEFAULT_PATTERN_CAP",
     "ExactResult",
     "PatternRecord",
-    "enumerate_patterns",
     "exact_minimum",
     "exact_verify",
     "feasible_patterns",
@@ -95,16 +94,6 @@ def _require_cap(net: FoldedBnn) -> None:
             f"pattern enumeration needs at most {DEFAULT_PATTERN_CAP} hidden neurons, "
             f"got {net.hidden_count()}"
         )
-
-
-def enumerate_patterns(net: FoldedBnn):
-    """Yield every hidden sign pattern, layer-major; at most
-    `DEFAULT_PATTERN_CAP` hidden neurons."""
-    _require_cap(net)
-    widths = net.hidden_widths
-    per_layer = [list(itertools.product((-1, 1), repeat=n)) for n in widths]
-    for combo in itertools.product(*per_layer):
-        yield tuple(combo)
 
 
 def pattern_assignment(net: FoldedBnn, pattern: Pattern) -> dict[Var, int]:
@@ -371,11 +360,12 @@ def milp_feasible_patterns(instance: VerificationInstance) -> list[PatternRecord
 
     Every MILP row except the l2 ball quadratic is jointly affine in the
     inputs and the binaries, so the rows are split once into an exact input
-    part and binary part.  The binaries are fixed one at a time in
-    `enumerate_patterns` order.  A row without inputs is evaluated once, when
-    its last binary is fixed, and a failing row drops the whole prefix; the
-    input rows are decided by `_cell_witness` once, when their last binary
-    (at the latest, layer 1's) is fixed.
+    part and binary part.  The binaries are fixed one at a time, layer-major
+    and -1 before +1, so the records come in `feasible_patterns` order.  A
+    row without inputs is evaluated once, when its last binary is fixed, and
+    a failing row drops the whole prefix; the input rows are decided by
+    `_cell_witness` once, when their last binary (at the latest, layer 1's)
+    is fixed.
     """
     if instance.encoding_kind != "milp":
         raise ValueError("expected a MILP instance")

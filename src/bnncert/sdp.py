@@ -26,7 +26,7 @@ columns), so a general sparse library buys nothing here, and importing
 This module also hosts two small analytic constructions used to compare the
 relaxation against the LP bound (`sdp_below_lp_witness`,
 `tightened_gap_witness`), SDPA ".dat-s" export/ingest, and the MPS export of
-the linear encodings.
+the MILP encoding.
 """
 
 from __future__ import annotations
@@ -117,7 +117,9 @@ class MomentIndex:
         return len(self.order)
 
     def resolve(self, mono) -> Optional[MomentKey]:
-        """Map a reduced monomial to its key; None means the constant 1.
+        """Map a monomial to its key; None means the constant 1, which is
+        also what a binary square is (x^2 = 1 is applied here, and only here,
+        in linearization).
 
         Raises on monomials outside the degree-2 clique-covered structure,
         naming the offending variables.
@@ -150,7 +152,7 @@ class MomentIndex:
         """L_y(poly): constant part plus coefficients over moment ids."""
         const = Fraction(0)
         coeffs: dict[int, Fraction] = {}
-        for mono, coeff in poly.reduce_binary_squares().terms.items():
+        for mono, coeff in poly.terms.items():
             key = self.resolve(mono)
             if key is None:
                 const += coeff
@@ -171,7 +173,6 @@ class MomentSdp:
     rows: tuple[tuple[Fraction, tuple[tuple[int, Fraction], ...]], ...]
     objective_const: Fraction
     objective: tuple[tuple[int, Fraction], ...]
-    encoding_kind: str
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
@@ -230,7 +231,6 @@ def assemble_moment_sdp(
         rows=tuple(rows),
         objective_const=obj_const,
         objective=tuple(sorted(obj_coeffs.items())),
-        encoding_kind=instance.encoding_kind,
     )
 
 
@@ -652,6 +652,8 @@ def read_sdpa(path) -> SdpaProblem:
         size = sizes[blk - 1]
         if not (1 <= i <= abs(size) and 1 <= j <= abs(size)) or (size < 0 and i != j):
             raise ValueError(f"SDPA file {path}: entry {key} outside its block")
+        # one symmetric element: a lower-triangle entry reads as its mirror
+        key = (matno, blk, min(i, j), max(i, j))
         if key in entries:
             raise ValueError(f"SDPA file {path}: duplicate entry {key}")
         entries[key] = val
@@ -665,7 +667,7 @@ def read_sdpa(path) -> SdpaProblem:
 
 
 # ---------------------------------------------------------------------------
-# MPS export of the linear encodings
+# MPS export of the MILP encoding
 # ---------------------------------------------------------------------------
 
 
@@ -674,8 +676,8 @@ def _mps_name(v: Var) -> str:
 
 
 def _export_data(instance: VerificationInstance):
-    if instance.encoding_kind not in ("lp", "milp"):
-        raise ValueError("only linear encodings export to MPS")
+    if instance.encoding_kind != "milp":
+        raise ValueError("only the MILP encoding exports to MPS")
     for c in instance.constraints.inequalities:
         if c.poly.degree > 1:
             raise ValueError(
@@ -691,17 +693,8 @@ def _export_data(instance: VerificationInstance):
     return variables, A, d, _dense(n, msdp.objective), float(msdp.objective_const)
 
 
-def _z_bounds(instance: VerificationInstance, v: Var) -> tuple[float, float]:
-    if v.layer == 0:
-        lo = float(instance.region.lower[v.index - 1])
-        hi = float(instance.region.upper[v.index - 1])
-    else:
-        lo, hi = -1.0, 1.0
-    return (lo + 1.0) / 2.0, (hi + 1.0) / 2.0
-
-
 def write_mps(instance: VerificationInstance, path) -> None:
-    """Write the linear encoding as an MPS file over shifted variables.
+    """Write the MILP encoding as an MPS file over shifted variables.
 
     Every variable x in [-1,1] is written as z = (x+1)/2 in [0,1]; hidden
     variables are declared integer (hence binary).  The leading comment block
@@ -763,8 +756,9 @@ def write_mps(instance: VerificationInstance, path) -> None:
         name = _mps_name(v)
         if v in binaries:
             lines.append(f" BV BND       {name}")
-        else:
-            lo, hi = _z_bounds(instance, v)
+        else:  # an input: the region's interval, shifted
+            lo = (float(instance.region.lower[v.index - 1]) + 1.0) / 2.0
+            hi = (float(instance.region.upper[v.index - 1]) + 1.0) / 2.0
             lines.append(f" LO BND       {name:<10}{lo!r}")
             lines.append(f" UP BND       {name:<10}{hi!r}")
     lines.append("ENDATA")

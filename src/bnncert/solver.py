@@ -45,7 +45,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from bnncert.encode import Clique, VerificationInstance, build_cliques
+from bnncert.encode import Clique, VerificationInstance
 from bnncert.poly import Var
 from bnncert.sdp import (
     ConicProblem,
@@ -69,7 +69,7 @@ __all__ = [
 
 
 #: iterations between convergence checks; a divisor of 200, so the
-#: every-200 infeasibility test and residual balancing fall on a check
+#: every-200 residual balancing falls on a check
 CHECK_EVERY = 25
 #: Ruiz scaling sweeps of `_equilibrate`
 EQUILIBRATE_SWEEPS = 10
@@ -100,7 +100,7 @@ class SolveResult:
     `rigorous_lower_bound`.
     """
 
-    status: str  # optimal | settled | max_iter | infeasible_certificate
+    status: str  # optimal | settled | max_iter
     primal_objective: float
     dual_objective: float
     iterations: int
@@ -389,15 +389,7 @@ def solve_conic(
             candidate = result("settled", it, y_o, s_o, z_o)
             if settled(candidate):
                 return candidate
-        if it % 200 == 0:
-            # certified infeasibility: a dual ray
-            znorm = np.linalg.norm(z_o)
-            if znorm > 1e-10:
-                ray = z_o / znorm
-                if np.linalg.norm(A0t @ ray) <= 1e-9 and float(b0 @ ray) < -1e-9:
-                    status = "infeasible_certificate"
-                    break
-            # residual balancing
+        if it % 200 == 0:  # residual balancing
             if pres > 10.0 * dres and rho < 1e6:
                 u *= 0.5
                 rho *= 2.0
@@ -536,7 +528,7 @@ def _disproves_psd(G: np.ndarray, upper: Sequence[Sequence[int]]) -> bool:
 def rigorous_lower_bound(
     result: SolveResult,
     instance: VerificationInstance,
-    cliques: Optional[Sequence[Clique]] = None,
+    cliques: Sequence[Clique] = (),
 ) -> RigorousBound:
     """Bound the encoded optimum from below using only the dual certificate.
 
@@ -556,6 +548,9 @@ def rigorous_lower_bound(
     quotient at the float minimal eigenvector is negative is proven not PSD
     without the factorization.  The reported value is finally capped at the
     solve's primal objective.
+
+    `cliques` are the assembly's (`MomentSdp.cliques`), one per Gram block;
+    a certificate with Gram blocks but without them raises `ValueError`.
     """
     sig = np.asarray(result.sigmas, dtype=float)
     grams = result.grams
@@ -570,8 +565,6 @@ def rigorous_lower_bound(
         )
     if not grams:
         cliques = ()
-    elif cliques is None:
-        cliques = build_cliques(instance.net)
     sizes = [G.shape[0] for G in grams]
     if sizes != [len(clique.variables) + 1 for clique in cliques]:
         raise ValueError(
@@ -624,10 +617,9 @@ def rigorous_lower_bound(
             continue
         lam_min = float(np.linalg.eigvalsh(G)[0])
         widen = size * eps * float(np.linalg.norm(G, "fro"))
-        lower = lam_min - widen
-        deficits.append(size * max(0.0, -lower))
+        deficits.append(_float_up(size * max(Fraction(0), Fraction(widen) - Fraction(lam_min))))
 
-    value = _float_down(Fraction(anchor_int - budget_int, scale)) - float(sum(deficits))
+    value = _float_down(Fraction(anchor_int - budget_int, scale) - sum(map(Fraction, deficits)))
     # never report more than the solve's own objective estimate; anything
     # below a valid lower bound is still a valid lower bound
     pobj = float(result.primal_objective)

@@ -335,6 +335,12 @@ def test_milp_marks_all_hidden_binaries(example1):
     assert inst.encoding_kind == "milp"
 
 
+@pytest.mark.parametrize("encoder", [encode_lp, encode_standard, encode_tightened])
+def test_relaxations_mark_no_binaries(example1, encoder):
+    inst = encoder(example1, region1("linf", 1.0), objective1(example1))
+    assert inst.binary_vars == ()
+
+
 def test_milp_threshold_variant(example1):
     inst = encode_milp(
         example1,
@@ -392,17 +398,17 @@ def test_cliques_depth1_shape():
 
 def test_rip_accepts_disjoint_cliques():
     cliques = [
-        Clique(1, (Var(0, 1), Var(1, 1))),
-        Clique(2, (Var(0, 2), Var(1, 2))),
+        Clique((Var(0, 1), Var(1, 1))),
+        Clique((Var(0, 2), Var(1, 2))),
     ]
     assert check_rip(cliques)
 
 
 def test_rip_rejects_overlap_split_across_cliques():
     bad = [
-        Clique(1, (Var(0, 1), Var(1, 1))),
-        Clique(2, (Var(0, 2), Var(1, 2))),
-        Clique(3, (Var(1, 1), Var(1, 2), Var(2, 1))),
+        Clique((Var(0, 1), Var(1, 1))),
+        Clique((Var(0, 2), Var(1, 2))),
+        Clique((Var(1, 1), Var(1, 2), Var(2, 1))),
     ]
     assert not check_rip(bad)
 
@@ -491,6 +497,13 @@ def test_write_mps_marks_integers(example1, tmp_path):
         assert name in text
     assert "x = 2z - 1" in text
     assert text.count(" BV BND") == 4
+
+
+def test_write_mps_refuses_the_lp(example1, tmp_path):
+    """MPS columns of hidden variables are binary: only the MILP has them."""
+    inst = encode_lp(example1, region1("linf", 1.0), objective1(example1))
+    with pytest.raises(ValueError, match="only the MILP"):
+        write_mps(inst, tmp_path / "lp.mps")
 
 
 def test_write_mps_rejects_ball_region(example1, tmp_path):

@@ -13,7 +13,6 @@ from bnncert import (
     PerturbationRegion,
     Var,
     encode_milp,
-    enumerate_patterns,
     exact_verify,
     feasible_patterns,
     forward,
@@ -36,20 +35,12 @@ def objective1(net):
     return objective_targeted(net, true_label=2, target=1)
 
 
-def test_enumerate_patterns_shape(example1):
-    patterns = list(enumerate_patterns(example1))
-    assert len(patterns) == 16
-    assert patterns[0] == ((-1, -1), (-1, -1))
-    assert patterns[-1] == ((1, 1), (1, 1))
-    assert all(len(p) == 2 and all(len(l) == 2 for l in p) for p in patterns)
-    assert len(set(patterns)) == 16
-
-
 def test_enumerate_patterns_cap():
     rng = np.random.default_rng(0)
     net = random_net(rng, (3, 11, 10, 2))  # 21 hidden neurons
+    region = PerturbationRegion.linf(np.zeros(3), 0.5)
     with pytest.raises(ValueError, match="at most 20"):
-        list(enumerate_patterns(net))
+        feasible_patterns(net, region)
 
 
 def test_pattern_assignment_values(example1):
@@ -173,13 +164,16 @@ def with_integer_deeper_biases(net, rng):
 
 
 def assert_milp_matches_oracle(net, region, f, true_label, target):
-    """Equal pattern lists, both in `enumerate_patterns` order."""
+    """Equal pattern lists, both in layer-major order, -1 before +1."""
     inst = encode_milp(net, region, f, true_label=true_label, target=target)
     oracle = [r.pattern for r in feasible_patterns(net, region)]
     milp = [r.pattern for r in milp_feasible_patterns(inst)]
     assert oracle == milp
     feasible = set(oracle)
-    assert oracle == [p for p in enumerate_patterns(net) if p in feasible]
+    every = itertools.product(
+        *[list(itertools.product((-1, 1), repeat=n)) for n in net.hidden_widths]
+    )
+    assert oracle == [p for p in every if p in feasible]
     return oracle
 
 

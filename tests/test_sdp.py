@@ -63,6 +63,19 @@ def test_moment_index_resolves_covered_monomials(example1):
     assert key == (Var(1, 2), Var(2, 1))
 
 
+def test_linearize_applies_binary_squares_in_resolve(example1):
+    """A binary square linearizes to the constant 1 without a reduced copy
+    of the polynomial; an input square keeps its moment."""
+    index = MomentIndex(build_cliques(example1), ())
+    x, y, u = (MultilinearPoly.variable(v) for v in (Var(1, 1), Var(2, 1), Var(0, 1)))
+    p = (x + 1) * (x - y) * 3 + x * x * 2 - u * u + u * x
+    assert p.reduce_binary_squares() != p
+    assert index.linearize(p) == index.linearize(p.reduce_binary_squares())
+    const, coeffs = index.linearize(p)
+    assert const == 5
+    assert coeffs[index.ids[(Var(0, 1), Var(0, 1))]] == -1
+
+
 def test_moment_index_rejects_uncovered_pair(example1):
     index = MomentIndex(build_cliques(example1), ())
     with pytest.raises(ValueError, match=r"x\[0,1\].*x\[0,2\]"):
@@ -359,6 +372,17 @@ def test_sdpa_rejects_duplicate_entries(tmp_path):
     path = tmp_path / "dup.dat-s"
     path.write_text("1\n1\n2\n1.0\n1 1 1 1 1.0\n1 1 1 1 2.0\n")
     with pytest.raises(ValueError, match="duplicate"):
+        read_sdpa(path)
+
+
+def test_sdpa_reads_a_psd_entry_once_from_either_triangle(tmp_path):
+    """A lower-triangle entry is its upper mirror, so the two halves of one
+    symmetric element are a duplicate."""
+    path = tmp_path / "lower.dat-s"
+    path.write_text("1\n1\n2\n1.0\n1 1 2 1 2.0\n")
+    assert read_sdpa(path).entries == {(1, 1, 1, 2): 2.0}
+    path.write_text("1\n1\n2\n1.0\n1 1 1 2 1.0\n1 1 2 1 2.0\n")
+    with pytest.raises(ValueError, match=r"duplicate entry \(1, 1, 1, 2\)"):
         read_sdpa(path)
 
 

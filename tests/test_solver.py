@@ -9,13 +9,17 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from bnncert import (
+    Clique,
     ConicProblem,
+    ConstraintSet,
     MomentIndex,
     MultilinearPoly,
     PerturbationRegion,
     SolveOptions,
+    SolveResult,
     SparseMatrix,
     Var,
+    VerificationInstance,
     assemble_moment_sdp,
     build_cliques,
     encode_lp,
@@ -144,32 +148,6 @@ def test_objective_scaling_scales_optimum():
     r1 = solve_conic(base)
     r2 = solve_conic(scaled)
     assert r2.primal_objective == pytest.approx(8.0 * r1.primal_objective, abs=2e-4)
-
-
-def infeasible_lp() -> ConicProblem:
-    """x >= 1 and -x >= 0 cannot hold together."""
-    A_ge = np.array([[1.0], [-1.0]])
-    d = np.array([1.0, 0.0])
-    return ConicProblem(
-        A=sparse(-A_ge),
-        b=-d,
-        c=np.array([0.0]),
-        c0=0.0,
-        n_nonneg=2,
-        psd_sizes=(),
-        index=MomentIndex((), (Var(0, 1),)),
-    )
-
-
-def test_infeasible_lp_is_certified():
-    res = solve_conic(infeasible_lp(), SolveOptions(max_iter=20000))
-    assert res.status == "infeasible_certificate"
-
-
-def test_infeasibility_test_runs_every_200_iterations():
-    res = solve_conic(infeasible_lp(), SolveOptions(max_iter=20000))
-    assert res.status == "infeasible_certificate"
-    assert res.iterations == 200
 
 
 def test_example1_bounds_bracket_the_exact_optimum(example1):
@@ -306,6 +284,37 @@ def test_rigorous_bound_eigen_deficit_audit(example1):
     assert shift == pytest.approx(s * delta, abs=1e-12)
     # the zero block is recognized as exactly PSD
     assert sum(base.eigenvalue_deficits[k : k + 1]) == 0.0
+
+
+def test_rigorous_bound_needs_the_cliques_of_an_sdp_certificate(example1):
+    region = PerturbationRegion.linf([0, 0.5, 0], 1.0)
+    inst = encode_tightened(example1, region, objective_targeted(example1, 2, 1))
+    msdp = assemble_moment_sdp(inst)
+    res = solve_conic(to_conic(msdp), SolveOptions(max_iter=50))
+    with pytest.raises(ValueError, match="do not fit"):
+        rigorous_lower_bound(res, inst)
+    assert rigorous_lower_bound(res, inst, msdp.cliques).value <= res.primal_objective
+
+
+def test_rigorous_bound_rounds_the_deficits_outward(example1):
+    """One Gram block diag(0, -t) on a binary x: x^2 = 1 lifts the anchor to
+    1 + t and the block pays a deficit of about 2t, so the exact bound lies
+    below 1.  Subtracting the deficit in floating point from the rounded
+    anchor reported 1.0."""
+    t = 2.0**-61
+    region = PerturbationRegion.linf([0, 0.5, 0], 1.0)
+    constraints = ConstraintSet((), MultilinearPoly.constant(1))
+    inst = VerificationInstance(example1, region, constraints, "standard")
+    cert = SolveResult(
+        status="max_iter", primal_objective=2.0, dual_objective=1.0, iterations=1,
+        primal_residual=0.0, dual_residual=0.0, gap=0.0, y=np.zeros(0),
+        slack_nonneg=np.zeros(0), slack_psd=(), sigmas=np.zeros(0),
+        grams=(np.diag([0.0, -t]),), options=SolveOptions(),
+    )
+    rb = rigorous_lower_bound(cert, inst, [Clique((Var(1, 1),))])
+    assert (rb.anchor, rb.coefficient_residual) == (1.0, 0.0)
+    assert rb.eigenvalue_deficits[0] >= 2 * t
+    assert rb.value == np.nextafter(1.0, 0.0)
 
 
 def test_rigorous_bound_rejects_mismatched_certificate(example1):
@@ -491,7 +500,7 @@ def chain_expansion(result, instance, cliques):
             continue
         lam = float(np.linalg.eigvalsh(G)[0])
         widen = G.shape[0] * np.finfo(float).eps * float(np.linalg.norm(G, "fro"))
-        deficits.append(G.shape[0] * max(0.0, -(lam - widen)))
+        deficits.append(_float_up(G.shape[0] * max(Fraction(0), Fraction(widen) - Fraction(lam))))
     return _float_down(anchor), _float_up(budget), tuple(deficits)
 
 
