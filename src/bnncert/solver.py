@@ -15,9 +15,13 @@ Everything that depends only on `A` -- the equilibration, the scaled matrix,
 the normal-equation factorization and the size groups -- is a `ConicSetup`,
 built once by `conic_setup` and shared by problems that differ only in their
 objective (the attack targets of one query).  All of it runs on numpy
-arrays: `A` is a `SparseMatrix` of sorted triplets, and a normal matrix of
-at most 400 columns is inverted once and applied as one dense product per
-iteration.  Only a larger one loads scipy, for its sparse LU (`splu`).
+arrays: `A` is a `SparseMatrix` of sorted triplets.  In a moment relaxation
+every PSD row of `A` holds one moment, so A^T A is a diagonal plus the
+low-rank term of the scalar rows.  The matrix inversion lemma then solves
+the normal equations through a dense matrix with one row per scalar row
+(the capacitance matrix, as in CDCS: Zheng et al. 2020), inverted once.
+Other problems (the LP, hand-built ones) invert A^T A densely; see
+`_make_solver`.
 
 A caller that only needs a verdict passes `solve_conic` a `settled`
 callback: at each convergence check whose float screen could certify, the
@@ -73,6 +77,8 @@ __all__ = [
 CHECK_EVERY = 25
 #: Ruiz scaling sweeps of `_equilibrate`
 EQUILIBRATE_SWEEPS = 10
+#: entry pairs `_gram` forms at a time
+GRAM_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -131,7 +137,10 @@ class RigorousBound:
 
     @property
     def budget(self) -> float:
-        return self.coefficient_residual + float(sum(self.eigenvalue_deficits))
+        """coefficient_residual + sum(eigenvalue_deficits), summed exactly
+        and rounded up: no less than what `value` subtracts from the anchor."""
+        exact = sum(map(Fraction, self.eigenvalue_deficits), Fraction(self.coefficient_residual))
+        return _float_up(exact)
 
 
 # ---------------------------------------------------------------------------
@@ -213,37 +222,71 @@ def _equilibrate(problem: ConicProblem):
 # ---------------------------------------------------------------------------
 
 
-def _normal_matrix(A: SparseMatrix) -> np.ndarray:
-    """Dense A^T A, summed from each row's outer product: every entry is
-    paired with each entry of its own row (rows hold a few entries)."""
-    n = A.shape[1]
-    counts = np.bincount(A.row, minlength=A.shape[0])[A.row]
-    left = np.repeat(np.arange(A.row.size), counts)
-    # the first entry of each entry's row, then the offset within that row
-    first = np.searchsorted(A.row, A.row)
-    offset = np.arange(left.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    right = first[left] + offset
-    AtA = np.bincount(
-        A.col[left] * n + A.col[right], weights=A.data[left] * A.data[right], minlength=n * n
-    )
-    return AtA.reshape(n, n)
+def _gram(M: SparseMatrix) -> np.ndarray:
+    """Dense M^T M, summed from each row's outer product: every entry is
+    paired with each entry of its own row.  Rows are taken in runs of at
+    most `GRAM_PAIRS` pairs (a longer row alone), so the pair arrays stay
+    bounded however many pairs M holds."""
+    m, n = M.shape
+    counts = np.bincount(M.row, minlength=m)
+    ends = np.cumsum(counts)
+    pairs = np.cumsum(counts * counts)
+    gram = np.zeros(n * n)
+    r0 = 0
+    while r0 < m:
+        done = pairs[r0 - 1] if r0 else 0
+        r1 = max(r0 + 1, int(np.searchsorted(pairs, done + GRAM_PAIRS, side="right")))
+        lo, hi = ends[r0] - counts[r0], ends[r1 - 1]
+        row, col, data = M.row[lo:hi], M.col[lo:hi], M.data[lo:hi]
+        per_entry = counts[row]
+        left = np.repeat(np.arange(row.size), per_entry)
+        # the first entry of each entry's row, then the offset within that row
+        first = np.searchsorted(row, row)
+        offset = np.arange(left.size) - np.repeat(np.cumsum(per_entry) - per_entry, per_entry)
+        right = first[left] + offset
+        gram += np.bincount(
+            col[left] * n + col[right], weights=data[left] * data[right], minlength=n * n
+        )
+        r0 = r1
+    return gram.reshape(n, n)
 
 
-def _make_solver(A: SparseMatrix):
-    """A solver for the normal equations (A^T A) y = rhs."""
+def _make_solver(A: SparseMatrix, n_nonneg: int):
+    """A solver for the normal equations (A^T A) y = rhs, chosen by the
+    structure of A.
+
+    `to_conic` puts one moment id in each PSD row of A (fixed entries go to
+    b), and row and column scaling keeps that.  When every PSD row holds at
+    most one entry and every column has a nonzero one there, A^T A = D +
+    R^T R with D diagonal (each column's sum of squared PSD coefficients)
+    and R the `n_nonneg` scalar rows.  The matrix inversion lemma then
+    applies the inverse through the small capacitance matrix C = I + R D^-1
+    R^T, inverted once:
+
+        (D + R^T R)^-1 r = D^-1 r - D^-1 R^T C^-1 R D^-1 r.
+
+    Every other problem -- the LP, which has no PSD rows, and hand-built
+    ones -- inverts the dense A^T A.
+    """
     n = A.shape[1]
     if n == 0:
         return lambda rhs: rhs
-    if n <= 400:
-        inverse = np.linalg.inv(_normal_matrix(A))
+    split = int(np.searchsorted(A.row, n_nonneg))
+    d = np.bincount(A.col[split:], weights=A.data[split:] ** 2, minlength=n)
+    if not (np.all(np.diff(A.row[split:]) > 0) and np.all(d > 0)):
+        inverse = np.linalg.inv(_gram(A))
         return lambda rhs: inverse @ rhs
-    # imported here: only problems this large need it, and loading scipy
-    # adds about 0.4 s and 25 MB of resident memory to a verify process
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.linalg import splu
+    R = SparseMatrix(A.row[:split], A.col[:split], A.data[:split], (n_nonneg, n))
+    Rt = R.T
+    # C = I + S S^T with S = R D^-1/2: `_gram` of S^T, whose rows are R's columns
+    St = SparseMatrix(Rt.row, Rt.col, Rt.data / np.sqrt(d)[Rt.row], Rt.shape)
+    C_inverse = np.linalg.inv(np.eye(n_nonneg) + _gram(St))
 
-    S = csr_matrix((A.data, (A.row, A.col)), shape=A.shape)
-    return splu((S.T @ S).tocsc()).solve
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        x = rhs / d
+        return x - (Rt @ (C_inverse @ (R @ x))) / d
+
+    return solve
 
 
 @dataclass(frozen=True)
@@ -283,7 +326,7 @@ def conic_setup(problem: ConicProblem) -> ConicSetup:
         D=D,
         A=A,
         At=A.T,
-        solve_normal=_make_solver(A),
+        solve_normal=_make_solver(A, problem.n_nonneg),
         groups=_psd_groups(problem),
     )
 

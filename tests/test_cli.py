@@ -744,13 +744,13 @@ def test_one_sample_per_query(tmp_path, monkeypatch, flags):
         assert sorted(rep["metrics"]["improvement"]) == ["2", "3"]
 
 
-def test_cli_import_and_small_verifies_load_no_scipy(example1_files):
-    """`import bnncert.cli` loads no scipy module, and neither do verify
-    queries whose normal matrix is small enough for the dense inverse (the
-    README net, with and without `--metrics`): scipy is loaded only by the
-    routines that need it, `nnls` for l2 oracle cells and `splu` above 400
-    columns."""
+def test_cli_import_and_small_verifies_load_no_scipy(example1_files, tmp_path):
+    """`import bnncert.cli` loads no scipy module, and neither do `lp`,
+    `sdp1` and `sdp1-tight` verifies: on the README net (with and without
+    `--metrics`) and on a seeded 20-12-12-4 net, whose tightened relaxation
+    has 514 columns.  scipy is loaded only by `nnls`, for l2 oracle cells."""
     model, inputs = example1_files
+    big_model, big_inputs = write_query(tmp_path, *seeded_net(1, (20, 12, 12, 4)))
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -771,11 +771,13 @@ def test_cli_import_and_small_verifies_load_no_scipy(example1_files):
         base + ["--eps", "0.2", "--method", "sdp1-tight", "--metrics"],
         base + ["--eps", "0.5", "--method", "sdp1"],
         base + ["--eps", "1.0", "--method", "lp"],
+        ["verify", "--model", str(big_model), "--input", str(big_inputs), "--eps", "0.1",
+         "--method", "sdp1-tight", "--max-iter", "200"],
     ]
     out = subprocess.run(
         [sys.executable, "-c", code, json.dumps(queries)],
         env=env, capture_output=True, text=True, check=True,
     )
     steps = json.loads(out.stdout)
-    assert [rc for _, rc, _ in steps[1:]] == [0, 0, 2, 1]
+    assert [rc for _, rc, _ in steps[1:]] == [0, 0, 2, 1, 2]
     assert all(not modules for _, _, modules in steps), steps

@@ -15,6 +15,7 @@ from bnncert import (
     MomentIndex,
     MultilinearPoly,
     PerturbationRegion,
+    RigorousBound,
     SolveOptions,
     SolveResult,
     SparseMatrix,
@@ -315,6 +316,20 @@ def test_rigorous_bound_rounds_the_deficits_outward(example1):
     assert (rb.anchor, rb.coefficient_residual) == (1.0, 0.0)
     assert rb.eigenvalue_deficits[0] >= 2 * t
     assert rb.value == np.nextafter(1.0, 0.0)
+
+
+def test_rigorous_bound_budget_is_rounded_up():
+    """`budget` is the exact sum of the residual and the deficits, rounded
+    up; in round-to-nearest, 1 + 2^-60 + 2^-60 came out as 1.0."""
+    inst, cliques, res = query_certificate()
+    rb = rigorous_lower_bound(res, inst, cliques)
+    assert rb.coefficient_residual > 0 and all(rb.eigenvalue_deficits)
+    tiny = RigorousBound(0.0, 0.0, 1.0, (2.0**-60, 2.0**-60))
+    assert tiny.budget == np.nextafter(1.0, 2.0)
+    for bound in (rb, tiny):
+        exact = Fraction(bound.coefficient_residual) + sum(map(Fraction, bound.eigenvalue_deficits))
+        assert Fraction(bound.budget) >= exact
+        assert bound.budget == _float_up(exact)
 
 
 def test_rigorous_bound_rejects_mismatched_certificate(example1):
@@ -708,27 +723,66 @@ def test_equilibration_matches_the_per_group_loop():
             assert D.tobytes() == D_ref.tobytes()
 
 
-def test_normal_equations_match_a_dense_solve_on_both_sides_of_the_fork():
-    """Up to 400 columns the normal matrix is inverted, above that factored
-    by `splu`; both solve (A^T A) y = r for the scaled A."""
+def assert_solves_normal_equations(problem: ConicProblem) -> None:
+    """`solve_normal` of the problem's setup solves (A^T A) y = r for the
+    scaled A to 1e-10, relative."""
+    setup = conic_setup(problem)
+    A = np.zeros(setup.A.shape)
+    A[setup.A.row, setup.A.col] = setup.A.data
+    r = np.random.default_rng(3).normal(size=A.shape[1])
+    expected = np.linalg.solve(A.T @ A, r)
+    error = np.linalg.norm(setup.solve_normal(r) - expected)
+    assert error <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_normal_equations_match_a_dense_solve():
+    """The SDPs take the diagonal-plus-low-rank solve, the LP the dense
+    inverse, on a 10-8-8-3 and a 20-12-12-4 (514-column) net.  Every PSD row
+    of an SDP holds exactly one moment id, or else a fixed entry of b."""
     net, region, label = seeded_query()
     rng = np.random.default_rng(7)
     big = stabilize(random_net(rng, (20, 12, 12, 4)))
     cases = [(net, region, label, 2), (big, random_region(rng, 20), 1, 2)]
-    columns = []
     for net, region, label, target in cases:
         f = objective_targeted(net, label, target)
-        setup = conic_setup(
-            to_conic(assemble_moment_sdp(encode_tightened(net, region, f), build_cliques(net)))
-        )
-        A = np.zeros(setup.A.shape)
-        A[setup.A.row, setup.A.col] = setup.A.data
-        r = np.random.default_rng(3).normal(size=A.shape[1])
-        expected = np.linalg.solve(A.T @ A, r)
-        error = np.linalg.norm(setup.solve_normal(r) - expected)
-        assert error <= 1e-10 * np.linalg.norm(expected)
-        columns.append(A.shape[1])
-    assert columns[0] <= 400 < columns[1]
+        cliques = build_cliques(net)
+        problems = [
+            to_conic(assemble_moment_sdp(encode_standard(net, region, f), cliques)),
+            to_conic(assemble_moment_sdp(encode_tightened(net, region, f), cliques)),
+            to_conic(assemble_moment_sdp(encode_lp(net, region, f))),
+        ]
+        for problem in problems:
+            k = problem.n_nonneg
+            entries = np.bincount(problem.A.row, minlength=problem.n_rows)[k:]
+            assert np.array_equal(entries, (problem.b[k:] == 0).astype(entries.dtype))
+            assert_solves_normal_equations(problem)
+    assert problems[0].n_vars == 514
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        # the second PSD row holds two entries
+        [[1.0, 2.0], [1.0, 0.0], [0.5, -1.0], [0.0, 3.0]],
+        # the second column has no PSD entry
+        [[1.0, 2.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+    ],
+    ids=["two-entry-psd-row", "column-without-psd-entry"],
+)
+def test_normal_equations_of_other_structures_take_the_dense_inverse(A):
+    """One scalar row over one 2 x 2 PSD block, built by hand, where A^T A
+    is no invertible diagonal plus the scalar rows' term: the solve is still
+    exact."""
+    problem = ConicProblem(
+        A=sparse(np.array(A)),
+        b=np.array([1.0, 1.0, 0.0, 1.0]),
+        c=np.zeros(2),
+        c0=0.0,
+        n_nonneg=1,
+        psd_sizes=(2,),
+        index=MomentIndex((), (Var(1, 1), Var(1, 2))),
+    )
+    assert_solves_normal_equations(problem)
 
 
 # -- integer certificate expansion ---------------------------------------------
