@@ -36,7 +36,6 @@ from bnncert import (
     PerturbationRegion,
     SolveOptions,
     assemble_moment_sdp,
-    build_cliques,
     encode_lp,
     encode_standard,
     encode_tightened,
@@ -116,12 +115,12 @@ def ladder(net, region, label, target, objective, opts):
     """(tau_lp, tau_sdp1, tau_tight, rig_tight, tau_exact)."""
     lp = encode_lp(net, region, objective, true_label=label, target=target)
     tau_lp = solve_lp(lp, opts).primal_objective
-    cliques = build_cliques(net)
     std = encode_standard(net, region, objective, true_label=label, target=target)
-    tau_std = solve_conic(to_conic(assemble_moment_sdp(std, cliques)), opts).primal_objective
+    tau_std = solve_conic(to_conic(assemble_moment_sdp(std)), opts).primal_objective
     tight = encode_tightened(net, region, objective, true_label=label, target=target)
-    r_tight = solve_conic(to_conic(assemble_moment_sdp(tight, cliques)), opts)
-    rig = rigorous_lower_bound(r_tight, tight, cliques).value
+    msdp = assemble_moment_sdp(tight)
+    r_tight = solve_conic(to_conic(msdp), opts)
+    rig = rigorous_lower_bound(r_tight, tight, msdp.cliques).value
     tau_exact = exact_verify(net, region, objective).value
     return tau_lp, tau_std, r_tight.primal_objective, rig, tau_exact
 

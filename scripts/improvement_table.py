@@ -35,7 +35,6 @@ from bnncert import (
     PerturbationRegion,
     SolveOptions,
     assemble_moment_sdp,
-    build_cliques,
     encode_lp,
     encode_standard,
     encode_tightened,
@@ -108,18 +107,17 @@ def main(argv=None) -> int:
                 no_gap += 1
                 continue
 
-            cliques = build_cliques(net)
             std = encode_standard(
                 net, region, objective, true_label=label, target=target
             )
             tau_std = solve_conic(
-                to_conic(assemble_moment_sdp(std, cliques)), OPTS
+                to_conic(assemble_moment_sdp(std)), OPTS
             ).primal_objective
             tight = encode_tightened(
                 net, region, objective, true_label=label, target=target
             )
             tau_tight = solve_conic(
-                to_conic(assemble_moment_sdp(tight, cliques)), OPTS
+                to_conic(assemble_moment_sdp(tight)), OPTS
             ).primal_objective
 
             gaps.append(ub - tau_lp)

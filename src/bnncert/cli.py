@@ -217,6 +217,11 @@ class _Relaxation:
             rb = rigorous_lower_bound(res, instance, self.cliques)
         return res, rb
 
+    def size(self) -> dict:
+        """PSD block orders, moment columns and scalar rows."""
+        p = self.problem
+        return {"psd_orders": list(p.psd_sizes), "columns": p.n_vars, "rows": p.n_nonneg}
+
 
 def _encoder(method: str):
     """The encoder whose instance `method` relaxes; None for `oracle` and
@@ -246,13 +251,14 @@ def _bounder(
     upper: np.ndarray,
 ):
     """The query's bounding function, chosen once: (k, objective) -> (lower
-    bound, approximate value, iterations, solver status, attack point).  The
+    bound, approximate value, iterations, solver status, attack point), and
+    the size of its relaxation (None for `oracle` and `sample-ub`).  The
     attack point is an input where the engine found a non-positive margin,
     still to be forward-checked."""
     if method == "sample-ub":
         # the attack read the same rows and found no label change, so no
         # sampled margin is negative: the sample bounds, it never falsifies
-        return lambda k, objective: (None, float(upper[k - 1]), None, "sampling", None)
+        return lambda k, objective: (None, float(upper[k - 1]), None, "sampling", None), None
     if method == "oracle":
         # the layer-1 cells do not depend on the target: decided once
         records = feasible_patterns(net, region)
@@ -262,14 +268,14 @@ def _bounder(
             witness = result.witness if result.value <= 0 else None
             return result.value, result.value, None, "exact", witness
 
-        return exact
+        return exact, None
     relaxation = _relax(net, region, next(iter(objectives.values())), method)
 
     def relaxed(k, objective):
         res, rb = relaxation.bound(objective, opts, settle=True)
         return rb.value, res.primal_objective, res.iterations, res.status, None
 
-    return relaxed
+    return relaxed, relaxation.size()
 
 
 def _collect_metrics(
@@ -280,14 +286,19 @@ def _collect_metrics(
     upper: np.ndarray,
     method: str,
     opts: SolveOptions,
+    relaxation: Optional[dict],
 ) -> dict:
     """The query's metrics; the improvement reads the query's own
-    objectives and sampled margins `upper`."""
+    objectives and sampled margins `upper`.  `relaxation` is the size of
+    the relaxation the targets were bounded on (`_Relaxation.size`), None
+    for `oracle`, `sample-ub` and a query decided before any target was
+    bounded."""
     metrics: dict = {
         "weight_sparsity": weight_sparsity(net),
         "widths": list(net.widths),
         "hidden_count": net.hidden_count(),
         "stabilization_log": list(net.log),
+        "relaxation": relaxation,
     }
     if method in ("sdp1", "sdp1-tight") and region.radius > 0:
         bounded = [entry for entry in targets if entry.lower_bound is not None]
@@ -317,6 +328,7 @@ def run_verify(args) -> int:
     upper = np.min(logits[:, label - 1, None] - logits, axis=0)
     targets: list[TargetReport] = []
     objectives: dict[int, MultilinearPoly] = {}
+    size = None
 
     if eps == 0:
         for k in range(1, net.n_classes + 1):
@@ -335,7 +347,7 @@ def run_verify(args) -> int:
             for k in range(1, net.n_classes + 1)
             if k != label
         }
-        bound = _bounder(args.method, net, region, objectives, opts, upper)
+        bound, size = _bounder(args.method, net, region, objectives, opts, upper)
         relaxed = _encoder(args.method) is not None
         decided = False
         for k, objective in objectives.items():
@@ -367,7 +379,7 @@ def run_verify(args) -> int:
         verdict = "unknown"
 
     metrics = (
-        _collect_metrics(net, region, targets, objectives, upper, args.method, opts)
+        _collect_metrics(net, region, targets, objectives, upper, args.method, opts, size)
         if args.metrics
         else None
     )

@@ -49,6 +49,7 @@ from bnncert.model import FoldedBnn
 from bnncert.poly import MultilinearPoly, Var
 
 __all__ = [
+    "EXACT_PSD_ORDER",
     "Clique",
     "Constraint",
     "ConstraintSet",
@@ -62,6 +63,7 @@ __all__ = [
     "encode_standard",
     "encode_tightened",
     "linear_identity_residuals",
+    "merge_cliques",
     "neuron_rows",
     "objective_targeted",
     "region_polynomials",
@@ -528,6 +530,67 @@ def build_cliques(net: FoldedBnn) -> list[Clique]:
         for k in range(1, widths[L] + 1):
             cliques.append(layer_vars(L - 1) + [Var(L, k)])
     return [Clique(tuple(sorted(vs))) for vs in cliques]
+
+
+#: order of the largest Gram block that `rigorous_lower_bound` proves PSD
+#: exactly; a larger block always pays the float-estimated eigenvalue
+#: deficit, which nothing proves yet, so `merge_cliques` never builds one
+EXACT_PSD_ORDER = 64
+
+
+def _svec_len(n_vars: int) -> int:
+    """svec entries of the moment block over (1, x) of `n_vars` variables."""
+    return (n_vars + 1) * (n_vars + 2) // 2
+
+
+def merge_cliques(cliques: Sequence[Clique]) -> list[Clique]:
+    """A coarser cover: cliques joined where one block costs less than two.
+
+    One pass in the given order.  Each clique joins the block whose union
+    saves the most svec entries (the first such block on a tie), provided
+    the union's block has strictly fewer entries than the two it replaces
+    and its order (variables + 1) is at most `EXACT_PSD_ORDER`; otherwise it
+    starts a new block.  Only an overlapping block can save: joining
+    disjoint sets of a and b variables saves 1 - ab <= 0 entries.  Blocks
+    keep the order in which they were started, each with its variables
+    sorted.  A 10-8-8-3 net's 18 blocks of order 10 become one of order 27;
+    cliques already larger than the limit stay as they are.
+
+    For the cliques of `build_cliques` the relaxation's optimum does not
+    change:
+
+    * every input clique lies inside one merged block, and the rows and the
+      objective read only monomials of the input cliques.  The pairs a merge
+      adds (x0_a*x0_b, x0_a*x2_j, x2_i*x2_j, ...) appear in no row, so a
+      merged solution restricted to the original moments is an original
+      solution;
+    * conversely, `build_cliques` has running intersection (`check_rip`), so
+      its clique graph is chordal, and any original moment vector whose
+      clique blocks are PSD completes to a PSD moment matrix over all
+      variables (Grone, Johnson, Sa & Wolkowicz 1984).  Every merged block
+      is a principal submatrix of that completion, which supplies the new
+      pairs consistently across blocks.
+
+    Soundness does not depend on the cover either way: `rigorous_lower_bound`
+    reads the cliques of the assembly it rigorizes.
+    """
+    blocks: list[set[Var]] = []
+    for clique in cliques:
+        vs = set(clique.variables)
+        best, best_saving = None, 0
+        # every union holds the clique: one past the limit joins nothing
+        for i, block in enumerate(blocks if len(vs) < EXACT_PSD_ORDER else ()):
+            union = len(block | vs)
+            if union + 1 > EXACT_PSD_ORDER:
+                continue
+            saving = _svec_len(len(block)) + _svec_len(len(vs)) - _svec_len(union)
+            if saving > best_saving:
+                best, best_saving = i, saving
+        if best is None:
+            blocks.append(vs)
+        else:
+            blocks[best] |= vs
+    return [Clique(tuple(sorted(block))) for block in blocks]
 
 
 def check_rip(cliques: Sequence[Clique]) -> bool:

@@ -8,8 +8,8 @@ member of the dual cone (clipping for the nonnegative rows, an eigenvalue
 floor for PSD blocks), so the final iterate doubles as a certificate:
 nonnegative multipliers for the scalar rows and one Gram matrix per clique
 block.  The PSD blocks are grouped by size; each iteration then projects
-every group with one stacked `eigh` (cliques come in one or two sizes), with
-the same result as a per-block loop.
+every group with one stacked `eigh` (a moment relaxation has one to a few
+sizes), with the same result as a per-block loop.
 
 Everything that depends only on `A` -- the equilibration, the scaled matrix,
 the normal-equation factorization and the size groups -- is a `ConicSetup`,
@@ -49,7 +49,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from bnncert.encode import Clique, VerificationInstance
+from bnncert.encode import EXACT_PSD_ORDER, Clique, VerificationInstance
 from bnncert.poly import Var
 from bnncert.sdp import (
     ConicProblem,
@@ -586,11 +586,11 @@ def rigorous_lower_bound(
     fractions once, at the end.
 
     Gram blocks pay an eigenvalue deficit (block size) * max(0,
-    -lambda_min_lower); exactly PSD blocks are recognized by an exact
-    integer factorization and pay zero.  A block whose exact Rayleigh
-    quotient at the float minimal eigenvector is negative is proven not PSD
-    without the factorization.  The reported value is finally capped at the
-    solve's primal objective.
+    -lambda_min_lower); exactly PSD blocks of order at most
+    `EXACT_PSD_ORDER` are recognized by an exact integer factorization and
+    pay zero.  A block whose exact Rayleigh quotient at the float minimal
+    eigenvector is negative is proven not PSD without the factorization.
+    The reported value is finally capped at the solve's primal objective.
 
     `cliques` are the assembly's (`MomentSdp.cliques`), one per Gram block;
     a certificate with Gram blocks but without them raises `ValueError`.
@@ -655,7 +655,7 @@ def rigorous_lower_bound(
     eps = float(np.finfo(float).eps)
     for G, upper in zip(grams, gram_ints):
         size = G.shape[0]
-        if size <= 64 and not _disproves_psd(G, upper) and _exact_psd_check(G):
+        if size <= EXACT_PSD_ORDER and not _disproves_psd(G, upper) and _exact_psd_check(G):
             deficits.append(0.0)
             continue
         lam_min = float(np.linalg.eigvalsh(G)[0])

@@ -90,6 +90,24 @@ def test_lp_bound_is_sound_but_loose(example1_files, tmp_path):
     assert target["lower_bound"] == pytest.approx(-1.0, abs=1e-4)
 
 
+@pytest.mark.parametrize(
+    "method, size",
+    [
+        ("sdp1-tight", {"psd_orders": [8], "columns": 31, "rows": 19}),
+        ("sdp1", {"psd_orders": [8], "columns": 31, "rows": 7}),
+        ("lp", {"psd_orders": [], "columns": 7, "rows": 22}),
+        ("oracle", None),
+        ("sample-ub", None),
+    ],
+)
+def test_metrics_give_the_relaxation_size(example1_files, tmp_path, method, size):
+    _, rep = run_json(example1_files, tmp_path, "--eps", "0.2", "--method", method, "--metrics")
+    assert rep["metrics"]["relaxation"] == size
+    # no target is bounded when the attack falsifies the query
+    _, rep = run_json(example1_files, tmp_path, "--eps", "1.0", "--method", method, "--metrics")
+    assert rep["targets"] == [] and rep["metrics"]["relaxation"] is None
+
+
 def test_sampling_finds_counterexample_before_solving(example1_files, tmp_path):
     # tau_exact = -1 at radius 1; the relaxation must never report robust
     rc, rep = run_json(
@@ -344,7 +362,7 @@ def test_non_finite_numbers_exit_three(tmp_path, capsys, row, layer, bias, eps, 
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_export_sdpa_has_one_block_per_clique(example1_files, tmp_path):
+def test_export_sdpa_has_one_merged_block(example1_files, tmp_path):
     model, inputs = example1_files
     out = tmp_path / "toy.dat-s"
     rc = main(
@@ -353,8 +371,9 @@ def test_export_sdpa_has_one_block_per_clique(example1_files, tmp_path):
     )
     assert rc == 0
     prob = read_sdpa(out)
-    assert prob.block_sizes == (4, 4, 4, 4, 4, -19)
-    assert prob.n_constraints == 21
+    # the five order-4 cliques merge into one block; 31 moment columns
+    assert prob.block_sizes == (8, -19)
+    assert prob.n_constraints == 31
 
 
 def test_export_mps_marks_every_sign_variable_integer(example1_files, tmp_path):

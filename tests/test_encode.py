@@ -22,12 +22,14 @@ from bnncert import (
     encode_tightened,
     forward,
     linear_identity_residuals,
+    merge_cliques,
     neuron_rows,
     objective_targeted,
     region_polynomials,
     to_conic,
     write_mps,
 )
+from bnncert.encode import EXACT_PSD_ORDER
 from bnncert.oracle import feasible_patterns
 
 from conftest import make_example1, random_net, random_region
@@ -426,6 +428,67 @@ def test_rip_detects_misordered_clique_list(example1):
     outputs = [c for c in good if any(v.layer == net.depth for v in c.variables)]
     shuffled = inputs + outputs + [pair]
     assert not check_rip(shuffled)
+
+
+def _svec_len(clique_or_block) -> int:
+    s = len(clique_or_block.variables) + 1
+    return s * (s + 1) // 2
+
+
+@pytest.mark.parametrize(
+    "widths, orders",
+    [
+        pytest.param((5, 2, 2), (8,), id="depth 1"),
+        pytest.param(None, (8,), id="README net"),
+        pytest.param((4, 3, 3, 3, 2), (14,), id="depth 3"),
+        pytest.param((10, 8, 8, 3), (27,), id="10-8-8-3"),
+        pytest.param((20, 12, 12, 4), (45,), id="20-12-12-4"),
+        # order 64 caps the first two blocks
+        pytest.param((50, 32, 32, 5), (64, 64, 53), id="50-32-32-5"),
+    ],
+)
+def test_merge_cliques_covers_each_clique_with_cheaper_blocks(widths, orders):
+    net = make_example1() if widths is None else random_net(np.random.default_rng(3), widths)
+    cliques = build_cliques(net)
+    blocks = merge_cliques(cliques)
+    assert blocks == merge_cliques(build_cliques(net))
+    for block in blocks:
+        assert list(block.variables) == sorted(set(block.variables))
+        assert len(block.variables) + 1 <= EXACT_PSD_ORDER
+    # every clique lies inside a block; a block that took in several cliques
+    # costs fewer svec entries than they did (each join saved some)
+    inside = [[c for c in cliques if set(c.variables) <= set(b.variables)] for b in blocks]
+    assert all(any(c in members for members in inside) for c in cliques)
+    for block, members in zip(blocks, inside):
+        if len(members) > 1:
+            assert _svec_len(block) < sum(map(_svec_len, members))
+    assert tuple(len(b.variables) + 1 for b in blocks) == orders
+
+
+def test_merge_cliques_joins_only_when_the_union_is_cheaper():
+    a, b, c, d, e, f, g = (Var(1, k) for k in range(1, 8))
+    # two order-5 blocks (15 entries each) against one of order 8 (36)
+    apart = [Clique((a, b, c, d)), Clique((d, e, f, g))]
+    assert merge_cliques(apart) == apart
+    # order 3 and 3 (6 + 6) against order 4 (10); disjoint cliques never join
+    joined = [Clique((a, b)), Clique((f, g)), Clique((b, c))]
+    assert merge_cliques(joined) == [Clique((a, b, c)), Clique((f, g))]
+    # equal savings: the first block takes the clique
+    tie = [Clique((a, b)), Clique((c, d)), Clique((b, c))]
+    assert merge_cliques(tie) == [Clique((a, b, c)), Clique((c, d))]
+
+
+def test_merge_cliques_keeps_blocks_within_the_exact_check_order():
+    n = EXACT_PSD_ORDER
+    xs = [Var(1, k) for k in range(1, n + 1)]
+    # two blocks of order n whose union, of order n + 1, would save entries
+    wide = [Clique(tuple(xs[: n - 1])), Clique(tuple(xs[1:n]))]
+    assert merge_cliques(wide) == wide
+    fits = [Clique(tuple(xs[: n - 1])), Clique(tuple(xs[1 : n - 1]))]
+    assert merge_cliques(fits) == fits[:1]
+    # cliques already past the limit (100-64-64-10: order 66) stay apart
+    net = random_net(np.random.default_rng(0), (100, 64, 64, 10))
+    assert merge_cliques(build_cliques(net)) == build_cliques(net)
 
 
 # -- identity suite -----------------------------------------------------------

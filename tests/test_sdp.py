@@ -86,8 +86,10 @@ def test_moment_index_rejects_uncovered_pair(example1):
 
 
 def test_assemble_example1_tightened_blocks(example1):
+    # the default cover merges the five order-4 cliques into one block
     msdp = assemble_moment_sdp(tight_instance(example1))
-    assert msdp.block_sizes == (4, 4, 4, 4, 4)
+    assert msdp.block_sizes == (8,)
+    assert msdp.index.total_count - 1 == 31
     assert msdp.n_rows == len(tight_instance(example1).constraints.inequalities)
     for fixed, entries, clique in zip(
         msdp.block_fixed, msdp.block_entries, msdp.cliques
@@ -141,7 +143,7 @@ def test_assemble_linear_encodings_without_blocks(example1):
 
 
 def test_to_conic_example1_shapes(example1):
-    msdp = assemble_moment_sdp(tight_instance(example1))
+    msdp = assemble_moment_sdp(tight_instance(example1), build_cliques(example1))
     cp = to_conic(msdp)
     assert cp.psd_sizes == (4, 4, 4, 4, 4)
     assert cp.n_vars == 21  # 22 moment ids minus the constant
@@ -160,7 +162,7 @@ def test_to_conic_empty_inequalities(example1):
     )
     cp = to_conic(assemble_moment_sdp(inst))
     assert cp.n_nonneg == 0
-    assert cp.psd_sizes == (4, 4, 4, 4, 4)
+    assert cp.psd_sizes == (8,)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -314,7 +316,7 @@ def test_tightened_gap_witness_spectrum_random(seed):
 
 
 def test_sdpa_block_structure(example1, tmp_path):
-    msdp = assemble_moment_sdp(tight_instance(example1))
+    msdp = assemble_moment_sdp(tight_instance(example1), build_cliques(example1))
     path = tmp_path / "toy.dat-s"
     export_sdpa(msdp, path)
     parsed = read_sdpa(path)

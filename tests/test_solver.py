@@ -26,6 +26,7 @@ from bnncert import (
     encode_lp,
     encode_standard,
     encode_tightened,
+    merge_cliques,
     objective_targeted,
     rigorous_lower_bound,
     sdp_below_lp_witness,
@@ -261,6 +262,37 @@ def test_rigorous_bound_below_solver_bound(example1):
     assert rb.value <= res.primal_objective + 1e-9
     assert rb.value <= float(exact_verify(example1, region, f).tau) + 1e-9
     assert rb.value == pytest.approx(-1.0, abs=1e-3)
+
+
+def _small_problems():
+    """(net, region, encoder) of the README net at two radii and of three
+    seeded nets of depth 2 and 3."""
+    net = make_example1()
+    for eps in (0.2, 0.5):
+        region = PerturbationRegion.linf([0, 0.5, 0], eps)
+        yield pytest.param(net, region, encode_standard, id=f"README-{eps}")
+    for seed, widths in enumerate([(4, 3, 3, 2), (5, 4, 4, 3), (3, 3, 3, 3, 2)], start=1):
+        rng = np.random.default_rng(seed)
+        net = stabilize(random_net(rng, widths))
+        region = random_region(rng, widths[0])
+        name = "-".join(map(str, widths))
+        yield pytest.param(net, region, encode_standard, id=name)
+        if widths == (5, 4, 4, 3):
+            yield pytest.param(net, region, encode_tightened, id=f"{name}-tight")
+
+
+@pytest.mark.parametrize("net, region, encoder", list(_small_problems()))
+def test_merged_cover_keeps_the_optimum(net, region, encoder):
+    """The merged blocks and the per-clique blocks relax to the same optimum
+    (chordal PSD completion; see `merge_cliques`)."""
+    inst = encoder(net, region, objective_targeted(net, 1, 2))
+    cliques = build_cliques(net)
+    merged = merge_cliques(cliques)
+    assert len(merged) < len(cliques)
+    opts = SolveOptions(tol=1e-7)
+    results = [solve_conic(to_conic(assemble_moment_sdp(inst, c)), opts) for c in (cliques, merged)]
+    assert [r.status for r in results] == ["optimal", "optimal"]
+    assert results[0].primal_objective == pytest.approx(results[1].primal_objective, abs=1e-5)
 
 
 def test_rigorous_bound_eigen_deficit_audit(example1):
