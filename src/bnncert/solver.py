@@ -15,12 +15,12 @@ Everything that depends only on `A` -- the equilibration, the scaled matrix,
 the normal-equation factorization and the size groups -- is a `ConicSetup`,
 built once by `conic_setup` and shared by problems that differ only in their
 objective (the attack targets of one query).  All of it runs on numpy
-arrays: `A` is a `SparseMatrix` of sorted triplets.  In a moment relaxation
-every PSD row of `A` holds one moment, so A^T A is a diagonal plus the
-low-rank term of the scalar rows.  The matrix inversion lemma then solves
-the normal equations through a dense matrix with one row per scalar row
-(the capacitance matrix, as in CDCS: Zheng et al. 2020), inverted once.
-Other problems (the LP, hand-built ones) invert A^T A densely; see
+arrays: `A` is a `SparseMatrix` of sorted triplets.  A row of `A` that
+holds one entry (every PSD row of a moment relaxation, the LP's box and
+interval rows) adds only to the diagonal of A^T A, so A^T A is a diagonal
+plus the low-rank term of the other rows.  The matrix inversion lemma solves
+the normal equations through a dense matrix with one row per such row (the
+capacitance matrix, as in CDCS: Zheng et al. 2020), inverted once; see
 `_make_solver`.
 
 A caller that only needs a verdict passes `solve_conic` a `settled`
@@ -226,7 +226,7 @@ def _gram(M: SparseMatrix) -> np.ndarray:
     """Dense M^T M, summed from each row's outer product: every entry is
     paired with each entry of its own row.  Rows are taken in runs of at
     most `GRAM_PAIRS` pairs (a longer row alone), so the pair arrays stay
-    bounded however many pairs M holds."""
+    bounded however many pairs M holds; `_make_solver` forms C with it."""
     m, n = M.shape
     counts = np.bincount(M.row, minlength=m)
     ends = np.cumsum(counts)
@@ -251,36 +251,33 @@ def _gram(M: SparseMatrix) -> np.ndarray:
     return gram.reshape(n, n)
 
 
-def _make_solver(A: SparseMatrix, n_nonneg: int):
-    """A solver for the normal equations (A^T A) y = rhs, chosen by the
-    structure of A.
+def _make_solver(A: SparseMatrix):
+    """A solver for the normal equations (A^T A) y = rhs.
 
-    `to_conic` puts one moment id in each PSD row of A (fixed entries go to
-    b), and row and column scaling keeps that.  When every PSD row holds at
-    most one entry and every column has a nonzero one there, A^T A = D +
-    R^T R with D diagonal (each column's sum of squared PSD coefficients)
-    and R the `n_nonneg` scalar rows.  The matrix inversion lemma then
-    applies the inverse through the small capacitance matrix C = I + R D^-1
-    R^T, inverted once:
+    A row that holds one entry adds only to the diagonal of A^T A, whatever
+    its cone: a PSD svec row (`to_conic` puts one moment id in each), an LP
+    box or interval row.  So A^T A = D + R^T R, with D diagonal (each
+    column's squared single-entry coefficients) and R the rows with two or
+    more entries.  The matrix inversion lemma applies the inverse through
+    the capacitance matrix C = I + R D^-1 R^T, inverted once:
 
         (D + R^T R)^-1 r = D^-1 r - D^-1 R^T C^-1 R D^-1 r.
 
-    Every other problem -- the LP, which has no PSD rows, and hand-built
-    ones -- inverts the dense A^T A.
+    A column that no row holds alone leaves D singular and raises
+    `ValueError`; with D > 0 the system is positive definite.
     """
-    n = A.shape[1]
-    if n == 0:
-        return lambda rhs: rhs
-    split = int(np.searchsorted(A.row, n_nonneg))
-    d = np.bincount(A.col[split:], weights=A.data[split:] ** 2, minlength=n)
-    if not (np.all(np.diff(A.row[split:]) > 0) and np.all(d > 0)):
-        inverse = np.linalg.inv(_gram(A))
-        return lambda rhs: inverse @ rhs
-    R = SparseMatrix(A.row[:split], A.col[:split], A.data[:split], (n_nonneg, n))
+    m, n = A.shape
+    counts = np.bincount(A.row, minlength=m)
+    single = counts[A.row] == 1
+    d = np.bincount(A.col[single], weights=A.data[single] ** 2, minlength=n)
+    if not np.all(d > 0):
+        raise ValueError("a column of A has no row that holds it alone")
+    rows, many = np.flatnonzero(counts > 1), ~single
+    R = SparseMatrix(np.searchsorted(rows, A.row[many]), A.col[many], A.data[many], (rows.size, n))
     Rt = R.T
     # C = I + S S^T with S = R D^-1/2: `_gram` of S^T, whose rows are R's columns
     St = SparseMatrix(Rt.row, Rt.col, Rt.data / np.sqrt(d)[Rt.row], Rt.shape)
-    C_inverse = np.linalg.inv(np.eye(n_nonneg) + _gram(St))
+    C_inverse = np.linalg.inv(np.eye(rows.size) + _gram(St))
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         x = rhs / d
@@ -326,7 +323,7 @@ def conic_setup(problem: ConicProblem) -> ConicSetup:
         D=D,
         A=A,
         At=A.T,
-        solve_normal=_make_solver(A, problem.n_nonneg),
+        solve_normal=_make_solver(A),
         groups=_psd_groups(problem),
     )
 
@@ -391,8 +388,9 @@ def solve_conic(
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         return pres, dres, gap, pobj, dobj, dual_res
 
-    def result(status, it, y_o, s_o, z_o):
-        pres, dres, gap, pobj, dobj, _ = true_residuals(y_o, s_o, z_o)
+    def result(status, it, point, residuals):
+        y_o, s_o, z_o = point
+        pres, dres, gap, pobj, dobj, _ = residuals
         sig, grams = problem.split_cone_vector(z_o)
         s_nonneg, s_psd = problem.split_cone_vector(s_o)
         return SolveResult(
@@ -412,7 +410,6 @@ def solve_conic(
         )
 
     status = "max_iter"
-    it = 0
     for it in range(1, opts.max_iter + 1):
         rhs = At @ (b - s - u) - c / rho
         y = solve_normal(rhs)
@@ -423,13 +420,14 @@ def solve_conic(
 
         if it % CHECK_EVERY and it != opts.max_iter:
             continue
-        y_o, s_o, z_o = unscaled(y, s, u)
-        pres, dres, gap, pobj, dobj, dual_res = true_residuals(y_o, s_o, z_o)
+        # the last iteration always checks, so the result reads its values
+        point = unscaled(y, s, u)
+        residuals = pres, dres, gap, pobj, dobj, dual_res = true_residuals(*point)
         if pres <= opts.tol and dres <= opts.tol and gap <= opts.tol:
             status = "optimal"
             break
         if settled is not None and min(pobj, dobj - float(np.abs(dual_res).sum())) > 0:
-            candidate = result("settled", it, y_o, s_o, z_o)
+            candidate = result("settled", it, point, residuals)
             if settled(candidate):
                 return candidate
         if it % 200 == 0:  # residual balancing
@@ -440,7 +438,7 @@ def solve_conic(
                 u *= 2.0
                 rho *= 0.5
 
-    return result(status, it, *unscaled(y, s, u))
+    return result(status, it, point, residuals)
 
 
 def solve_lp(

@@ -768,13 +768,21 @@ def assert_solves_normal_equations(problem: ConicProblem) -> None:
 
 
 def test_normal_equations_match_a_dense_solve():
-    """The SDPs take the diagonal-plus-low-rank solve, the LP the dense
-    inverse, on a 10-8-8-3 and a 20-12-12-4 (514-column) net.  Every PSD row
-    of an SDP holds exactly one moment id, or else a fixed entry of b."""
+    """Every relaxation solves its normal equations on the one path: a
+    10-8-8-3 net under a linf and an l2 region, a 20-12-12-4 (514-column)
+    net, and the README net at eps 0.2, whose region rows -x^2 + 0.04 hold
+    one entry.  Every column has a row that holds it alone, and every PSD
+    row of an SDP holds exactly one moment id, or else a fixed entry of b."""
     net, region, label = seeded_query()
     rng = np.random.default_rng(7)
     big = stabilize(random_net(rng, (20, 12, 12, 4)))
-    cases = [(net, region, label, 2), (big, random_region(rng, 20), 1, 2)]
+    cases = [
+        (net, region, label, 2),
+        (net, random_region(np.random.default_rng(5), 10, "l2"), label, 2),
+        (big, random_region(rng, 20), 1, 2),
+        (make_example1(), PerturbationRegion.linf([0, 0.5, 0], 0.2), 2, 1),
+    ]
+    n_vars = []
     for net, region, label, target in cases:
         f = objective_targeted(net, label, target)
         cliques = build_cliques(net)
@@ -785,27 +793,18 @@ def test_normal_equations_match_a_dense_solve():
         ]
         for problem in problems:
             k = problem.n_nonneg
-            entries = np.bincount(problem.A.row, minlength=problem.n_rows)[k:]
-            assert np.array_equal(entries, (problem.b[k:] == 0).astype(entries.dtype))
+            entries = np.bincount(problem.A.row, minlength=problem.n_rows)
+            assert np.array_equal(entries[k:], (problem.b[k:] == 0).astype(entries.dtype))
+            held = np.unique(problem.A.col[entries[problem.A.row] == 1])
+            assert np.array_equal(held, np.arange(problem.n_vars))
             assert_solves_normal_equations(problem)
-    assert problems[0].n_vars == 514
+        n_vars.append(problems[0].n_vars)
+    assert n_vars[2] == 514
 
 
-@pytest.mark.parametrize(
-    "A",
-    [
-        # the second PSD row holds two entries
-        [[1.0, 2.0], [1.0, 0.0], [0.5, -1.0], [0.0, 3.0]],
-        # the second column has no PSD entry
-        [[1.0, 2.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
-    ],
-    ids=["two-entry-psd-row", "column-without-psd-entry"],
-)
-def test_normal_equations_of_other_structures_take_the_dense_inverse(A):
-    """One scalar row over one 2 x 2 PSD block, built by hand, where A^T A
-    is no invertible diagonal plus the scalar rows' term: the solve is still
-    exact."""
-    problem = ConicProblem(
+def hand_built(A) -> ConicProblem:
+    """One scalar row over one 2 x 2 PSD block, with the 4 x 2 matrix `A`."""
+    return ConicProblem(
         A=sparse(np.array(A)),
         b=np.array([1.0, 1.0, 0.0, 1.0]),
         c=np.zeros(2),
@@ -814,7 +813,26 @@ def test_normal_equations_of_other_structures_take_the_dense_inverse(A):
         psd_sizes=(2,),
         index=MomentIndex((), (Var(1, 1), Var(1, 2))),
     )
-    assert_solves_normal_equations(problem)
+
+
+def test_normal_equations_with_a_two_entry_psd_row_are_exact():
+    """The second PSD row holds two entries: it joins the scalar row in the
+    low-rank term, and the solve is still exact."""
+    assert_solves_normal_equations(
+        hand_built([[1.0, 2.0], [1.0, 0.0], [0.5, -1.0], [0.0, 3.0]])
+    )
+
+
+def test_normal_equations_without_columns_solve_to_the_empty_vector():
+    solve = solver._make_solver(SparseMatrix([], [], [], (3, 0)))
+    assert solve(np.zeros(0)).shape == (0,)
+
+
+def test_normal_equations_reject_a_column_without_a_single_entry_row():
+    """The second column appears only in the two-entry scalar row, so A^T A
+    has no positive diagonal part to build the solve on."""
+    with pytest.raises(ValueError, match="no row that holds it alone"):
+        conic_setup(hand_built([[1.0, 2.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
 
 
 # -- integer certificate expansion ---------------------------------------------
