@@ -408,10 +408,11 @@ def encode_tightened(
             j = row.var.index
             x = MultilinearPoly.variable(row.var)
             up = x + 1
+            zeta = row.zeta
             ineqs.append(Constraint("g1", i, j, up * row.z))
             ineqs.append(Constraint("g2", i, j, (x - 1) * row.z))
-            ineqs.append(Constraint("t1", i, j, up * (row.row_bound - row.zeta)))
-            ineqs.append(Constraint("t2", i, j, (1 - x) * (row.row_bound + row.zeta)))
+            ineqs.append(Constraint("t1", i, j, up * (row.row_bound - zeta)))
+            ineqs.append(Constraint("t2", i, j, (1 - x) * (row.row_bound + zeta)))
     ineqs.extend(_region_constraints(region))
     cs = ConstraintSet(tuple(ineqs), objective)
     return VerificationInstance(net, region, cs, "tightened", true_label, target)

@@ -9,6 +9,16 @@ equals, so arithmetic never rounds and every check that claims a polynomial is
 *identically* zero is an exact statement.  An infinite or NaN coefficient
 raises `ValueError`.
 
+Every polynomial is kept in one normal form: each monomial is a tuple of
+(variable, exponent) pairs sorted by variable, each variable at most once and
+every exponent at least 1, and each coefficient is exact and nonzero.  The
+public constructor sets it up from any mapping (it sorts each monomial, sums
+the exponents of a repeated variable, converts floats and merges monomials
+that coincide); the ring operations and `reduce_binary_squares` keep it,
+building their results from operands already in normal form without
+normalizing them again.  So equal polynomials have equal `terms`, and the
+moment assembly and the rigorization read each monomial as it is stored.
+
 Everything here is a pure value; polynomials are immutable once built.
 """
 
@@ -37,26 +47,52 @@ class Var(NamedTuple):
         return f"x[{self.layer},{self.index}]"
 
 
-# A monomial is a sorted tuple of (variable, exponent>=1) pairs; () is the
-# constant monomial.
+# A monomial is a tuple of (variable, exponent >= 1) pairs sorted by
+# variable, each variable once; () is the constant monomial.
 Monomial = Tuple[Tuple[Var, int], ...]
 
 
 def _mono(pairs: Iterable[Tuple[Var, int]]) -> Monomial:
-    return tuple(sorted((v, e) for v, e in pairs if e != 0))
+    """The normal form of a product of powers: the exponents of a repeated
+    variable summed, zero exponents dropped, sorted by variable."""
+    exps: dict[Var, int] = {}
+    for v, e in pairs:
+        exps[v] = exps.get(v, 0) + e
+    if any(e < 0 for e in exps.values()):
+        raise ValueError(f"negative exponent in monomial {sorted(exps.items())}")
+    return tuple(sorted((v, e) for v, e in exps.items() if e))
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """The product of two normal-form monomials, merged in one sorted pass."""
     if not a:
         return b
     if not b:
         return a
-    exps: dict[Var, int] = {}
-    for v, e in a:
-        exps[v] = exps.get(v, 0) + e
-    for v, e in b:
-        exps[v] = exps.get(v, 0) + e
-    return _mono(exps.items())
+    if len(a) == 1 and len(b) == 1:
+        (va, ea), (vb, eb) = a[0], b[0]
+        if va < vb:
+            return a + b
+        if vb < va:
+            return b + a
+        return ((va, ea + eb),)
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        va, vb = a[i][0], b[j][0]
+        if va < vb:
+            out.append(a[i])
+            i += 1
+        elif vb < va:
+            out.append(b[j])
+            j += 1
+        else:
+            out.append((va, a[i][1] + b[j][1]))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
 
 
 def _mono_degree(m: Monomial) -> int:
@@ -75,8 +111,9 @@ def _exact(c: Scalar) -> Scalar:
 class MultilinearPoly:
     """Sparse polynomial in the network variables.
 
-    Stored as monomial -> exact coefficient with zero coefficients dropped,
-    so `is_zero` means the polynomial is identically zero over the rationals.
+    Stored as normal-form monomial -> exact nonzero coefficient (see the
+    module docstring), so `is_zero` means the polynomial is identically zero
+    over the rationals.
     """
 
     __slots__ = ("terms",)
@@ -97,6 +134,14 @@ class MultilinearPoly:
                 clean[mono] = coeff
         self.terms = clean
 
+    @classmethod
+    def _normal(cls, terms: dict[Monomial, Scalar]) -> "MultilinearPoly":
+        """The polynomial of `terms`, whose monomials are in normal form and
+        whose coefficients are exact; only zero coefficients are dropped."""
+        poly = object.__new__(cls)
+        poly.terms = {mono: coeff for mono, coeff in terms.items() if coeff}
+        return poly
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -105,56 +150,73 @@ class MultilinearPoly:
 
     @classmethod
     def constant(cls, c: Scalar) -> "MultilinearPoly":
-        return cls({(): c})
+        return cls._normal({(): _exact(c)})
 
     @classmethod
     def variable(cls, v: Var, coeff: Scalar = 1) -> "MultilinearPoly":
-        return cls({((v, 1),): coeff})
+        return cls._normal({((v, 1),): _exact(coeff)})
 
     @classmethod
     def linear(cls, coeffs: Mapping[Var, Scalar], const: Scalar = 0) -> "MultilinearPoly":
-        terms: dict[Monomial, Scalar] = {((v, 1),): c for v, c in coeffs.items()}
-        terms[()] = const
-        return cls(terms)
+        terms: dict[Monomial, Scalar] = {((v, 1),): _exact(c) for v, c in coeffs.items()}
+        terms[()] = _exact(const)
+        return cls._normal(terms)
 
     # -- ring operations ----------------------------------------------------
+    #
+    # Each builds its result from operands in normal form: a product of two
+    # normal monomials is merged by `_mono_mul`, and coefficients combine
+    # only where two terms land on one monomial.
 
     def __add__(self, other: "MultilinearPoly | Scalar") -> "MultilinearPoly":
-        if not isinstance(other, MultilinearPoly):
-            other = MultilinearPoly.constant(other)
-        merged = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            merged[mono] = merged.get(mono, 0) + coeff
-        return MultilinearPoly(merged)
+        terms = dict(self.terms)
+        if isinstance(other, MultilinearPoly):
+            for mono, coeff in other.terms.items():
+                terms[mono] = terms[mono] + coeff if mono in terms else coeff
+        else:
+            c = _exact(other)
+            if c:
+                terms[()] = terms[()] + c if () in terms else c
+        return MultilinearPoly._normal(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultilinearPoly":
-        return MultilinearPoly({m: -c for m, c in self.terms.items()})
+        return MultilinearPoly._normal({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "MultilinearPoly | Scalar") -> "MultilinearPoly":
-        if not isinstance(other, MultilinearPoly):
-            other = MultilinearPoly.constant(other)
-        return self + (-other)
+        terms = dict(self.terms)
+        if isinstance(other, MultilinearPoly):
+            for mono, coeff in other.terms.items():
+                terms[mono] = terms[mono] - coeff if mono in terms else -coeff
+        else:
+            c = _exact(other)
+            if c:
+                terms[()] = terms[()] - c if () in terms else -c
+        return MultilinearPoly._normal(terms)
 
     def __rsub__(self, other: Scalar) -> "MultilinearPoly":
-        return MultilinearPoly.constant(other) + (-self)
+        c = _exact(other)
+        terms: dict[Monomial, Scalar] = {(): c} if c else {}
+        for mono, coeff in self.terms.items():
+            terms[mono] = terms[mono] - coeff if mono in terms else -coeff
+        return MultilinearPoly._normal(terms)
 
     def scale(self, c: Scalar) -> "MultilinearPoly":
         c = _exact(c)
         if c == 0:
             return MultilinearPoly.zero()
-        return MultilinearPoly({m: coeff * c for m, coeff in self.terms.items()})
+        return MultilinearPoly._normal({m: coeff * c for m, coeff in self.terms.items()})
 
     def __mul__(self, other: "MultilinearPoly | Scalar") -> "MultilinearPoly":
         if not isinstance(other, MultilinearPoly):
             return self.scale(other)
-        out: dict[Monomial, Scalar] = {}
+        terms: dict[Monomial, Scalar] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = _mono_mul(ma, mb)
-                out[m] = out.get(m, 0) + ca * cb
-        return MultilinearPoly(out)
+                terms[m] = terms[m] + ca * cb if m in terms else ca * cb
+        return MultilinearPoly._normal(terms)
 
     def __rmul__(self, other: Scalar) -> "MultilinearPoly":
         return self.scale(other)
@@ -166,13 +228,13 @@ class MultilinearPoly:
 
         Input-layer variables keep their exponents.  Idempotent.
         """
-        out: dict[Monomial, Scalar] = {}
+        terms: dict[Monomial, Scalar] = {}
         for mono, coeff in self.terms.items():
-            reduced = _mono(
-                (v, e if not v.is_binary else e % 2) for v, e in mono
+            reduced = tuple(
+                (v, e % 2 if v.is_binary else e) for v, e in mono if not v.is_binary or e % 2
             )
-            out[reduced] = out.get(reduced, 0) + coeff
-        return MultilinearPoly(out)
+            terms[reduced] = terms[reduced] + coeff if reduced in terms else coeff
+        return MultilinearPoly._normal(terms)
 
     def is_zero(self) -> bool:
         return not self.terms

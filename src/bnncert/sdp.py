@@ -39,7 +39,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -73,6 +73,9 @@ __all__ = [
 ]
 
 SQRT2 = math.sqrt(2.0)
+
+# An exact coefficient of a linearized row
+Exact = Union[int, Fraction]
 
 # Moment keys: () constant, (v,) single, (v, w) sorted distinct pair,
 # (v, v) input-coordinate square.
@@ -126,6 +129,8 @@ class MomentIndex:
         also what a binary square is (x^2 = 1 is applied here, and only here,
         in linearization).
 
+        `mono` is in `MultilinearPoly`'s normal form (sorted, each variable
+        once), so a product of two variables is already its sorted pair key.
         Raises on monomials outside the degree-2 clique-covered structure,
         naming the offending variables.
         """
@@ -142,10 +147,11 @@ class MomentIndex:
             else:
                 raise ValueError(f"monomial degree too high: {v}^{e}")
             if key not in self.ids:
-                raise ValueError(f"monomial {v} not covered by any clique")
+                name = f"{v}^2" if e == 2 else f"{v}"
+                raise ValueError(f"monomial {name} not covered by any clique")
             return key
         if len(mono) == 2 and mono[0][1] == 1 and mono[1][1] == 1:
-            key = tuple(sorted((mono[0][0], mono[1][0])))
+            key = (mono[0][0], mono[1][0])
             if key not in self.ids:
                 raise ValueError(
                     f"variable pair ({key[0]}, {key[1]}) not covered by any clique"
@@ -153,18 +159,23 @@ class MomentIndex:
             return key
         raise ValueError(f"monomial not representable at order 1: {mono}")
 
-    def linearize(self, poly: MultilinearPoly) -> tuple[Fraction, dict[int, Fraction]]:
-        """L_y(poly): constant part plus coefficients over moment ids."""
-        const = Fraction(0)
-        coeffs: dict[int, Fraction] = {}
+    def linearize(self, poly: MultilinearPoly) -> tuple[Exact, dict[int, Exact]]:
+        """L_y(poly): constant part plus coefficients over moment ids, as
+        exact numbers.
+
+        In normal form distinct monomials resolve to distinct moment ids, so
+        each id takes one coefficient as stored; only the constant monomial
+        and binary squares, which all resolve to the constant, are summed.
+        """
+        const: Exact = 0
+        coeffs: dict[int, Exact] = {}
         for mono, coeff in poly.terms.items():
             key = self.resolve(mono)
             if key is None:
                 const += coeff
             else:
-                idx = self.ids[key]
-                coeffs[idx] = coeffs.get(idx, Fraction(0)) + coeff
-        return const, {k: v for k, v in coeffs.items() if v != 0}
+                coeffs[self.ids[key]] = coeff
+        return const, coeffs
 
 
 @dataclass(frozen=True)
@@ -175,9 +186,9 @@ class MomentSdp:
     cliques: tuple[Clique, ...]
     block_fixed: tuple[np.ndarray, ...]  # constant part of each block
     block_entries: tuple[tuple[tuple[int, int, int], ...], ...]  # (p, q, id), p <= q
-    rows: tuple[tuple[Fraction, tuple[tuple[int, Fraction], ...]], ...]
-    objective_const: Fraction
-    objective: tuple[tuple[int, Fraction], ...]
+    rows: tuple[tuple[Exact, tuple[tuple[int, Exact], ...]], ...]
+    objective_const: Exact
+    objective: tuple[tuple[int, Exact], ...]
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
@@ -376,17 +387,15 @@ def to_conic(msdp: MomentSdp) -> ConicProblem:
     rows_i: list[int] = []
     cols_j: list[int] = []
     vals: list[float] = []
-    b_parts: list[np.ndarray] = []
+    b_parts = [np.array([float(const) for const, _ in msdp.rows], dtype=float)]
 
-    r = 0
-    for const, coeffs in msdp.rows:
+    for r, (_, coeffs) in enumerate(msdp.rows):
         for idx, coeff in coeffs:
             rows_i.append(r)
             cols_j.append(idx - 1)
             vals.append(-float(coeff))
-        b_parts.append(np.array([float(const)]))
-        r += 1
 
+    r = msdp.n_rows
     for fixed, entries in zip(msdp.block_fixed, msdp.block_entries):
         s = fixed.shape[0]
         b_parts.append(svec(fixed))
@@ -398,10 +407,9 @@ def to_conic(msdp: MomentSdp) -> ConicProblem:
         r += s * (s + 1) // 2
 
     A = SparseMatrix(rows_i, cols_j, vals, (r, n_vars))
-    b = np.concatenate(b_parts) if b_parts else np.zeros(0)
     return ConicProblem(
         A=A,
-        b=b,
+        b=np.concatenate(b_parts),
         c=_dense(n_vars, msdp.objective),
         c0=float(msdp.objective_const),
         n_nonneg=msdp.n_rows,

@@ -502,19 +502,25 @@ def _exact_psd_check(G: np.ndarray) -> bool:
 
 
 def _reduce_mono(mono: tuple) -> tuple:
-    """A monomial modulo x^2 = 1 for every binary (layer >= 1) variable."""
+    """A normal-form monomial modulo x^2 = 1 for every binary (layer >= 1)
+    variable; one whose exponents are all 1 is already reduced."""
+    for _, e in mono:
+        if e != 1:
+            break
+    else:
+        return mono
     return tuple(
         (v, e % 2 if v.layer else e) for v, e in mono if not v.layer or e % 2
     )
 
 
 def _mono_of(u: Optional[Var], v: Optional[Var]) -> tuple:
-    """The monomial u * v, where None stands for the constant 1."""
+    """The normal-form monomial u * v, where None stands for the constant 1."""
     if u is None:
         return () if v is None else ((v, 1),)
     if u == v:
         return ((u, 2),)
-    return tuple(sorted(((u, 1), (v, 1))))
+    return ((u, 1), (v, 1)) if u < v else ((v, 1), (u, 1))
 
 
 def _number_terms(objective, rows, cliques: Sequence[Clique]):
@@ -526,13 +532,9 @@ def _number_terms(objective, rows, cliques: Sequence[Clique]):
     entry of its Gram matrix, row by row.
     """
     slots: dict = {(): 0}
-    seen: dict = {}  # unreduced monomial -> slot
 
     def slot(mono) -> int:
-        k = seen.get(mono)
-        if k is None:
-            k = seen[mono] = slots.setdefault(_reduce_mono(mono), len(slots))
-        return k
+        return slots.setdefault(_reduce_mono(mono), len(slots))
 
     def terms(poly):
         return [(slot(mono), c) for mono, c in poly.terms.items()]

@@ -2,12 +2,23 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bnncert import MultilinearPoly, Var, objective_targeted
+from bnncert import (
+    MomentIndex,
+    MultilinearPoly,
+    Var,
+    build_cliques,
+    encode_lp,
+    encode_milp,
+    encode_standard,
+    encode_tightened,
+    objective_targeted,
+)
 
-from conftest import make_example1
+from conftest import make_example1, random_net, random_region
 
 
 X11 = Var(1, 1)
@@ -136,3 +147,82 @@ def test_reduction_preserves_values_on_the_cube(p, s1, s2, x0val):
     """x^2 = 1 substitution is sound exactly on +-1 assignments."""
     point = {X11: 1 if s1 else -1, X12: 1 if s2 else -1, X01: x0val}
     assert abs(p.evaluate(point) - p.reduce_binary_squares().evaluate(point)) < 1e-9
+
+
+# -- normal form --------------------------------------------------------------
+
+
+def assert_normal(p):
+    """Sorted monomials with distinct variables and exponents >= 1, exact
+    nonzero coefficients, and nothing left for the constructor to merge."""
+    rebuilt = MultilinearPoly(dict(reversed(list(p.terms.items()))))
+    assert rebuilt.terms == p.terms
+    for mono, coeff in p.terms.items():
+        assert coeff != 0 and not isinstance(coeff, float)
+        variables = [v for v, _ in mono]
+        assert variables == sorted(set(variables))
+        assert all(e >= 1 for _, e in mono)
+
+
+def test_constructor_merges_a_repeated_variable(example1):
+    p = MultilinearPoly({((X11, 1), (X11, 1)): 1})
+    assert p == MultilinearPoly({((X11, 2),): 1})
+    assert (p - 1).identity_zero()  # x11^2 = 1
+    assert p.reduce_binary_squares() == MultilinearPoly.constant(1)
+    index = MomentIndex(build_cliques(example1), ())
+    (mono,) = p.terms
+    assert index.resolve(mono) is None  # a binary square, not a pair
+    assert index.linearize(p) == (1, {})
+    # an input variable keeps its summed exponent; a zero exponent drops
+    q = MultilinearPoly({((X11, 1), (X01, 1), (X01, 1)): 2, ((X12, 0), (X01, 2)): 1})
+    assert q.terms == {((X01, 2), (X11, 1)): 2, ((X01, 2),): 1}
+    with pytest.raises(ValueError, match="negative exponent"):
+        MultilinearPoly({((X11, 1), (X11, -2)): 1})
+
+
+# monomials as the constructor may receive them: unsorted, a variable repeated
+raw_monomials = st.lists(
+    st.tuples(st.sampled_from([X01, Var(0, 2), X11, X12, X21]), st.integers(1, 2)),
+    max_size=3,
+).map(tuple)
+scalars = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(-2, 2, max_denominator=8),
+    st.floats(-2, 2, allow_nan=False),
+)
+raw_polys = st.lists(st.tuples(raw_monomials, scalars), max_size=5).map(
+    lambda terms: MultilinearPoly(dict(terms))
+)
+
+
+@given(raw_polys, raw_polys, scalars)
+def test_ring_operations_return_normal_form(a, b, c):
+    x = MultilinearPoly.variable(X11)
+    results = [
+        a, a + b, a - b, b - a, -a, a * b, a * a, a.scale(c), c * a,
+        a + c, c + a, a - c, c - a, a - a, a + (-a), (x + 1) * (x - 1),
+        a.reduce_binary_squares(), (a * b).reduce_binary_squares(),
+    ]
+    for p in results:
+        assert_normal(p)
+    assert (a - a).is_zero() and (a + (-a)).is_zero()
+    # the merged product agrees with the constructor's normalization of the
+    # concatenated monomials
+    naive = MultilinearPoly.zero()
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            naive = naive + MultilinearPoly({ma + mb: ca * cb})
+    assert a * b == naive
+
+
+@pytest.mark.parametrize("kind", ["linf", "l2"])
+def test_encoder_rows_are_in_normal_form(kind):
+    rng = np.random.default_rng(10)
+    net = random_net(rng, (10, 8, 8, 3))
+    region = random_region(rng, 10, kind)
+    objective = objective_targeted(net, 1, 2)
+    for encode in (encode_standard, encode_tightened, encode_lp, encode_milp):
+        inst = encode(net, region, objective)
+        assert_normal(inst.objective)
+        for con in inst.constraints.inequalities:
+            assert_normal(con.poly)
