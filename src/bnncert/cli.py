@@ -22,8 +22,12 @@ every target is listed with its exact forward margin.
 
 Otherwise targets are bounded in class order, sharing what does not depend
 on the target, built once per query: a relaxation's conic problem, or the
-oracle's layer-1 cells.  Bounding stops as soon as the verdict cannot
-change: after a forward-checked counterexample (any method), or after an
+oracle's layer-1 cells.  The bounding engines and `export` read the network
+with its layer-1 neurons that are constant over the region folded away
+(`_fold_region`), and the objectives are built on it; the sampling attack,
+the default label, the report's `widths` and the forward check of every
+counterexample read the stabilized network.  Bounding stops as soon as the
+verdict cannot change: after a forward-checked counterexample (any method), or after an
 `lp`/`sdp1`/`sdp1-tight` target that is not certified (these engines return
 no witness, so the verdict can then only be "unknown").  The remaining
 targets keep their place in the report with status "skipped".  `oracle` and
@@ -51,11 +55,13 @@ from bnncert.encode import (
     encode_milp,
     encode_standard,
     encode_tightened,
+    neuron_ranges,
     objective_targeted,
 )
 from bnncert.model import (
     FoldedBnn,
     fold_batchnorm,
+    fold_signs,
     forward,
     load_inputs,
     load_model,
@@ -143,7 +149,36 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _prepare(args) -> tuple[FoldedBnn, np.ndarray, int, PerturbationRegion, float]:
+def _fold_region(net: FoldedBnn, region: PerturbationRegion) -> FoldedBnn:
+    """`net` without the layer-1 neurons whose sign is constant over the
+    region's box, stabilized again to a fixpoint.
+
+    Over the box a layer-1 pre-activation ranges over [beta - R, beta + R]
+    (`neuron_ranges`, exact).  It folds to +1 where beta - R >= 0 and to -1
+    where beta + R < 0; at the tie beta + R = 0 it is +1 at one corner of the
+    box and -1 elsewhere, so it stays.  Where a hidden layer would empty
+    out, the output is constant over the region and `net` is returned as it
+    is.
+    """
+    signs = [
+        1 if beta >= bound else -1 if beta + bound < 0 else 0
+        for beta, bound in neuron_ranges(net, 1, region)
+    ]
+    if not any(signs):
+        return net
+    try:
+        return stabilize(fold_signs(net, 1, signs, " over the region"))
+    except ValueError:  # a hidden layer emptied out
+        return net
+
+
+def _prepare(
+    args,
+) -> tuple[FoldedBnn, FoldedBnn, np.ndarray, int, PerturbationRegion, float]:
+    """The query: the stabilized net, the same net folded over the region
+    (`_fold_region`), the reference input, the label, the region and its
+    radius.  The bounding engines read the folded net; the sampling attack,
+    the default label and every forward check read the stabilized one."""
     net = stabilize(fold_batchnorm(load_model(args.model)))
     inputs = load_inputs(args.input)
     if not (1 <= args.index <= inputs.shape[0]):
@@ -166,7 +201,7 @@ def _prepare(args) -> tuple[FoldedBnn, np.ndarray, int, PerturbationRegion, floa
     label = args.label if args.label is not None else forward(net, x0).label
     if not (1 <= label <= net.n_classes):
         raise ValueError(f"--label {label} outside 1..{net.n_classes}")
-    return net, x0, label, region, eps
+    return net, _fold_region(net, region), x0, label, region, eps
 
 
 def _find_counterexample(
@@ -264,7 +299,7 @@ def _bounder(
         records = feasible_patterns(net, region)
 
         def exact(k, objective):
-            result = exact_minimum(net, records, objective)
+            result = exact_minimum(records, objective)
             witness = result.witness if result.value <= 0 else None
             return result.value, result.value, None, "exact", witness
 
@@ -320,7 +355,7 @@ def _collect_metrics(
 
 
 def run_verify(args) -> int:
-    net, x0, label, region, eps = _prepare(args)
+    net, folded, x0, label, region, eps = _prepare(args)
     opts = SolveOptions(tol=args.tol, max_iter=args.max_iter)
     points, logits = sample_logits(net, region, SAMPLES, args.seed)
     counterexample = _find_counterexample(net, points, logits, label)
@@ -343,11 +378,11 @@ def run_verify(args) -> int:
             targets.append(TargetReport(k, "exact-forward", margin, margin, status, 0.0))
     elif counterexample is None:
         objectives = {
-            k: objective_targeted(net, label, k)
+            k: objective_targeted(folded, label, k)
             for k in range(1, net.n_classes + 1)
             if k != label
         }
-        bound, size = _bounder(args.method, net, region, objectives, opts, upper)
+        bound, size = _bounder(args.method, folded, region, objectives, opts, upper)
         relaxed = _encoder(args.method) is not None
         decided = False
         for k, objective in objectives.items():
@@ -379,7 +414,7 @@ def run_verify(args) -> int:
         verdict = "unknown"
 
     metrics = (
-        _collect_metrics(net, region, targets, objectives, upper, args.method, opts, size)
+        _collect_metrics(folded, region, targets, objectives, upper, args.method, opts, size)
         if args.metrics
         else None
     )
@@ -424,7 +459,7 @@ def run_verify(args) -> int:
 
 
 def run_export(args) -> int:
-    net, x0, label, region, eps = _prepare(args)
+    _, net, x0, label, region, eps = _prepare(args)
     if eps == 0:
         raise ValueError("export needs a positive radius")
     target = args.target

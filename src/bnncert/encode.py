@@ -27,7 +27,11 @@ are exact and the numeric layers decide when to round.
 
 Every hidden neuron is modelled once, by `neuron_rows`, over the box [l, u]
 of its previous layer: with c = (l+u)/2 and r = (u-l)/2 the row bound is
-R = sum_k |W_jk| r_k and the effective bias is beta = b_j + <W_row, c>.  The
+R = sum_k |W_jk| r_k and the effective bias is beta = b_j + <W_row, c>, so
+the pre-activation ranges over [beta - R, beta + R].  `neuron_ranges`
+computes that exact range, in integers over one common denominator, and
+`neuron_rows` reads it; the CLI reads it alone to fold the layer-1 neurons
+that are constant over a query's region before encoding.  The
 row-bound products and the linear envelopes are built from that record.  The
 box is the only difference between layers: layer 1 sees the region's box,
 a deeper layer the +/-1 box (c = 0, r = 1, so R is the row 1-norm and beta
@@ -64,6 +68,7 @@ __all__ = [
     "encode_tightened",
     "linear_identity_residuals",
     "merge_cliques",
+    "neuron_ranges",
     "neuron_rows",
     "objective_targeted",
     "region_polynomials",
@@ -159,7 +164,13 @@ class ConstraintSet:
 
 @dataclass(frozen=True)
 class Clique:
+    """A set of variables, held sorted: each pair of `variables` in order
+    is already a sorted pair."""
+
     variables: tuple[Var, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "variables", tuple(sorted(self.variables)))
 
 
 @dataclass(frozen=True)
@@ -249,11 +260,12 @@ class NeuronRow:
         return up, down
 
 
-def neuron_rows(
+def neuron_ranges(
     net: FoldedBnn, layer: int, region: Optional[PerturbationRegion] = None
-) -> list[NeuronRow]:
-    """The `NeuronRow` of every neuron of hidden `layer` (1-based); layer 1
-    needs the `region`.
+) -> list[tuple[Fraction, Fraction]]:
+    """(beta, R) of every neuron of hidden `layer` (1-based), exactly: over
+    the box of its inputs the pre-activation ranges over [beta - R, beta + R].
+    Layer 1 needs the `region`.
 
     The box of layer 1's inputs is the region's box, in exact rationals; the
     box of a deeper layer's +/-1 inputs is [-1, 1] (c = 0, r = 1), so its row
@@ -262,26 +274,44 @@ def neuron_rows(
     weights = net.weight(layer).tolist()
     n_prev = net.widths[layer - 1]
     if layer == 1:
-        # c = center / den and r = half / den, over one common denominator
-        lo = [Fraction(v) for v in region.lower.tolist()]
-        hi = [Fraction(v) for v in region.upper.tolist()]
-        den = 2 * math.lcm(*(e.denominator for e in lo + hi))
-        center = [int((a + b) / 2 * den) for a, b in zip(lo, hi)]
-        half = [int((b - a) / 2 * den) for a, b in zip(lo, hi)]
+        # c = center / den and r = half / den, over one common denominator:
+        # a float's denominator is a power of two, so their lcm is the
+        # largest, and den is twice that, so that lo * den and hi * den
+        # are even integers
+        lo = [v.as_integer_ratio() for v in region.lower.tolist()]
+        hi = [v.as_integer_ratio() for v in region.upper.tolist()]
+        den = 2 * max(d for _, d in lo + hi)
+        lo = [n * (den // d) for n, d in lo]
+        hi = [n * (den // d) for n, d in hi]
+        center = [(a + b) // 2 for a, b in zip(lo, hi)]
+        half = [(b - a) // 2 for a, b in zip(lo, hi)]
     else:
         center, half, den = [0] * n_prev, [1] * n_prev, 1
+    out = []
+    for w, b in zip(weights, net.bias(layer).tolist()):
+        shift = sum(wk * ck for wk, ck in zip(w, center) if wk)
+        bound = sum(abs(wk) * hk for wk, hk in zip(w, half) if wk)
+        out.append((Fraction(b) + Fraction(shift, den), Fraction(bound, den)))
+    return out
+
+
+def neuron_rows(
+    net: FoldedBnn, layer: int, region: Optional[PerturbationRegion] = None
+) -> list[NeuronRow]:
+    """The `NeuronRow` of every neuron of hidden `layer` (1-based), with the
+    exact ranges of `neuron_ranges`; layer 1 needs the `region`."""
     rows = []
-    for j, (w, b) in enumerate(zip(weights, net.bias(layer).tolist()), start=1):
-        nonzero = [(k, wk) for k, wk in enumerate(w) if wk]
-        coeffs = {Var(layer - 1, k + 1): wk for k, wk in nonzero}
-        b = Fraction(b)
-        shift = Fraction(sum(wk * center[k] for k, wk in nonzero), den)
+    ranges = neuron_ranges(net, layer, region)
+    for j, (w, b, (beta, bound)) in enumerate(
+        zip(net.weight(layer).tolist(), net.bias(layer).tolist(), ranges), start=1
+    ):
+        coeffs = {Var(layer - 1, k): wk for k, wk in enumerate(w, start=1) if wk}
         rows.append(
             NeuronRow(
                 var=Var(layer, j),
-                z=MultilinearPoly.linear(coeffs, b),
-                row_bound=Fraction(sum(abs(wk) * half[k] for k, wk in nonzero), den),
-                beta=b + shift,
+                z=MultilinearPoly.linear(coeffs, Fraction(b)),
+                row_bound=bound,
+                beta=beta,
             )
         )
     return rows
@@ -530,7 +560,7 @@ def build_cliques(net: FoldedBnn) -> list[Clique]:
     if L >= 2:
         for k in range(1, widths[L] + 1):
             cliques.append(layer_vars(L - 1) + [Var(L, k)])
-    return [Clique(tuple(sorted(vs))) for vs in cliques]
+    return [Clique(tuple(vs)) for vs in cliques]
 
 
 #: order of the largest Gram block that `rigorous_lower_bound` proves PSD
@@ -553,9 +583,9 @@ def merge_cliques(cliques: Sequence[Clique]) -> list[Clique]:
     and its order (variables + 1) is at most `EXACT_PSD_ORDER`; otherwise it
     starts a new block.  Only an overlapping block can save: joining
     disjoint sets of a and b variables saves 1 - ab <= 0 entries.  Blocks
-    keep the order in which they were started, each with its variables
-    sorted.  A 10-8-8-3 net's 18 blocks of order 10 become one of order 27;
-    cliques already larger than the limit stay as they are.
+    keep the order in which they were started.  A 10-8-8-3 net's 18 blocks
+    of order 10 become one of order 27; cliques already larger than the
+    limit stay as they are.
 
     For the cliques of `build_cliques` the relaxation's optimum does not
     change:
@@ -591,7 +621,7 @@ def merge_cliques(cliques: Sequence[Clique]) -> list[Clique]:
             blocks.append(vs)
         else:
             blocks[best] |= vs
-    return [Clique(tuple(sorted(block))) for block in blocks]
+    return [Clique(tuple(block)) for block in blocks]
 
 
 def check_rip(cliques: Sequence[Clique]) -> bool:

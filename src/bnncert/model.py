@@ -10,13 +10,22 @@ with nv_k the row 1-norm), propagating the constant into the next layer.
 Every neuron it keeps, -nv_k <= b_k < nv_k, takes both signs on the cube; at
 the tie b_k = -nv_k the +1 side is the one corner where z = 0.
 
+`fold_signs` is the one folding operation: it removes given constant neurons
+of a layer and adds their constants to the next layer's bias exactly, or,
+where binary64 cannot hold the sum, without changing the sign of any
+pre-activation a hidden neuron can see.  `stabilize` folds the neurons that
+are constant on the cube through it, and the CLI the layer-1 neurons that
+are constant over a query's region.
+
 Class labels and neuron indices are 1-based throughout the package.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,6 +36,7 @@ __all__ = [
     "ForwardTrace",
     "RawBnn",
     "fold_batchnorm",
+    "fold_signs",
     "forward",
     "forward_activations",
     "forward_logits",
@@ -325,42 +335,80 @@ def fold_batchnorm(raw: RawBnn) -> FoldedBnn:
     return FoldedBnn(widths=raw.widths, weights=tuple(weights), biases=tuple(biases), log=tuple(log))
 
 
+def fold_signs(net: FoldedBnn, layer: int, signs: Sequence[int], where: str = "") -> FoldedBnn:
+    """Remove the neurons of hidden `layer` whose entry of `signs` is +1 or
+    -1, the constant sign they take; an entry 0 keeps its neuron.
+
+    Each removed neuron's constant enters the next layer's bias through its
+    column (`_fold_bias`), and one log line per neuron records the fold
+    ("layer 1 neuron 3: constant +1{where}, removed").  Raises `ValueError`
+    if the layer empties out.
+    """
+    if not 1 <= layer <= net.depth:
+        raise ValueError(f"layer {layer} is not a hidden layer")
+    signs = np.asarray(signs, dtype=np.int64)
+    if signs.shape != (net.widths[layer],) or not np.isin(signs, (-1, 0, 1)).all():
+        raise ValueError(f"layer {layer}: expected one sign in {{-1, 0, +1}} per neuron")
+    fold = signs != 0
+    keep = ~fold
+    if not keep.any():
+        raise ValueError(f"layer {layer} fully stabilized; verification degenerate")
+    widths, weights, biases = list(net.widths), list(net.weights), list(net.biases)
+    hidden = layer + 1 < len(widths) - 1
+    offset = weights[layer][:, fold] @ signs[fold]
+    biases[layer] = np.array(
+        [_fold_bias(b, int(d), hidden) for b, d in zip(biases[layer].tolist(), offset.tolist())]
+    )
+    weights[layer] = weights[layer][:, keep]
+    weights[layer - 1] = weights[layer - 1][keep, :]
+    biases[layer - 1] = biases[layer - 1][keep]
+    widths[layer] = int(keep.sum())
+    log = list(net.log)
+    for k in np.flatnonzero(fold):
+        log.append(f"layer {layer} neuron {k + 1}: constant {signs[k]:+d}{where}, removed")
+    return FoldedBnn(tuple(widths), tuple(weights), tuple(biases), tuple(log))
+
+
+def _fold_bias(b: float, d: int, hidden: bool) -> float:
+    """The bias b plus the integer d that folded columns contribute.
+
+    It is the exact sum wherever binary64 holds it.  Otherwise a hidden bias
+    is the float next to the sum on the side of floor(sum) + 1/2: the neuron
+    sees integer sums s only, and s + b >= 0 exactly when s >= -floor(b), so
+    it keeps the exact sum's sign at every s and gains no zero.  An output
+    bias is rounded to nearest, so a logit margin may move by an ulp.
+    """
+    if not d:
+        return b
+    exact = Fraction(b) + d
+    f = float(exact)  # correctly rounded
+    if hidden and Fraction(f) != exact:
+        mid = math.floor(exact) + Fraction(1, 2)
+        if (f > exact) != (mid > exact):  # rounded away from the midpoint
+            f = float(np.nextafter(f, float(mid)))
+    return f
+
+
 def stabilize(net: FoldedBnn) -> FoldedBnn:
     """Remove hidden neurons whose sign is constant, in one pass.
 
     Over the cube [-1, 1]^n, z = <W_row, x> + b_k ranges over [b_k - nv_k,
     b_k + nv_k].  With sign(0) := +1, the neuron is constant +1 when b_k >= nv_k
     and constant -1 when b_k < -nv_k (an all-zero row is one or the other);
-    it is deleted and the constant folded into the next layer's bias through
-    the corresponding column.  The tie b_k = -nv_k is kept: z = 0, hence +1,
-    where every input agrees with the row's signs.
+    `fold_signs` deletes it and folds the constant into the next layer's
+    bias.  The tie b_k = -nv_k is kept: z = 0, hence +1, where every input
+    agrees with the row's signs.
     Removal can stabilise further neurons downstream only: folding layer i
     changes only layer i's rows and layer i+1's bias and columns, and layer
     i+1 is visited next, so one pass reaches the fixpoint.  Raises if a
     hidden layer empties out entirely.
     """
-    widths = list(net.widths)
-    weights = [w.copy() for w in net.weights]
-    biases = [b.copy() for b in net.biases]
-    log = list(net.log)
-    for i in range(1, len(widths) - 1):
-        const = _constant(biases[i - 1], row_norm1(weights[i - 1]))
-        if not const.any():
-            continue
-        keep = ~const
-        for k in np.flatnonzero(const):
-            c = 1 if biases[i - 1][k] >= 0 else -1
-            biases[i] = biases[i] + weights[i][:, k] * c
-            log.append(f"layer {i} neuron {k + 1}: constant {'+1' if c > 0 else '-1'}, removed")
-        weights[i] = weights[i][:, keep]
-        weights[i - 1] = weights[i - 1][keep, :]
-        biases[i - 1] = biases[i - 1][keep]
-        widths[i] = int(keep.sum())
-        if widths[i] == 0:
-            raise ValueError(f"layer {i} fully stabilized; verification degenerate")
-    return FoldedBnn(
-        widths=tuple(widths), weights=tuple(weights), biases=tuple(biases), log=tuple(log)
-    ).require_stabilized()
+    for i in range(1, net.depth + 1):
+        b = net.bias(i)
+        const = _constant(b, row_norm1(net.weight(i)))
+        if const.any():
+            net = fold_signs(net, i, np.where(const, np.where(b >= 0, 1, -1), 0))
+    return net.require_stabilized()
 
 
 def _constant(bias: np.ndarray, nv: np.ndarray) -> np.ndarray:

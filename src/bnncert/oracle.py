@@ -96,7 +96,8 @@ def _require_cap(net: FoldedBnn) -> None:
         )
 
 
-def pattern_assignment(net: FoldedBnn, pattern: Pattern) -> dict[Var, int]:
+def pattern_assignment(pattern: Pattern) -> dict[Var, int]:
+    """The value of each hidden variable under `pattern`."""
     out: dict[Var, int] = {}
     for i, layer in enumerate(pattern, start=1):
         for j, s in enumerate(layer, start=1):
@@ -314,9 +315,7 @@ def feasible_patterns(net: FoldedBnn, region: PerturbationRegion) -> list[Patter
     return out
 
 
-def exact_minimum(
-    net: FoldedBnn, records: Sequence[PatternRecord], objective: MultilinearPoly
-) -> ExactResult:
+def exact_minimum(records: Sequence[PatternRecord], objective: MultilinearPoly) -> ExactResult:
     """Exact minimum of a binary-variable objective over the patterns
     `records` of `feasible_patterns`, which serve every objective alike.
 
@@ -330,7 +329,7 @@ def exact_minimum(
         raise ValueError("no feasible pattern; region is empty or network unstable")
 
     def value(rec: PatternRecord) -> Fraction:
-        return Fraction(objective.evaluate(pattern_assignment(net, rec.pattern)))
+        return Fraction(objective.evaluate(pattern_assignment(rec.pattern)))
 
     rec = min(records, key=value)
     return ExactResult(
@@ -342,7 +341,7 @@ def exact_verify(
     net: FoldedBnn, region: PerturbationRegion, objective: MultilinearPoly
 ) -> ExactResult:
     """`exact_minimum` over the region's feasible patterns."""
-    return exact_minimum(net, feasible_patterns(net, region), objective)
+    return exact_minimum(feasible_patterns(net, region), objective)
 
 
 # ---------------------------------------------------------------------------

@@ -102,9 +102,10 @@ class MomentIndex:
                 singles.add((v,))
                 if v.layer == 0:
                     squares.add((v, v))
+            # a clique's variables are sorted, so each pair is a sorted key
             for a in range(len(vs)):
                 for b in range(a + 1, len(vs)):
-                    pairs.add(tuple(sorted((vs[a], vs[b]))))
+                    pairs.add((vs[a], vs[b]))
         order: list[MomentKey] = [()]
         order.extend(sorted(singles))
         order.extend(sorted(squares))
@@ -229,8 +230,7 @@ def assemble_moment_sdp(
                 fixed[p, p] = 1.0
         for p in range(len(vs)):
             for q in range(p + 1, len(vs)):
-                key = tuple(sorted((vs[p], vs[q])))
-                entries.append((p + 1, q + 1, index.ids[key]))
+                entries.append((p + 1, q + 1, index.ids[vs[p], vs[q]]))
         block_fixed.append(fixed)
         block_entries.append(tuple(entries))
 

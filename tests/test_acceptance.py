@@ -251,7 +251,7 @@ def test_criterion_05_milp_pattern_exactness():
         assert encoded == {rec.pattern for rec in feasible_patterns(net, region)}
         exact = exact_verify(net, region, objective)
         obj = objective.to_exact()
-        best = min(obj.evaluate(pattern_assignment(net, p)) for p in encoded)
+        best = min(obj.evaluate(pattern_assignment(p)) for p in encoded)
         assert best == exact.tau
 
 
@@ -403,7 +403,7 @@ def test_criterion_10_format_roundtrips(tmp_path):
     )
 
     exact = exact_verify(net, region, objective)
-    point = pattern_assignment(net, exact.minimizer)
+    point = pattern_assignment(exact.minimizer)
     for k, value in enumerate(exact.witness, start=1):
         point[Var(0, k)] = float(value)
     z_point = {

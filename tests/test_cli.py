@@ -1,5 +1,6 @@
 """End-to-end command line checks on the worked toy network."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -18,7 +19,7 @@ from bnncert.oracle import exact_verify, sample_logits, sample_region
 from bnncert.sdp import read_sdpa
 from bnncert.solver import SolveOptions
 
-from conftest import EXAMPLE1_JSON, make_example1, random_net
+from conftest import EXAMPLE1_JSON, EXAMPLE1_X0, make_example1, random_net
 
 
 def run(example1_files, *extra):
@@ -766,8 +767,10 @@ def test_one_sample_per_query(tmp_path, monkeypatch, flags):
 def test_cli_import_and_small_verifies_load_no_scipy(example1_files, tmp_path):
     """`import bnncert.cli` loads no scipy module, and neither do `lp`,
     `sdp1` and `sdp1-tight` verifies: on the README net (with and without
-    `--metrics`) and on a seeded 20-12-12-4 net, whose tightened relaxation
-    has 514 columns.  scipy is loaded only by `nnls`, for l2 oracle cells."""
+    `--metrics`) and on a seeded 20-12-12-4 net.  At eps 0.1 that net folds
+    to 20-3-5-4 over the region and is certified; at eps 0.3 no neuron folds
+    and its tightened relaxation has 1010 columns.  scipy is loaded only by
+    `nnls`, for l2 oracle cells."""
     model, inputs = example1_files
     big_model, big_inputs = write_query(tmp_path, *seeded_net(1, (20, 12, 12, 4)))
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -792,11 +795,88 @@ def test_cli_import_and_small_verifies_load_no_scipy(example1_files, tmp_path):
         base + ["--eps", "0.2", "--method", "lp"],
         ["verify", "--model", str(big_model), "--input", str(big_inputs), "--eps", "0.1",
          "--method", "sdp1-tight", "--max-iter", "200"],
+        ["verify", "--model", str(big_model), "--input", str(big_inputs), "--eps", "0.3",
+         "--method", "sdp1-tight", "--max-iter", "200"],
     ]
     out = subprocess.run(
         [sys.executable, "-c", code, json.dumps(queries)],
         env=env, capture_output=True, text=True, check=True,
     )
     steps = json.loads(out.stdout)
-    assert [rc for _, rc, _ in steps[1:]] == [0, 0, 2, 2, 2]
+    assert [rc for _, rc, _ in steps[1:]] == [0, 0, 2, 2, 0, 2]
     assert all(not modules for _, _, modules in steps), steps
+
+
+def tie_fold_net():
+    """2-3-2-2 net over the box [0.25, 0.75] x [-0.25, 0.25]: layer-1 neuron
+    1 (x1 - 0.25) has z_min = 0, neuron 2 (x1 - 0.75) has z_max = 0 and
+    neuron 3 (x2) has the box center on its hyperplane."""
+    return FoldedBnn(
+        widths=(2, 3, 2, 2),
+        weights=(
+            np.array([[1, 0], [1, 0], [0, 1]]),
+            np.array([[1, 1, 1], [-1, 1, -1]]),
+            np.array([[1, -1], [-1, 1]]),
+        ),
+        biases=(np.array([-0.25, -0.75, 0.0]), np.array([0.5, -0.5]), np.array([0.0, 0.25])),
+    )
+
+
+def test_region_fold_ties():
+    """z_min = 0 folds to +1; z_max = 0 is +1 on one edge of the box and -1
+    elsewhere, so it stays, as does a neuron whose hyperplane holds the
+    center.  Labels agree on the box, its tie edges included."""
+    net = tie_fold_net()
+    region = PerturbationRegion.linf([0.5, 0.0], 0.25)
+    out = cli._fold_region(net, region)
+    assert out.widths == (2, 2, 2, 2)
+    assert out.log == ("layer 1 neuron 1: constant +1 over the region, removed",)
+    points = np.vstack([
+        np.array(list(itertools.product((0.25, 0.5, 0.75), (-0.25, 0.0, 0.25)))),
+        sample_region(region, 1000, np.random.default_rng(0)),
+    ])
+    for x in points:
+        assert forward(out, x).label == forward(net, x).label
+
+
+def test_region_fold_that_would_empty_a_layer_folds_nothing(example1):
+    """Both layer-1 neurons of the README net are constant at radius 0.2:
+    the output is constant over the region, and the net stays as it is."""
+    region = PerturbationRegion.linf(EXAMPLE1_X0, 0.2)
+    assert cli._fold_region(example1, region) is example1
+
+
+def test_folded_query_reports_the_cube_widths_and_logs_each_fold(tmp_path):
+    """The report's widths are the stabilized net's; `--metrics` lists the
+    region folds in `stabilization_log` and sizes the folded relaxation."""
+    net, x = seeded_net(1, (20, 12, 12, 4))
+    rc, rep = run_json(
+        write_query(tmp_path, net, x), tmp_path,
+        "--eps", "0.1", "--method", "sdp1-tight", "--max-iter", "200", "--metrics",
+    )
+    assert rc == 0 and rep["verdict"] == "robust"
+    assert rep["widths"] == [20, 12, 12, 4]
+    metrics = rep["metrics"]
+    folds = [line for line in metrics["stabilization_log"] if "over the region" in line]
+    assert len(folds) == 12 - metrics["widths"][1] and folds[0].startswith("layer 1 neuron")
+    assert metrics["widths"][2] < 12
+    assert max(metrics["relaxation"]["psd_orders"]) < 45
+
+
+def test_exactly_folded_biases_let_the_attack_falsify(tmp_path):
+    """The net whose rounded bias fold read a non-constant neuron as
+    constant +1: every engine, sampling first, now finds the label change."""
+    model = tmp_path / "net.json"
+    model.write_text(json.dumps({
+        "widths": [2, 4, 2, 2],
+        "layers": [
+            {"weights": [[0, 0], [0, 0], [1, 0], [0, 1]], "bias": [0.5, 0.5, 0, 0]},
+            {"weights": [[1, 1, 1, 1], [0, 0, 1, 0]], "bias": [-(2.0**-53), 0]},
+            {"weights": [[1, 0], [-1, 0]], "bias": [0, 0]},
+        ],
+    }))
+    inputs = tmp_path / "input.txt"
+    inputs.write_text("0.5 0.5\n")
+    for method in ("sdp1-tight", "oracle", "lp"):
+        assert main(["verify", "--model", str(model), "--input", str(inputs), "--eps", "1.0",
+                     "--method", method]) == 1

@@ -465,6 +465,21 @@ def test_merge_cliques_covers_each_clique_with_cheaper_blocks(widths, orders):
     assert tuple(len(b.variables) + 1 for b in blocks) == orders
 
 
+def test_a_clique_holds_its_variables_sorted(example1, x0_example):
+    """Given in any order, a clique's variables are sorted, so the moment
+    assembly reads each pair as its sorted key: reversed cliques give the
+    same conic problem."""
+    assert Clique((Var(1, 2), Var(0, 3), Var(1, 1))).variables == (Var(0, 3), Var(1, 1), Var(1, 2))
+    inst = encode_tightened(
+        example1, PerturbationRegion.linf(x0_example, 0.5), objective_targeted(example1, 2, 1)
+    )
+    cliques = build_cliques(example1)
+    reversed_ = [Clique(c.variables[::-1]) for c in cliques]
+    a, b = (to_conic(assemble_moment_sdp(inst, cs)) for cs in (cliques, reversed_))
+    for x, y in ((a.A.row, b.A.row), (a.A.col, b.A.col), (a.A.data, b.A.data), (a.b, b.b), (a.c, b.c)):
+        assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
 def test_merge_cliques_joins_only_when_the_union_is_cheaper():
     a, b, c, d, e, f, g = (Var(1, k) for k in range(1, 8))
     # two order-5 blocks (15 entries each) against one of order 8 (36)

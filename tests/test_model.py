@@ -2,16 +2,19 @@
 
 import itertools
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bnncert import (
     BatchNorm,
     FoldedBnn,
     RawBnn,
     fold_batchnorm,
+    fold_signs,
     forward,
     forward_raw,
     load_inputs,
@@ -381,6 +384,90 @@ def test_stabilize_preserves_labels_at_ties():
             np.argmax(forward_logits(net, grid), axis=1),
         )
     assert compared >= 100 and kept_ties >= 10
+
+
+def rounding_net():
+    """2-4-2-2 net whose layer-2 neuron 1 sums two constant +1 neurons into
+    the bias -2^-53: the exact sum 2 - 2^-53 rounds to 2.0 in binary64, where
+    the neuron would read as constant +1.  It is -1 where x1 < 0 and x2 < 0."""
+    return RawBnn(
+        widths=(2, 4, 2, 2),
+        weights=(
+            np.array([[0, 0], [0, 0], [1, 0], [0, 1]]),
+            np.array([[1, 1, 1, 1], [0, 0, 1, 0]]),
+            np.array([[1, 0], [-1, 0]]),
+        ),
+        biases=(np.array([0.5, 0.5, 0.0, 0.0]), np.array([-(2.0**-53), 0.0]), np.zeros(2)),
+        bn=(None, None, None),
+    )
+
+
+def test_stabilize_folds_constants_into_biases_exactly():
+    raw = rounding_net()
+    out = stabilize(fold_batchnorm(raw))
+    assert out.widths == (2, 2, 2, 2)
+    assert out.log == (
+        "layer 1 neuron 1: constant +1, removed",
+        "layer 1 neuron 2: constant +1, removed",
+    )
+    # the float next to 2 - 2^-53 below it, on the side of 1.5
+    assert out.bias(2)[0] == 2.0 - 2.0**-52
+    labels = []
+    for x in itertools.product((-0.5, 0.5), repeat=2):
+        assert forward(out, x).label == forward_raw(raw, x)
+        labels.append(forward_raw(raw, x))
+    assert labels == [2, 1, 1, 1]
+
+
+def fold_into(b, d, hidden):
+    """The bias b of the layer after hidden layer 1, once |d| neurons of
+    layer 1, each read with weight +1, fold to sign(d): a hidden bias when
+    `hidden`, else the output bias."""
+    n = 1 + abs(d)
+    layers = [(np.ones((n, 1), dtype=int), np.zeros(n)), (np.ones((1, n), dtype=int), np.array([b]))]
+    if hidden:
+        layers.append((np.ones((1, 1), dtype=int), np.zeros(1)))
+    net = FoldedBnn(
+        widths=(1, n, 1) + ((1,) if hidden else ()),
+        weights=tuple(w for w, _ in layers),
+        biases=tuple(c for _, c in layers),
+    )
+    return fold_signs(net, 1, [0] + [int(np.sign(d))] * abs(d)).bias(2)[0]
+
+
+@given(st.floats(-8.0, 8.0, allow_nan=False), st.integers(-6, 6).filter(bool))
+@example(-(2.0**-53), 2)
+@example(0.1, 2)
+def test_folded_hidden_bias_keeps_every_integer_sum_sign(b, d):
+    """A hidden bias b + d that binary64 cannot hold moves by at most one
+    ulp toward floor(b + d) + 1/2: it keeps the floor and lands on no
+    integer, so s + bias has the exact sum's sign for every integer s.  An
+    output bias rounds to nearest."""
+    exact = Fraction(b) + d
+    hidden = Fraction(fold_into(b, d, hidden=True))
+    assert math.floor(hidden) == math.floor(exact)
+    assert abs(hidden - exact) <= Fraction(math.ulp(float(exact)))
+    if Fraction(float(exact)) == exact:
+        assert hidden == exact
+    else:
+        assert hidden != math.floor(exact)
+    for s in range(-20, 21):
+        assert (s + hidden >= 0) == (s + exact >= 0)
+    assert fold_into(b, d, hidden=False) == float(exact)
+
+
+def test_fold_signs_logs_each_fold_and_refuses_to_empty_a_layer(example1):
+    out = fold_signs(example1, 1, [0, -1], " over the region")
+    assert out.widths == (3, 1, 2, 2)
+    assert out.log == ("layer 1 neuron 2: constant -1 over the region, removed",)
+    np.testing.assert_array_equal(out.weight(2), [[-1], [-1]])
+    np.testing.assert_array_equal(out.bias(2), [2.0, -1.5])
+    with pytest.raises(ValueError, match="layer 2 fully stabilized"):
+        fold_signs(example1, 2, [1, -1])
+    with pytest.raises(ValueError, match="one sign"):
+        fold_signs(example1, 1, [2, 0])
+    with pytest.raises(ValueError, match="not a hidden layer"):
+        fold_signs(example1, 3, [1, 0])
 
 
 def stabilize_to_fixpoint(net):

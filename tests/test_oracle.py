@@ -21,6 +21,8 @@ from bnncert import (
     sample_logits,
 )
 from bnncert import oracle
+from bnncert.cli import _fold_region
+from bnncert.model import forward_logits
 from bnncert.oracle import (
     _ball_feasible,
     milp_feasible_patterns,
@@ -43,9 +45,9 @@ def test_enumerate_patterns_cap():
         feasible_patterns(net, region)
 
 
-def test_pattern_assignment_values(example1):
+def test_pattern_assignment_values():
     pattern = ((1, -1), (-1, 1))
-    assignment = pattern_assignment(example1, pattern)
+    assignment = pattern_assignment(pattern)
     assert assignment == {
         Var(1, 1): 1,
         Var(1, 2): -1,
@@ -210,9 +212,66 @@ def test_milp_patterns_match_oracle_random(seed):
         # and the minimum over encoded patterns is the oracle's tau
         ex = exact_verify(net, region, f)
         milp_min = min(
-            f.to_exact().evaluate(pattern_assignment(net, p)) for p in patterns
+            f.to_exact().evaluate(pattern_assignment(p)) for p in patterns
         )
         assert milp_min == ex.tau
+
+
+def fold_cases(n_seeds):
+    """Random 3-3-2-2 nets, each also with integer deeper biases (ties), at
+    radii 0.02-0.3 in both norms, where many layer-1 neurons are constant
+    over the region: (net, the net folded over the region, region)."""
+    for seed in range(n_seeds):
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, (3, 3, 2, 2))
+        region = random_region(rng, 3, "linf" if seed % 2 else "l2", radii=(0.02, 0.3))
+        for n in (net, with_integer_deeper_biases(net, rng)):
+            yield n, _fold_region(n, region), region
+
+
+def unexecuted_tie(net, pattern):
+    """Whether `pattern` gives some deeper neuron the sign -1 at a zero
+    pre-activation: closure semantics admits it, but sign(0) = +1, so no
+    input executes the pattern."""
+    return any(
+        np.any((net.weight(i) @ np.array(pattern[i - 2]) + net.bias(i) == 0)
+               & (np.array(pattern[i - 1]) == -1))
+        for i in range(2, net.depth + 1)
+    )
+
+
+def test_region_fold_keeps_the_exact_minimum():
+    """The oracle's exact minimum is the same Fraction on the folded net.
+    The one exception is a minimizer that no input executes: a deeper
+    neuron that only a tie lets be -1 is constant +1 once layer 1 folds, and
+    `stabilize` folds it as it would over the cube.  Then the minimum can
+    only rise, towards the executed one, and never past the center's
+    executed margin."""
+    folded = raised = 0
+    for net, fold, region in fold_cases(200):
+        objective = objective_targeted(net, 1, 2)
+        before = exact_verify(net, region, objective)
+        after = exact_verify(fold, region, objective_targeted(fold, 1, 2))
+        folded += fold is not net
+        if after.tau != before.tau:
+            assert after.tau > before.tau and unexecuted_tie(net, before.minimizer)
+            raised += 1
+        executed = forward(net, region.center).activations
+        assert after.tau <= objective.evaluate(pattern_assignment(executed))
+    assert folded >= 150 and raised >= 1
+
+
+def test_region_fold_keeps_every_sampled_label():
+    """10k seeded points of each region get the same labels from the folded
+    and the unfolded net."""
+    for net, fold, region in fold_cases(30):
+        if fold is net:
+            continue
+        points = sample_region(region, 10_000, np.random.default_rng(7))
+        np.testing.assert_array_equal(
+            np.argmax(forward_logits(fold, points), axis=1),
+            np.argmax(forward_logits(net, points), axis=1),
+        )
 
 
 @pytest.mark.parametrize(
@@ -268,7 +327,7 @@ def test_milp_threshold_feasibility_matches_sign(example1, x0_example):
     attack_exists = ex.tau <= 0
     assert bool(cut_set) == attack_exists
     for p in cut_set:
-        assert f.to_exact().evaluate(pattern_assignment(example1, p)) <= 0
+        assert f.to_exact().evaluate(pattern_assignment(p)) <= 0
 
 
 def sampled_margin(logits, label, k):
