@@ -23,11 +23,11 @@ every target is listed with its exact forward margin.
 Otherwise targets are bounded in class order, sharing what does not depend
 on the target, built once per query: a relaxation's conic problem, or the
 oracle's layer-1 cells.  The bounding engines and `export` read the network
-with its layer-1 neurons that are constant over the region folded away
-(`_fold_region`), and the objectives are built on it; the sampling attack,
-the default label, the report's `widths` and the forward check of every
-counterexample read the stabilized network.  Bounding stops as soon as the
-verdict cannot change: after a forward-checked counterexample (any method), or after an
+stabilized over the region (`stabilize(net, region)`), and the objectives
+are built on it; the sampling attack, the default label, the report's
+`widths` and the forward check of every counterexample read the network
+stabilized over the cube.  Bounding stops as soon as the verdict cannot
+change: after a forward-checked counterexample (any method), or after an
 `lp`/`sdp1`/`sdp1-tight` target that is not certified (these engines return
 no witness, so the verdict can then only be "unknown").  The remaining
 targets keep their place in the report with status "skipped".  `oracle` and
@@ -55,13 +55,11 @@ from bnncert.encode import (
     encode_milp,
     encode_standard,
     encode_tightened,
-    neuron_ranges,
     objective_targeted,
 )
 from bnncert.model import (
     FoldedBnn,
     fold_batchnorm,
-    fold_signs,
     forward,
     load_inputs,
     load_model,
@@ -149,36 +147,14 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _fold_region(net: FoldedBnn, region: PerturbationRegion) -> FoldedBnn:
-    """`net` without the layer-1 neurons whose sign is constant over the
-    region's box, stabilized again to a fixpoint.
-
-    Over the box a layer-1 pre-activation ranges over [beta - R, beta + R]
-    (`neuron_ranges`, exact).  It folds to +1 where beta - R >= 0 and to -1
-    where beta + R < 0; at the tie beta + R = 0 it is +1 at one corner of the
-    box and -1 elsewhere, so it stays.  Where a hidden layer would empty
-    out, the output is constant over the region and `net` is returned as it
-    is.
-    """
-    signs = [
-        1 if beta >= bound else -1 if beta + bound < 0 else 0
-        for beta, bound in neuron_ranges(net, 1, region)
-    ]
-    if not any(signs):
-        return net
-    try:
-        return stabilize(fold_signs(net, 1, signs, " over the region"))
-    except ValueError:  # a hidden layer emptied out
-        return net
-
-
 def _prepare(
     args,
 ) -> tuple[FoldedBnn, FoldedBnn, np.ndarray, int, PerturbationRegion, float]:
-    """The query: the stabilized net, the same net folded over the region
-    (`_fold_region`), the reference input, the label, the region and its
-    radius.  The bounding engines read the folded net; the sampling attack,
-    the default label and every forward check read the stabilized one."""
+    """The query: the stabilized net, the same net stabilized over the
+    region (`net` itself where a hidden layer would empty), the reference
+    input, the label, the region and its radius.  The bounding engines read
+    the second net; the sampling attack, the default label and every
+    forward check read the first."""
     net = stabilize(fold_batchnorm(load_model(args.model)))
     inputs = load_inputs(args.input)
     if not (1 <= args.index <= inputs.shape[0]):
@@ -201,7 +177,11 @@ def _prepare(
     label = args.label if args.label is not None else forward(net, x0).label
     if not (1 <= label <= net.n_classes):
         raise ValueError(f"--label {label} outside 1..{net.n_classes}")
-    return net, _fold_region(net, region), x0, label, region, eps
+    try:
+        folded = stabilize(net, region)
+    except ValueError:  # a hidden layer emptied out
+        folded = net
+    return net, folded, x0, label, region, eps
 
 
 def _find_counterexample(

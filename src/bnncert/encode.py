@@ -29,12 +29,12 @@ Every hidden neuron is modelled once, by `neuron_rows`, over the box [l, u]
 of its previous layer: with c = (l+u)/2 and r = (u-l)/2 the row bound is
 R = sum_k |W_jk| r_k and the effective bias is beta = b_j + <W_row, c>, so
 the pre-activation ranges over [beta - R, beta + R].  `neuron_ranges`
-computes that exact range, in integers over one common denominator, and
-`neuron_rows` reads it; the CLI reads it alone to fold the layer-1 neurons
-that are constant over a query's region before encoding.  The
-row-bound products and the linear envelopes are built from that record.  The
-box is the only difference between layers: layer 1 sees the region's box,
-a deeper layer the +/-1 box (c = 0, r = 1, so R is the row 1-norm and beta
+(`bnncert.model`, where `stabilize` reads it to fold the neurons that are
+constant over a query's region) computes that exact range, in integers over
+one common denominator, and `neuron_rows` reads it.  The row-bound
+products and the linear envelopes are built from that record.  The box is
+the only difference between layers: layer 1 sees the region's box, a
+deeper layer the +/-1 box (c = 0, r = 1, so R is the row 1-norm and beta
 the bias).  Every row holds for every neuron, one that is constant over the
 box included: the linear envelopes are exact sums of a one-sided sign
 product and a row-bound product of the tightened encoding.
@@ -49,7 +49,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from bnncert.model import FoldedBnn
+from bnncert.model import FoldedBnn, neuron_ranges
 from bnncert.poly import MultilinearPoly, Var
 
 __all__ = [
@@ -260,46 +260,11 @@ class NeuronRow:
         return up, down
 
 
-def neuron_ranges(
-    net: FoldedBnn, layer: int, region: Optional[PerturbationRegion] = None
-) -> list[tuple[Fraction, Fraction]]:
-    """(beta, R) of every neuron of hidden `layer` (1-based), exactly: over
-    the box of its inputs the pre-activation ranges over [beta - R, beta + R].
-    Layer 1 needs the `region`.
-
-    The box of layer 1's inputs is the region's box, in exact rationals; the
-    box of a deeper layer's +/-1 inputs is [-1, 1] (c = 0, r = 1), so its row
-    bound is the row 1-norm and every sum stays a Python integer.
-    """
-    weights = net.weight(layer).tolist()
-    n_prev = net.widths[layer - 1]
-    if layer == 1:
-        # c = center / den and r = half / den, over one common denominator:
-        # a float's denominator is a power of two, so their lcm is the
-        # largest, and den is twice that, so that lo * den and hi * den
-        # are even integers
-        lo = [v.as_integer_ratio() for v in region.lower.tolist()]
-        hi = [v.as_integer_ratio() for v in region.upper.tolist()]
-        den = 2 * max(d for _, d in lo + hi)
-        lo = [n * (den // d) for n, d in lo]
-        hi = [n * (den // d) for n, d in hi]
-        center = [(a + b) // 2 for a, b in zip(lo, hi)]
-        half = [(b - a) // 2 for a, b in zip(lo, hi)]
-    else:
-        center, half, den = [0] * n_prev, [1] * n_prev, 1
-    out = []
-    for w, b in zip(weights, net.bias(layer).tolist()):
-        shift = sum(wk * ck for wk, ck in zip(w, center) if wk)
-        bound = sum(abs(wk) * hk for wk, hk in zip(w, half) if wk)
-        out.append((Fraction(b) + Fraction(shift, den), Fraction(bound, den)))
-    return out
-
-
 def neuron_rows(
     net: FoldedBnn, layer: int, region: Optional[PerturbationRegion] = None
 ) -> list[NeuronRow]:
     """The `NeuronRow` of every neuron of hidden `layer` (1-based), with the
-    exact ranges of `neuron_ranges`; layer 1 needs the `region`."""
+    exact ranges of `neuron_ranges`; layer 1 reads the `region`'s box."""
     rows = []
     ranges = neuron_ranges(net, layer, region)
     for j, (w, b, (beta, bound)) in enumerate(

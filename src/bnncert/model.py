@@ -4,18 +4,13 @@ A network here is a stack of dense layers with weights in {-1, 0, +1},
 real-valued biases and sign activations; the output layer is affine and the
 predicted class is the argmax of its logits.  Batch normalisation, when
 present, is folded into the effective biases so that every downstream encoding
-sees only ternary weights and real biases.  `stabilize` then removes neurons
-whose sign is constant on the cube [-1, 1]^n (b_k >= nv_k or b_k < -nv_k,
-with nv_k the row 1-norm), propagating the constant into the next layer.
-Every neuron it keeps, -nv_k <= b_k < nv_k, takes both signs on the cube; at
-the tie b_k = -nv_k the +1 side is the one corner where z = 0.
-
-`fold_signs` is the one folding operation: it removes given constant neurons
-of a layer and adds their constants to the next layer's bias exactly, or,
-where binary64 cannot hold the sum, without changing the sign of any
-pre-activation a hidden neuron can see.  `stabilize` folds the neurons that
-are constant on the cube through it, and the CLI the layer-1 neurons that
-are constant over a query's region.
+sees only ternary weights and real biases.  `stabilize(net, region)` then
+removes every hidden neuron whose sign is constant over the box of its
+inputs (for layer 1 the region's box or the cube [-1, 1]^n0, for a deeper
+layer the cube) through `fold_signs`, the one folding operation: it adds
+the removed constants to the next layer's bias exactly, or, where binary64
+cannot hold the sum, without changing the sign of any pre-activation a
+hidden neuron can see.
 
 Class labels and neuron indices are 1-based throughout the package.
 """
@@ -26,9 +21,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from bnncert.encode import PerturbationRegion
 
 __all__ = [
     "BatchNorm",
@@ -43,6 +41,7 @@ __all__ = [
     "forward_raw",
     "load_inputs",
     "load_model",
+    "neuron_ranges",
     "row_norm1",
     "stabilize",
     "weight_sparsity",
@@ -201,7 +200,7 @@ class FoldedBnn:
         """True iff every hidden neuron satisfies -nv_k <= b_k < nv_k, the
         rule `stabilize` keeps a neuron by (so nv_k > 0)."""
         return not any(
-            _constant(self.bias(i), row_norm1(self.weight(i))).any()
+            _constant_signs(self.bias(i), row_norm1(self.weight(i))).any()
             for i in range(1, self.depth + 1)
         )
 
@@ -389,31 +388,74 @@ def _fold_bias(b: float, d: int, hidden: bool) -> float:
     return f
 
 
-def stabilize(net: FoldedBnn) -> FoldedBnn:
-    """Remove hidden neurons whose sign is constant, in one pass.
+def neuron_ranges(
+    net: FoldedBnn, layer: int, region: Optional[PerturbationRegion] = None
+) -> list[tuple[Fraction, Fraction]]:
+    """(beta, R) of every neuron of hidden `layer` (1-based), exactly: over
+    the box of its inputs the pre-activation ranges over [beta - R, beta + R].
 
-    Over the cube [-1, 1]^n, z = <W_row, x> + b_k ranges over [b_k - nv_k,
-    b_k + nv_k].  With sign(0) := +1, the neuron is constant +1 when b_k >= nv_k
-    and constant -1 when b_k < -nv_k (an all-zero row is one or the other);
-    `fold_signs` deletes it and folds the constant into the next layer's
-    bias.  The tie b_k = -nv_k is kept: z = 0, hence +1, where every input
-    agrees with the row's signs.
-    Removal can stabilise further neurons downstream only: folding layer i
-    changes only layer i's rows and layer i+1's bias and columns, and layer
-    i+1 is visited next, so one pass reaches the fixpoint.  Raises if a
-    hidden layer empties out entirely.
+    The box of layer 1's inputs is the `region`'s box, in exact rationals;
+    the box of a deeper layer's +/-1 inputs, and of layer 1's without a
+    region, is the cube [-1, 1] (c = 0, r = 1), so its row bound is the row
+    1-norm, beta is the bias and every sum stays a Python integer.
+    """
+    weights = net.weight(layer).tolist()
+    n_prev = net.widths[layer - 1]
+    if layer == 1 and region is not None:
+        # c = center / den and r = half / den, over one common denominator:
+        # a float's denominator is a power of two, so their lcm is the
+        # largest, and den is twice that, so that lo * den and hi * den
+        # are even integers
+        lo = [v.as_integer_ratio() for v in region.lower.tolist()]
+        hi = [v.as_integer_ratio() for v in region.upper.tolist()]
+        den = 2 * max(d for _, d in lo + hi)
+        lo = [n * (den // d) for n, d in lo]
+        hi = [n * (den // d) for n, d in hi]
+        center = [(a + b) // 2 for a, b in zip(lo, hi)]
+        half = [(b - a) // 2 for a, b in zip(lo, hi)]
+    else:
+        center, half, den = [0] * n_prev, [1] * n_prev, 1
+    out = []
+    for w, b in zip(weights, net.bias(layer).tolist()):
+        shift = sum(wk * ck for wk, ck in zip(w, center) if wk)
+        bound = sum(abs(wk) * hk for wk, hk in zip(w, half) if wk)
+        out.append((Fraction(b) + Fraction(shift, den), Fraction(bound, den)))
+    return out
+
+
+def stabilize(net: FoldedBnn, region: Optional[PerturbationRegion] = None) -> FoldedBnn:
+    """Remove the hidden neurons whose sign is constant, in one pass.
+
+    Layer 1 is tested over the `region`'s box (the cube [-1, 1]^n0 without
+    a region), a deeper layer over the cube of its +/-1 inputs; over its box
+    a pre-activation ranges over [beta - R, beta + R] (`neuron_ranges`; on
+    the cube beta = b_k and R = nv_k, the row 1-norm, so the test is exact
+    in binary64).  With sign(0) := +1 the neuron is constant +1 where
+    beta - R >= 0 and -1 where beta + R < 0; `fold_signs` deletes it and
+    folds the constant into the next layer's bias, logging a layer-1 fold
+    over a region " over the region".  The tie beta + R = 0 is kept: z = 0,
+    hence +1, at one corner of the box.  Folding layer i changes only layer
+    i+1's bias and columns, visited next, so one pass reaches the fixpoint;
+    a region's box lies in the cube, so the result is stabilized on the
+    cube.  Raises `ValueError` if a hidden layer empties out.
     """
     for i in range(1, net.depth + 1):
-        b = net.bias(i)
-        const = _constant(b, row_norm1(net.weight(i)))
-        if const.any():
-            net = fold_signs(net, i, np.where(const, np.where(b >= 0, 1, -1), 0))
+        if i == 1 and region is not None:
+            beta, bound = np.array(neuron_ranges(net, 1, region), dtype=object).T
+            where = " over the region"
+        else:
+            beta, bound, where = net.bias(i), row_norm1(net.weight(i)), ""
+        signs = _constant_signs(beta, bound)
+        if signs.any():
+            net = fold_signs(net, i, signs, where)
     return net.require_stabilized()
 
 
-def _constant(bias: np.ndarray, nv: np.ndarray) -> np.ndarray:
-    """Mask of the neurons whose sign is constant on the cube [-1, 1]^n."""
-    return (bias >= nv) | (bias < -nv)
+def _constant_signs(beta: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """The sign of each neuron whose pre-activation, ranging over [beta - R,
+    beta + R], has one sign: +1 where beta - R >= 0, -1 where beta + R < 0,
+    and 0 for a neuron that takes both."""
+    return np.subtract(beta >= bound, beta < -bound, dtype=np.int64)
 
 
 def _sign_pm1(z: np.ndarray) -> np.ndarray:

@@ -109,6 +109,19 @@ def test_metrics_give_the_relaxation_size(example1_files, tmp_path, method, size
     assert rep["targets"] == [] and rep["metrics"]["relaxation"] is None
 
 
+def test_in_process_calls_parse_their_own_argv(example1_files, tmp_path):
+    """Two `main` calls in one process: the second sees none of the first
+    call's options."""
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert run(example1_files, "--eps", "0", "--label", "1", "--method", "sample-ub",
+               "--metrics", "--json", str(first)) == 1
+    assert run(example1_files, "--eps", "0.2", "--method", "oracle", "--json", str(second)) == 0
+    a, b = json.loads(first.read_text()), json.loads(second.read_text())
+    assert (a["true_label"], a["method"], a["eps"]) == (1, "sample-ub", 0.0)
+    assert (b["true_label"], b["method"], b["eps"]) == (2, "oracle", 0.2)
+    assert a["metrics"] is not None and b["metrics"] is None
+
+
 def test_sampling_finds_counterexample_before_solving(example1_files, tmp_path):
     # tau_exact = -1 at radius 1; the relaxation must never report robust
     rc, rep = run_json(
@@ -828,7 +841,7 @@ def test_region_fold_ties():
     center.  Labels agree on the box, its tie edges included."""
     net = tie_fold_net()
     region = PerturbationRegion.linf([0.5, 0.0], 0.25)
-    out = cli._fold_region(net, region)
+    out = stabilize(net, region)
     assert out.widths == (2, 2, 2, 2)
     assert out.log == ("layer 1 neuron 1: constant +1 over the region, removed",)
     points = np.vstack([
@@ -839,11 +852,17 @@ def test_region_fold_ties():
         assert forward(out, x).label == forward(net, x).label
 
 
-def test_region_fold_that_would_empty_a_layer_folds_nothing(example1):
+def test_region_fold_that_would_empty_a_layer_folds_nothing(example1, example1_files, tmp_path):
     """Both layer-1 neurons of the README net are constant at radius 0.2:
-    the output is constant over the region, and the net stays as it is."""
+    the output is constant over the region, so `stabilize` refuses to
+    empty layer 1 and the CLI bounds the net as it is."""
     region = PerturbationRegion.linf(EXAMPLE1_X0, 0.2)
-    assert cli._fold_region(example1, region) is example1
+    with pytest.raises(ValueError, match="layer 1 fully stabilized"):
+        stabilize(example1, region)
+    _, rep = run_json(example1_files, tmp_path, "--eps", "0.2", "--metrics")
+    assert rep["metrics"]["widths"] == [3, 2, 2, 2]
+    assert rep["metrics"]["relaxation"]["psd_orders"] == [8]
+    assert not any("over the region" in line for line in rep["metrics"]["stabilization_log"])
 
 
 def test_folded_query_reports_the_cube_widths_and_logs_each_fold(tmp_path):

@@ -12,6 +12,7 @@ from hypothesis import example, given, strategies as st
 from bnncert import (
     BatchNorm,
     FoldedBnn,
+    PerturbationRegion,
     RawBnn,
     fold_batchnorm,
     fold_signs,
@@ -19,13 +20,14 @@ from bnncert import (
     forward_raw,
     load_inputs,
     load_model,
+    neuron_ranges,
     row_norm1,
     stabilize,
     weight_sparsity,
 )
 from bnncert.model import DEFAULT_BN_EPSILON, forward_activations, forward_logits
 
-from conftest import make_example1, random_net
+from conftest import make_example1, random_net, random_region
 
 
 def test_load_example1_model(example1_files):
@@ -541,6 +543,70 @@ def test_one_stabilize_pass_reaches_the_fixpoint():
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         cascades += induced_fold_run(net, out) >= 2
     assert cascades >= 20 and raised >= 50
+
+
+def half_integer_net(rng, widths):
+    """Ternary net with biases in {-4, -3.5, ..., 4}: many neurons are
+    constant on the cube, and many sit at the tie b = -nv."""
+    weights = [rng.choice([-1, 0, 1], size=(n, m)) for m, n in zip(widths, widths[1:])]
+    biases = [rng.integers(-8, 9, size=n) / 2 for n in widths[1:]]
+    return FoldedBnn(widths=widths, weights=tuple(weights), biases=tuple(biases))
+
+
+def test_neuron_ranges_without_a_region_are_the_cube_ranges():
+    """Without a region every layer, layer 1 included, is ranged over the
+    cube: beta is the bias and R the row 1-norm."""
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        net = half_integer_net(rng, (3, 4, 4, 2))
+        for i in range(1, net.depth + 1):
+            ranges = neuron_ranges(net, i)
+            assert ranges == list(zip(net.bias(i).tolist(), row_norm1(net.weight(i)).tolist()))
+            assert all(type(v) is Fraction for pair in ranges for v in pair)
+
+
+def test_stabilize_over_the_cube_region_is_stabilize():
+    """The linf ball of radius 1 around 0 has the cube as its box, so it
+    folds what `stabilize(net)` folds, byte for byte, or raises where it
+    raises; only the layer-1 log lines say " over the region"."""
+    rng = np.random.default_rng(1)
+    cube = PerturbationRegion.linf(np.zeros(3), 1.0)
+    folded = raised = 0
+    for _ in range(200):
+        net = half_integer_net(rng, (3, 4, 4, 2))
+        try:
+            expected = stabilize(net)
+        except ValueError:
+            with pytest.raises(ValueError, match="fully stabilized"):
+                stabilize(net, cube)
+            raised += 1
+            continue
+        out = stabilize(net, cube)
+        assert out.widths == expected.widths
+        for a, b in zip(out.weights + out.biases, expected.weights + expected.biases):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert [line.replace(" over the region", "") for line in out.log] == list(expected.log)
+        folded += out.widths[1] < net.widths[1]
+    assert folded >= 30 and raised >= 30
+
+
+def test_stabilize_over_a_region_leaves_a_stabilized_net():
+    """A region's box lies in the cube, so every net `stabilize(net,
+    region)` returns is stabilized on the cube too."""
+    rng = np.random.default_rng(2)
+    outputs = cascades = 0
+    for k in range(300):
+        net = half_integer_net(rng, (3, 4, 4, 2))
+        region = random_region(rng, 3, "linf" if k % 2 else "l2", radii=(0.02, 0.6))
+        try:
+            out = stabilize(net, region)
+        except ValueError as exc:
+            assert "fully stabilized" in str(exc)
+            continue
+        assert out.is_stabilized()
+        outputs += 1
+        cascades += any(line.startswith("layer 2") for line in out.log)
+    assert outputs >= 50 and cascades >= 40
 
 
 @pytest.mark.parametrize("seed", range(3))
