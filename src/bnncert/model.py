@@ -448,7 +448,7 @@ def stabilize(net: FoldedBnn, region: Optional[PerturbationRegion] = None) -> Fo
         signs = _constant_signs(beta, bound)
         if signs.any():
             net = fold_signs(net, i, signs, where)
-    return net.require_stabilized()
+    return net
 
 
 def _constant_signs(beta: np.ndarray, bound: np.ndarray) -> np.ndarray:

@@ -3,10 +3,11 @@
 For small networks the exact optimum of a robustness query is computable by
 walking the layer-1 sign vectors.  Each one fixes a cell of the input space,
 and "does some admissible input produce these signs?" is a polytope
-membership query, decided once per cell: exactly by Fourier-Motzkin
-elimination for box regions and, for Euclidean balls, by the cell's nearest
-point to the center, found by least-distance programming (one NNLS solve) and
-checked against the rows and the radius.  The signs of every deeper layer
+membership query, decided once per cell: for box regions exactly, by a
+simplex in rationals that maximizes the cell's least row slack over the box
+(`_max_slack`), and for Euclidean balls by the cell's nearest point to the
+center, found by least-distance programming (one NNLS solve) and checked
+against the rows and the radius.  The signs of every deeper layer
 then follow from the layer before; they are computed, not searched.
 
 A pattern is *feasible* when the non-strict system sigma * (W x' + b) >= 0 is
@@ -106,95 +107,83 @@ def pattern_assignment(pattern: Pattern) -> dict[Var, int]:
 
 
 # ---------------------------------------------------------------------------
-# exact polytope feasibility (box regions): Fourier-Motzkin with witness
+# exact polytope feasibility (box regions): the max-slack simplex
 # ---------------------------------------------------------------------------
 
 Row = tuple[tuple[Fraction, ...], Fraction]  # sum coeffs*x + const >= 0
 
 
-def _normalize_row(coeffs: Sequence[Fraction], const: Fraction) -> Row:
-    scale = max((abs(c) for c in coeffs), default=Fraction(0))
-    if scale == 0:
-        scale = abs(const) if const else Fraction(1)
-    return tuple(c / scale for c in coeffs), const / scale
+def _max_slack(rows: list[Row], lower, upper) -> tuple[Fraction, list[Fraction]]:
+    """(t, x) maximizing t subject to every row >= t, lower <= x <= upper
+    and t <= 1, in exact rationals.
 
-
-def _strongest(rows) -> list[Row]:
-    """Among rows sharing a (normalized) coefficient vector, only the one
-    with the smallest constant can bind; the rest are implied."""
-    best: dict[tuple[Fraction, ...], Fraction] = {}
-    for coeffs, const in rows:
-        prev = best.get(coeffs)
-        if prev is None or const < prev:
-            best[coeffs] = const
-    return list(best.items())
-
-
-def _fm_witness(rows: list[Row], n: int) -> Optional[list[Fraction]]:
-    """Exact witness of {x : rows hold}, or None if empty.
-
-    The caller must include finite lower/upper bound rows for every variable
-    (the box rows), which keeps each back-substitution interval bounded.
+    A bounded-variable primal simplex with Bland's rule, so it cannot cycle.
+    Its variables are x and the slacks s_i = row_i(x) - t; the cap t <= 1 is
+    one more row, the constant 1.  It starts feasible at x = lower, where t
+    is the least row value: t enters the basis in place of that row's slack
+    and, being free, never leaves it, so t's own row is the objective.  The
+    dictionary holds each basic variable as its value and its coefficients
+    over the n + 1 nonbasic columns, each nonbasic variable sitting at a
+    bound (a slack at 0).  Variable v < n is x_v, variable n + i is s_i.
     """
-    stages: list[list[Row]] = [[] for _ in range(n)]
-    cur = _strongest(_normalize_row(c, d) for c, d in rows)
-    for k in range(n - 1, -1, -1):
-        stages[k] = cur
-        lows, ups, rest = [], [], []
-        for coeffs, const in cur:
-            a = coeffs[k]
-            if a > 0:
-                lows.append((coeffs, const))
-            elif a < 0:
-                ups.append((coeffs, const))
+    n = len(lower)
+    rows = [*rows, ((Fraction(0),) * n, Fraction(1))]
+    lo = [Fraction(v) for v in lower] + [Fraction(0)] * len(rows)
+    hi = [Fraction(v) for v in upper] + [None] * len(rows)
+    vals = [const + sum(a * v for a, v in zip(coeffs, lo) if a) for coeffs, const in rows]
+    k = min(range(len(rows)), key=vals.__getitem__)
+    ak = rows[k][0]
+    cols = [*range(n), n + k]  # the nonbasic variable of each column
+    at = lo[:n] + [Fraction(0)]  # and its value
+    obj = [vals[k], [*ak, Fraction(-1)]]  # t = row_k(x) - s_k
+    basis = {
+        n + i: [vals[i] - vals[k], [a - b for a, b in zip(coeffs, ak)] + [Fraction(1)]]
+        for i, (coeffs, _) in enumerate(rows)
+        if i != k
+    }
+    while True:
+        # entering: the lowest-numbered nonbasic variable whose move raises t
+        for q in sorted(range(n + 1), key=cols.__getitem__):
+            d, e = obj[1][q], cols[q]
+            if d > 0 and (hi[e] is None or at[q] < hi[e]) or d < 0 and at[q] > lo[e]:
+                break
+        else:
+            break
+        step = 1 if d > 0 else -1
+        # leaving: the lowest-numbered variable among the first to meet a
+        # bound, the entering one included (a bound flip)
+        best = None if hi[e] is None else (hi[e] - lo[e], e)
+        for v, (val, coeffs) in basis.items():
+            rate = coeffs[q] * step
+            if rate < 0:
+                room = (val - lo[v]) / -rate
+            elif rate > 0 and hi[v] is not None:
+                room = (hi[v] - val) / rate
             else:
-                rest.append((coeffs, const))
-        new: list[Row] = list(rest)
-        for lc, ld in lows:
-            for uc, ud in ups:
-                al, au = lc[k], -uc[k]
-                coeffs = tuple(au * a + al * b for a, b in zip(lc, uc))
-                new.append(_normalize_row(coeffs, au * ld + al * ud))
-        cur = _strongest(new)
-        if len(cur) > 200_000:
-            raise RuntimeError("elimination blow-up; region system too large")
-    if any(const < 0 for coeffs, const in cur if all(c == 0 for c in coeffs)):
-        return None
-    x: list[Fraction] = [Fraction(0)] * n
-    for k in range(n):
-        lo: Optional[Fraction] = None
-        hi: Optional[Fraction] = None
-        for coeffs, const in stages[k]:
-            a = coeffs[k]
-            if a == 0:
                 continue
-            val = const + sum(
-                (coeffs[j] * x[j] for j in range(k) if coeffs[j]), Fraction(0)
-            )
-            bound = -val / a
-            if a > 0:
-                lo = bound if lo is None or bound > lo else lo
-            else:
-                hi = bound if hi is None or bound < hi else hi
-        if lo is None or hi is None:
-            raise AssertionError("unbounded variable; box rows missing")
-        if lo > hi:
-            return None
-        x[k] = (lo + hi) / 2
-    return x
-
-
-def _box_rows(region: PerturbationRegion) -> list[Row]:
-    n = region.dim
-    rows: list[Row] = []
-    for k, (lo, hi) in enumerate(zip(region.lower, region.upper)):
-        e = [Fraction(0)] * n
-        e[k] = Fraction(1)
-        rows.append((tuple(e), -Fraction(lo)))
-        e2 = [Fraction(0)] * n
-        e2[k] = Fraction(-1)
-        rows.append((tuple(e2), Fraction(hi)))
-    return rows
+            if best is None or (room, v) < best:
+                best = (room, v)
+        theta = best[0] * step
+        obj[0] += obj[1][q] * theta
+        for row in basis.values():
+            row[0] += row[1][q] * theta
+        at[q] += theta
+        out = best[1]
+        if out == e:
+            continue
+        val, coeffs = basis.pop(out)
+        piv = coeffs[q]
+        entered = [-c / piv for c in coeffs]
+        entered[q] = 1 / piv
+        for row in (obj, *basis.values()):
+            f = row[1][q]
+            if f:
+                row[1][q] = 0
+                row[1] = [c + f * c2 for c, c2 in zip(row[1], entered)]
+        basis[e] = [at[q], entered]
+        cols[q], at[q] = out, val
+    value = dict(zip(cols, at)) | {v: row[0] for v, row in basis.items()}
+    return obj[0], [value[v] for v in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +239,15 @@ def _ball_feasible(
 
 
 def _cell_witness(rows: list[Row], region: PerturbationRegion) -> Optional[np.ndarray]:
-    """A point of the region that meets every row, or None: Fourier-Motzkin
-    with the region's box rows for linf, least distance for l2."""
+    """A point of the region that meets every row, or None.
+
+    For linf the cell is nonempty iff the `_max_slack` optimum t over the
+    region's box is >= 0 (closure semantics), and its x is the witness,
+    strictly inside the cell when t > 0; for l2 the cell is decided by least
+    distance."""
     if region.kind == "linf":
-        x = _fm_witness(rows + _box_rows(region), region.dim)
-        return None if x is None else np.array([float(v) for v in x])
+        t, x = _max_slack(rows, region.lower, region.upper)
+        return np.array([float(v) for v in x]) if t >= 0 else None
     A = np.array([[float(c) for c in coeffs] for coeffs, _ in rows])
     d = np.array([-float(const) for _, const in rows])
     return _ball_feasible(A.reshape(len(rows), region.dim), d, region)

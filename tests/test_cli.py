@@ -535,18 +535,16 @@ def test_oracle_witness_is_not_recomputed(example1_files, tmp_path, monkeypatch)
 
 
 def test_a_crash_exits_three_not_falsified(example1_files, capsys, monkeypatch):
-    """An exception that is not an input error (say the oracle's
-    Fourier-Motzkin row guard) still exits 3: escaping `main`, it would
-    exit 1, the "falsified" code."""
+    """An exception that is not an input error (here a `RuntimeError`
+    raised inside the oracle's cell walk) still exits 3: escaping `main`,
+    it would exit 1, the "falsified" code."""
 
     def crash(*args, **kwargs):
-        raise RuntimeError("elimination blow-up; region system too large")
+        raise RuntimeError("cell walk failed")
 
     monkeypatch.setattr(cli, "feasible_patterns", crash)
     assert run(example1_files, "--eps", "0.2", "--method", "oracle") == 3
-    assert capsys.readouterr().err == (
-        "error: RuntimeError: elimination blow-up; region system too large\n"
-    )
+    assert capsys.readouterr().err == "error: RuntimeError: cell walk failed\n"
 
 
 def attack_loop(net, region, label, n, seed):
@@ -782,7 +780,9 @@ def test_cli_import_and_small_verifies_load_no_scipy(example1_files, tmp_path):
     `sdp1` and `sdp1-tight` verifies: on the README net (with and without
     `--metrics`) and on a seeded 20-12-12-4 net.  At eps 0.1 that net folds
     to 20-3-5-4 over the region and is certified; at eps 0.3 no neuron folds
-    and its tightened relaxation has 1010 columns.  scipy is loaded only by
+    and its tightened relaxation has 1010 columns.  Nor does a linf `oracle`
+    verify, whose cells are decided in rationals: at eps 0.5 the README net
+    has a cell feasible only at a box corner.  scipy is loaded only by
     `nnls`, for l2 oracle cells."""
     model, inputs = example1_files
     big_model, big_inputs = write_query(tmp_path, *seeded_net(1, (20, 12, 12, 4)))
@@ -810,13 +810,14 @@ def test_cli_import_and_small_verifies_load_no_scipy(example1_files, tmp_path):
          "--method", "sdp1-tight", "--max-iter", "200"],
         ["verify", "--model", str(big_model), "--input", str(big_inputs), "--eps", "0.3",
          "--method", "sdp1-tight", "--max-iter", "200"],
+        base + ["--eps", "0.5", "--method", "oracle"],
     ]
     out = subprocess.run(
         [sys.executable, "-c", code, json.dumps(queries)],
         env=env, capture_output=True, text=True, check=True,
     )
     steps = json.loads(out.stdout)
-    assert [rc for _, rc, _ in steps[1:]] == [0, 0, 2, 2, 0, 2]
+    assert [rc for _, rc, _ in steps[1:]] == [0, 0, 2, 2, 0, 2, 0]
     assert all(not modules for _, _, modules in steps), steps
 
 

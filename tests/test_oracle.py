@@ -144,6 +144,85 @@ def test_l2_empty_cell_is_rejected():
     assert {r.pattern for r in milp_feasible_patterns(inst)} == expected
 
 
+def small_cells(seed, count):
+    """Seeded cells (rows, lower, upper) in 1-4 dimensions: integer rows
+    for even k, rows in halves and quarters for odd k, over boxes with
+    quarter-step bounds, some of zero width."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        den = 1 + k % 2
+        rows = [
+            (
+                tuple(Fraction(int(c), den) for c in rng.integers(-2, 3, n)),
+                Fraction(int(rng.integers(-3, 4)), den * den),
+            )
+            for _ in range(m)
+        ]
+        lower = [Fraction(int(v), 4) for v in rng.integers(-4, 1, n)]
+        upper = [lo + Fraction(int(w), 4) for lo, w in zip(lower, rng.integers(0, 5, n))]
+        yield rows, lower, upper
+
+
+#: "x" where Fourier-Motzkin elimination found the cell of `small_cells(2718,
+#: 160)` empty, "." where it found a witness
+FM_EMPTY = (
+    "xxxxxxxx...x.x..xxxxxxx..xx.xxx.x.xxx....x.xxx..xxxx.x.xx.xx.x.xxx..xxxxx..x..x."
+    "x.x.x.x.xx..xxxxx...x.xx.xxxxx..x.x.x.x.x.x.x.xxxxxxx.xx..xxxxxxxxx.xxxx.xxx.xxx"
+)
+
+
+def test_max_slack_is_exact_on_small_cells():
+    """Each optimum x lies in the box and its least row (capped at 1) is t
+    exactly; no box corner or sampled point has a larger least row; and
+    t < 0 on exactly the cells Fourier-Motzkin found empty.  13 of the
+    cells are nonempty with t = 0: no point of the box meets every row
+    strictly."""
+    rng = np.random.default_rng(5)
+    empty, ties = "", 0
+    for rows, lower, upper in small_cells(2718, len(FM_EMPTY)):
+
+        def least(point):
+            values = [const + sum(a * v for a, v in zip(coeffs, point)) for coeffs, const in rows]
+            return min([*values, 1])
+
+        t, x = oracle._max_slack(rows, lower, upper)
+        assert all(lo <= v <= hi for v, lo, hi in zip(x, lower, upper))
+        assert least(x) == t
+        corners = itertools.product(*zip(lower, upper))
+        samples = (
+            [lo + (hi - lo) * Fraction(int(u), 64) for lo, hi, u in zip(lower, upper, draw)]
+            for draw in rng.integers(0, 65, (16, len(lower)))
+        )
+        assert all(least(p) <= t for p in itertools.chain(corners, samples))
+        empty += "x" if t < 0 else "."
+        ties += t == 0
+    assert empty == FM_EMPTY
+    assert ties == 13
+
+
+def test_a_corner_cell_is_feasible(example1, x0_example):
+    """At eps 0.5 the README net's cell (+1, -1) needs x1 + x2 - x3 >= 2,
+    which the box [-0.5, 0.5] x [0, 1] x [-0.5, 0.5] meets only at its
+    corner (0.5, 1, -0.5), with slack 0: the closure keeps the cell."""
+    region = PerturbationRegion.linf(x0_example, 0.5)
+    corner = [r.witness for r in feasible_patterns(example1, region) if r.pattern[0] == (1, -1)]
+    assert corner
+    assert all(w.tolist() == [0.5, 1.0, -0.5] for w in corner)
+
+
+def test_milp_patterns_match_oracle_in_twenty_dimensions():
+    """A seeded 20-4-8-4 net at eps 0.1, the shape a 20-12-12-4 benchmark
+    net folds to: every layer-1 neuron takes both signs over the box, so
+    16 cells in 20 dimensions are decided on each side."""
+    rng = np.random.default_rng(9)
+    net = random_net(rng, (20, 4, 8, 4))
+    region = PerturbationRegion.linf(rng.uniform(-0.2, 0.2, 20), 0.1)
+    assert stabilize(net, region).widths == net.widths
+    patterns = assert_milp_matches_oracle(net, region, objective_targeted(net, 1, 2), 1, 2)
+    assert len({p[0] for p in patterns}) == 7
+
+
 def tie_net():
     """2-2-2-2 net whose layer-2 pre-activations s1 + s2 and s1 - s2 have a
     zero on every layer-1 cell, so each cell has two completions."""
@@ -306,13 +385,13 @@ def test_each_layer1_cell_is_decided_once(monkeypatch):
     """The tie net's four cells have eight feasible patterns, but the box
     decider runs once per cell."""
     calls = []
-    fm_witness = oracle._fm_witness
+    max_slack = oracle._max_slack
 
-    def spy(rows, n):
+    def spy(rows, lower, upper):
         calls.append(rows)
-        return fm_witness(rows, n)
+        return max_slack(rows, lower, upper)
 
-    monkeypatch.setattr(oracle, "_fm_witness", spy)
+    monkeypatch.setattr(oracle, "_max_slack", spy)
     records = feasible_patterns(tie_net(), PerturbationRegion.linf([0.0, 0.0], 0.5))
     assert len(records) == 8
     assert len(calls) == 4
