@@ -1,8 +1,9 @@
 """Ground-truth verification by activation-pattern enumeration.
 
 For small networks the exact optimum of a robustness query is computable by
-walking the layer-1 sign vectors.  Each one fixes a cell of the input space,
-and "does some admissible input produce these signs?" is a polytope
+walking the layer-1 sign vectors, of at most `DEFAULT_PATTERN_CAP` layer-1
+neurons (deeper layers may be wider).  Each one fixes a cell of the input
+space, and "does some admissible input produce these signs?" is a polytope
 membership query, decided once per cell: for box regions exactly, by a
 simplex in rationals that maximizes the cell's least row slack over the box
 (`_max_slack`), and for Euclidean balls by the cell's nearest point to the
@@ -22,7 +23,9 @@ patterns (which do not depend on it, so one walk serves every target of a
 query), computed in exact rational arithmetic; it is the yardstick every
 relaxation bound is tested against, so nothing here shares code with the
 relaxation pipeline (the MILP route in `milp_feasible_patterns` reuses only
-the polytope deciders, on an independently built constraint system).
+the cell decider `_cell_witness`, on an independently built constraint
+system; the decider alone holds the region, so the walk skips the
+encoding's region rows).
 
 The other side of the yardstick is sampled: `sample_logits` runs the
 network on the center and seeded region points in one batched pass.  Every
@@ -90,10 +93,12 @@ class ExactResult:
 
 
 def _require_cap(net: FoldedBnn) -> None:
-    if net.hidden_count() > DEFAULT_PATTERN_CAP:
+    """The walks branch on the layer-1 signs, one cell each; the deeper
+    signs are computed, so only layer 1's width is capped."""
+    if net.hidden_widths[0] > DEFAULT_PATTERN_CAP:
         raise ValueError(
-            f"pattern enumeration needs at most {DEFAULT_PATTERN_CAP} hidden neurons, "
-            f"got {net.hidden_count()}"
+            f"pattern enumeration needs at most {DEFAULT_PATTERN_CAP} layer-1 neurons, "
+            f"got {net.hidden_widths[0]}"
         )
 
 
@@ -350,12 +355,15 @@ def milp_feasible_patterns(instance: VerificationInstance) -> list[PatternRecord
     oracle; the constraint systems themselves are built independently, so
     agreement with `feasible_patterns` is a meaningful exactness check.
 
-    Every MILP row except the l2 ball quadratic is jointly affine in the
-    inputs and the binaries, so the rows are split once into an exact input
-    part and binary part.  The binaries are fixed one at a time, layer-major
-    and -1 before +1, so the records come in `feasible_patterns` order.  A
-    row without inputs is evaluated once, when its last binary is fixed, and
-    a failing row drops the whole prefix; the input rows are decided by
+    The region's own rows (the box rows, for l2 the box enclosure and the
+    ball quadratic) are skipped: `_cell_witness` already holds the region,
+    as `_max_slack`'s bounds or `_ball_feasible`'s box and radius.  Every
+    other MILP row is jointly affine in the inputs and the binaries, so the
+    rows are split once into an exact input part and binary part.  The
+    binaries are fixed one at a time, layer-major and -1 before +1, so the
+    records come in `feasible_patterns` order.  A row without inputs is
+    evaluated once, when its last binary is fixed, and a failing row drops
+    the whole prefix; the input rows (layer 1's envelopes) are decided by
     `_cell_witness` once, when their last binary (at the latest, layer 1's)
     is fixed.
     """
@@ -371,12 +379,10 @@ def milp_feasible_patterns(instance: VerificationInstance) -> list[PatternRecord
     input_rows = []
     checks: list[list] = [[] for _ in binary_order]  # by the row's last binary
     cell_at = net.hidden_widths[0] - 1  # where the input rows are decided
-    has_ball = False
     for con in instance.constraints.inequalities:
+        if con.family == "region":
+            continue  # `_cell_witness` holds the region itself
         if con.poly.degree > 1:
-            if region.kind == "l2" and con.family == "region" and con.neuron == 0:
-                has_ball = True  # handled by the ball decider below
-                continue
             raise ValueError(f"row {con.family} is not affine; cannot fix a pattern")
         x0_coeffs = [Fraction(0)] * n0
         bin_coeffs: dict[int, Fraction] = {}
@@ -397,8 +403,6 @@ def milp_feasible_patterns(instance: VerificationInstance) -> list[PatternRecord
             cell_at = max(cell_at, last)
         else:  # a constant row is checked with the first binary
             checks[max(last, 0)].append((tuple(bin_coeffs.items()), const))
-    if region.kind == "l2" and not has_ball:
-        raise ValueError("l2 MILP instance lost its ball row")
 
     def value(bin_coeffs, const) -> Fraction:
         return const + sum((c * signs[p] for p, c in bin_coeffs), Fraction(0))

@@ -18,6 +18,10 @@ that coincide); the ring operations and `reduce_binary_squares` keep it,
 building their results from operands already in normal form without
 normalizing them again.  So equal polynomials have equal `terms`, and the
 moment assembly and the rigorization read each monomial as it is stored.
+The monomial product `mono_mul` and the x^2 = 1 reduction `reduce_mono` are
+module functions: the rigorization builds and reduces its Gram-entry
+monomials with them, so the certificate check applies the same x^2 = 1 rule
+as `reduce_binary_squares`.
 
 Everything here is a pure value; polynomials are immutable once built.
 """
@@ -39,10 +43,6 @@ class Var(NamedTuple):
     layer: int
     index: int
 
-    @property
-    def is_binary(self) -> bool:
-        return self.layer >= 1
-
     def __repr__(self) -> str:  # compact enough to appear in rendered polynomials
         return f"x[{self.layer},{self.index}]"
 
@@ -63,7 +63,7 @@ def _mono(pairs: Iterable[Tuple[Var, int]]) -> Monomial:
     return tuple(sorted((v, e) for v, e in exps.items() if e))
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     """The product of two normal-form monomials, merged in one sorted pass."""
     if not a:
         return b
@@ -93,6 +93,18 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     out.extend(a[i:])
     out.extend(b[j:])
     return tuple(out)
+
+
+def reduce_mono(mono: Monomial) -> Monomial:
+    """A normal-form monomial modulo x^2 = 1 for every binary (layer >= 1)
+    variable, by parity; input variables keep their exponents.  One whose
+    exponents are all 1 is already reduced and comes back as it is."""
+    for _, e in mono:
+        if e != 1:
+            break
+    else:
+        return mono
+    return tuple((v, e % 2 if v.layer else e) for v, e in mono if not v.layer or e % 2)
 
 
 def _mono_degree(m: Monomial) -> int:
@@ -165,7 +177,7 @@ class MultilinearPoly:
     # -- ring operations ----------------------------------------------------
     #
     # Each builds its result from operands in normal form: a product of two
-    # normal monomials is merged by `_mono_mul`, and coefficients combine
+    # normal monomials is merged by `mono_mul`, and coefficients combine
     # only where two terms land on one monomial.
 
     def __add__(self, other: "MultilinearPoly | Scalar") -> "MultilinearPoly":
@@ -214,7 +226,7 @@ class MultilinearPoly:
         terms: dict[Monomial, Scalar] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
-                m = _mono_mul(ma, mb)
+                m = mono_mul(ma, mb)
                 terms[m] = terms[m] + ca * cb if m in terms else ca * cb
         return MultilinearPoly._normal(terms)
 
@@ -224,15 +236,14 @@ class MultilinearPoly:
     # -- reduction and queries ----------------------------------------------
 
     def reduce_binary_squares(self) -> "MultilinearPoly":
-        """Apply x^2 = 1 for every binary (layer >= 1) variable, by parity.
+        """Apply x^2 = 1 for every binary (layer >= 1) variable, by parity
+        (`reduce_mono` on each monomial).
 
         Input-layer variables keep their exponents.  Idempotent.
         """
         terms: dict[Monomial, Scalar] = {}
         for mono, coeff in self.terms.items():
-            reduced = tuple(
-                (v, e % 2 if v.is_binary else e) for v, e in mono if not v.is_binary or e % 2
-            )
+            reduced = reduce_mono(mono)
             terms[reduced] = terms[reduced] + coeff if reduced in terms else coeff
         return MultilinearPoly._normal(terms)
 

@@ -33,11 +33,15 @@ holds despite floating-point error: the certificate combination is expanded
 exactly, reduced modulo x^2 = 1, and the leftover polynomial is bounded
 coefficient-wise using |x| <= 1 for every variable.  The expansion runs in
 Python integers at one common scale (binary64 values are dyadic rationals),
-over the reduced monomials numbered once per call.  A Gram block costs
-nothing when a fraction-free integer LDL^T proves it PSD, and pays an
-eigenvalue-deficit term otherwise; an exact negative Rayleigh quotient
-disproves PSD-ness before the factorization runs.  Everything here is
-deterministic: same problem, same options, bit-identical output.
+over the reduced monomials numbered once per call; a Gram entry's monomial
+is built and reduced by `poly.mono_mul` and `poly.reduce_mono`, the algebra
+of every exact polynomial.  Each Gram upper triangle becomes integers once,
+at that scale, and the expansion, the PSD proof and its disproof all read
+that one image: a block costs nothing when a fraction-free integer LDL^T
+proves it PSD, and pays an eigenvalue-deficit term otherwise; an exact
+negative Rayleigh quotient disproves PSD-ness before the factorization
+runs.  Everything here is deterministic: same problem, same options,
+bit-identical output.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from bnncert.encode import EXACT_PSD_ORDER, Clique, VerificationInstance
-from bnncert.poly import Var
+from bnncert.poly import mono_mul, reduce_mono
 from bnncert.sdp import (
     ConicProblem,
     SparseMatrix,
@@ -467,60 +471,32 @@ def _float_up(x: Fraction) -> float:
     return f
 
 
-def _exact_psd_check(G: np.ndarray) -> bool:
+def _exact_psd_check(upper: Sequence[Sequence[int]]) -> bool:
     """Exact LDL^T with PSD pivoting rules; True proves G >= 0.
 
-    G (upper triangle, the entries the certificate reads) is scaled by one
-    power of two to integers, then eliminated fraction-free (Bareiss): every
-    step divides exactly by the previous pivot, so entries stay integers and
-    each pivot is the LDL^T pivot times a positive leading minor.  A negative
-    pivot disproves PSD-ness; a zero pivot needs a zero row and is skipped,
-    and the previous divisor carries over.
+    `upper[p]` holds G's row p from the diagonal on, integer-scaled -- the
+    certificate's integer image, which `_disproves_psd` reads too.  The rows
+    are eliminated fraction-free (Bareiss): every step divides exactly by
+    the previous pivot, so entries stay integers and each pivot is the
+    LDL^T pivot times a positive leading minor.  A negative pivot disproves
+    PSD-ness; a zero pivot needs a zero row and is skipped, and the previous
+    divisor carries over.
     """
-    ratios = [[x.as_integer_ratio() for x in row] for row in G.tolist()]
-    scale = max((den for row in ratios for _, den in row), default=1)
-    M = [[num * (scale // den) for num, den in row] for row in ratios]
-    n = len(M)
+    rows = list(upper)
     prev = 1
-    for k in range(n):
-        row_k = M[k]
-        pivot = row_k[k]
+    for k, row_k in enumerate(rows):
+        pivot = row_k[0]
         if pivot < 0:
             return False
         if pivot == 0:
-            if any(row_k[k + 1 :]):
+            if any(row_k[1:]):
                 return False
             continue
-        for i in range(k + 1, n):
-            f = row_k[i]
-            row_i = M[i]
-            row_i[i:] = [
-                (pivot * a - f * b) // prev for a, b in zip(row_i[i:], row_k[i:])
-            ]
+        for i in range(k + 1, len(rows)):
+            f = row_k[i - k]
+            rows[i] = [(pivot * a - f * b) // prev for a, b in zip(rows[i], row_k[i - k :])]
         prev = pivot
     return True
-
-
-def _reduce_mono(mono: tuple) -> tuple:
-    """A normal-form monomial modulo x^2 = 1 for every binary (layer >= 1)
-    variable; one whose exponents are all 1 is already reduced."""
-    for _, e in mono:
-        if e != 1:
-            break
-    else:
-        return mono
-    return tuple(
-        (v, e % 2 if v.layer else e) for v, e in mono if not v.layer or e % 2
-    )
-
-
-def _mono_of(u: Optional[Var], v: Optional[Var]) -> tuple:
-    """The normal-form monomial u * v, where None stands for the constant 1."""
-    if u is None:
-        return () if v is None else ((v, 1),)
-    if u == v:
-        return ((u, 2),)
-    return ((u, 1), (v, 1)) if u < v else ((v, 1), (u, 1))
 
 
 def _number_terms(objective, rows, cliques: Sequence[Clique]):
@@ -534,7 +510,7 @@ def _number_terms(objective, rows, cliques: Sequence[Clique]):
     slots: dict = {(): 0}
 
     def slot(mono) -> int:
-        return slots.setdefault(_reduce_mono(mono), len(slots))
+        return slots.setdefault(reduce_mono(mono), len(slots))
 
     def terms(poly):
         return [(slot(mono), c) for mono, c in poly.terms.items()]
@@ -544,10 +520,10 @@ def _number_terms(objective, rows, cliques: Sequence[Clique]):
     gram_slots = []
     for clique in cliques:
         # entry (p, q) of the Gram matrix of (1, x_clique) multiplies x_p x_q
-        # (x_0 = 1)
-        xs = (None,) + clique.variables
+        # (x_0 = 1, the monomial ())
+        xs = ((),) + tuple(((v, 1),) for v in clique.variables)
         gram_slots.append(
-            [slot(_mono_of(xs[p], xs[q])) for p in range(len(xs)) for q in range(p, len(xs))]
+            [slot(mono_mul(xs[p], xs[q])) for p in range(len(xs)) for q in range(p, len(xs))]
         )
     return len(slots), objective_terms, row_terms, gram_slots
 
@@ -587,9 +563,10 @@ def rigorous_lower_bound(
 
     Gram blocks pay an eigenvalue deficit (block size) * max(0,
     -lambda_min_lower); exactly PSD blocks of order at most
-    `EXACT_PSD_ORDER` are recognized by an exact integer factorization and
-    pay zero.  A block whose exact Rayleigh quotient at the float minimal
-    eigenvector is negative is proven not PSD without the factorization.
+    `EXACT_PSD_ORDER` are recognized by an exact factorization of the
+    expansion's own integer upper triangle and pay zero.  A block whose
+    exact Rayleigh quotient at the float minimal eigenvector is negative is
+    proven not PSD without the factorization.
     The reported value is finally capped at the solve's primal objective.
 
     `cliques` are the assembly's (`MomentSdp.cliques`), one per Gram block;
@@ -655,7 +632,7 @@ def rigorous_lower_bound(
     eps = float(np.finfo(float).eps)
     for G, upper in zip(grams, gram_ints):
         size = G.shape[0]
-        if size <= EXACT_PSD_ORDER and not _disproves_psd(G, upper) and _exact_psd_check(G):
+        if size <= EXACT_PSD_ORDER and not _disproves_psd(G, upper) and _exact_psd_check(upper):
             deficits.append(0.0)
             continue
         lam_min = float(np.linalg.eigvalsh(G)[0])

@@ -364,6 +364,26 @@ def test_milp_l2_keeps_ball_quadratic(example1):
     assert len(ball_rows) == 1
 
 
+@pytest.mark.parametrize("kind", ["linf", "l2"])
+def test_milp_region_rows_are_the_box_and_the_ball(example1, kind):
+    """The region rows are x_k <= upper_k and x_k >= lower_k per coordinate,
+    plus radius^2 - |x - center|^2 for l2: exactly what the oracle's cell
+    decider holds, so the MILP pattern walk can leave them to it."""
+    region = region1(kind, 0.7)
+    inst = encode_milp(example1, region, objective1(example1))
+    expected = []
+    for k, (lo, hi) in enumerate(zip(region.lower, region.upper), start=1):
+        x = MultilinearPoly.variable(Var(0, k))
+        expected += [float(hi) - x, x - float(lo)]
+    if kind == "l2":
+        ball = MultilinearPoly.constant(Fraction(0.7) ** 2)
+        for k, c in enumerate(region.center, start=1):
+            d = MultilinearPoly.variable(Var(0, k)) - c
+            ball = ball - d * d
+        expected.append(ball)
+    assert [c.poly for c in inst.constraints.by_family("region")] == expected
+
+
 # -- cliques ------------------------------------------------------------------
 
 

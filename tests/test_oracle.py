@@ -38,10 +38,41 @@ def objective1(net):
 
 def test_enumerate_patterns_cap():
     rng = np.random.default_rng(0)
-    net = random_net(rng, (3, 11, 10, 2))  # 21 hidden neurons
+    net = random_net(rng, (3, 21, 2))  # 21 layer-1 neurons
     region = PerturbationRegion.linf(np.zeros(3), 0.5)
     with pytest.raises(ValueError, match="at most 20"):
         feasible_patterns(net, region)
+
+
+def test_the_cap_counts_layer1_neurons_only():
+    """21 hidden neurons, 5 of them in layer 1: the walks branch on 2^5
+    cells and compute the deeper signs, so the query is decided."""
+    rng = np.random.default_rng(0)
+    net = random_net(rng, (3, 5, 16, 2))
+    assert net.hidden_count() == 21
+    region = PerturbationRegion.linf(np.zeros(3), 0.5)
+    f = objective_targeted(net, 1, 2)
+    patterns = assert_milp_matches_oracle(net, region, f, 1, 2)
+    assert exact_verify(net, region, f).n_feasible == len(patterns) > 0
+
+
+@pytest.mark.parametrize("kind", ["linf", "l2"])
+def test_milp_walk_leaves_the_region_to_the_cell_decider(example1, x0_example, kind, monkeypatch):
+    """`_cell_witness` holds the region, so the MILP walk hands each cell
+    only layer 1's 2 * n1 envelope rows, no box (or ball) row."""
+    rows_seen = []
+    witness = oracle._cell_witness
+
+    def spy(rows, region):
+        rows_seen.append(rows)
+        return witness(rows, region)
+
+    monkeypatch.setattr(oracle, "_cell_witness", spy)
+    region = getattr(PerturbationRegion, kind)(x0_example, 1.0)
+    inst = encode_milp(example1, region, objective1(example1), true_label=2, target=1)
+    milp_feasible_patterns(inst)
+    assert rows_seen
+    assert all(len(rows) == 2 * example1.hidden_widths[0] for rows in rows_seen)
 
 
 def test_pattern_assignment_values():

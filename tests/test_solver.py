@@ -500,21 +500,31 @@ def psd_case(kind, n, seed):
 PSD_KINDS = ("rank_deficient", "zero_diagonal", "tiny_negative", "wide_range", "negative_zero")
 
 
+def upper_integers(G):
+    """G's upper triangle, row by row from the diagonal, scaled to integers."""
+    ratios = [[x.as_integer_ratio() for x in row[p:]] for p, row in enumerate(G.tolist())]
+    scale = max((den for row in ratios for _, den in row), default=1)
+    return [[num * (scale // den) for num, den in row] for row in ratios]
+
+
 @pytest.mark.parametrize("kind", PSD_KINDS)
 @given(n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
 def test_integer_psd_check_agrees_with_fraction_ldl(kind, n, seed):
     G = psd_case(kind, n, seed)
-    assert _exact_psd_check(G) == fraction_ldl_psd(G)
+    assert _exact_psd_check(upper_integers(G)) == fraction_ldl_psd(G)
 
 
 def test_integer_psd_check_edge_cases():
-    assert _exact_psd_check(np.array([[1.0, 1.0, 2.0], [1.0, 1.0, 2.0], [2.0, 2.0, 5.0]]))
-    bumped = np.array([[1.0, 1.0], [1.0, 1.0 - 2.0**-50]])
-    assert not _exact_psd_check(bumped)
-    assert not _exact_psd_check(np.array([[0.0, 1.0], [1.0, 3.0]]))
-    assert _exact_psd_check(np.array([[-0.0, 0.0], [-0.0, 2.0**-60]]))
-    assert _exact_psd_check(np.array([[2.0**40, 2.0**-10], [2.0**-10, 2.0**-60]]))
-    assert _exact_psd_check(np.zeros((0, 0)))
+    def check(G):
+        return _exact_psd_check(upper_integers(np.array(G)))
+
+    assert check([[1.0, 1.0, 2.0], [1.0, 1.0, 2.0], [2.0, 2.0, 5.0]])
+    bumped = [[1.0, 1.0], [1.0, 1.0 - 2.0**-50]]
+    assert not check(bumped)
+    assert not check([[0.0, 1.0], [1.0, 3.0]])
+    assert check([[-0.0, 0.0], [-0.0, 2.0**-60]])
+    assert check([[2.0**40, 2.0**-10], [2.0**-10, 2.0**-60]])
+    assert check(np.zeros((0, 0)))
 
 
 def gram_polynomial(G, variables):
@@ -892,20 +902,20 @@ def test_psd_blocks_are_proven_by_bareiss_and_disproven_by_rayleigh(monkeypatch)
     sizes = [G.shape[0] for G in res.grams]
     # block 0 PSD, block 1 clearly not, the rest zero (PSD)
     grams = [np.eye(sizes[0]), -np.eye(sizes[1])] + [np.zeros((n, n)) for n in sizes[2:]]
-    checked = []
-    check = solver._exact_psd_check
-    monkeypatch.setattr(solver, "_exact_psd_check", lambda G: checked.append(G) or check(G))
+    read, checked = [], []
+    disprove, check = solver._disproves_psd, solver._exact_psd_check
+    monkeypatch.setattr(
+        solver, "_disproves_psd", lambda G, upper: read.append(upper) or disprove(G, upper)
+    )
+    monkeypatch.setattr(
+        solver, "_exact_psd_check", lambda upper: checked.append(upper) or check(upper)
+    )
     rb = assert_matches_chain(dataclasses.replace(res, grams=tuple(grams)), inst, cliques)
     assert rb.eigenvalue_deficits[0] == 0.0 and rb.eigenvalue_deficits[1] > 0
     assert len(checked) == len(grams) - 1
-    assert all(G is not grams[1] for G in checked)
-
-
-def upper_integers(G):
-    """G's upper triangle, row by row from the diagonal, scaled to integers."""
-    ratios = [[x.as_integer_ratio() for x in row[p:]] for p, row in enumerate(G.tolist())]
-    scale = max((den for row in ratios for _, den in row), default=1)
-    return [[num * (scale // den) for num, den in row] for row in ratios]
+    assert all(upper is not read[1] for upper in checked)
+    # the factorization reads the integer rows the Rayleigh test read
+    assert all(upper is rows for upper, rows in zip(checked, read[:1] + read[2:], strict=True))
 
 
 @pytest.mark.parametrize("kind", PSD_KINDS)
