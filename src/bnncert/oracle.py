@@ -4,12 +4,13 @@ For small networks the exact optimum of a robustness query is computable by
 walking the layer-1 sign vectors, of at most `DEFAULT_PATTERN_CAP` layer-1
 neurons (deeper layers may be wider).  Each one fixes a cell of the input
 space, and "does some admissible input produce these signs?" is a polytope
-membership query, decided once per cell: for box regions exactly, by a
-simplex in rationals that maximizes the cell's least row slack over the box
-(`_max_slack`), and for Euclidean balls by the cell's nearest point to the
-center, found by least-distance programming (one NNLS solve) and checked
-against the rows and the radius.  The signs of every deeper layer
-then follow from the layer before; they are computed, not searched.
+membership query, decided once per cell and exactly, in rationals: a
+simplex maximizes the cell's least row slack over the region's box
+(`_max_slack`), and for Euclidean balls a cell whose max-slack point lies
+outside the ball is decided by its nearest point to the center, found by
+least-distance programming (an NNLS in rationals).  The signs of every
+deeper layer then follow from the layer before; they are computed, not
+searched.
 
 A pattern is *feasible* when the non-strict system sigma * (W x' + b) >= 0 is
 satisfiable over the region -- the closure semantics every encoding in this
@@ -196,66 +197,116 @@ def _max_slack(rows: list[Row], lower, upper) -> tuple[Fraction, list[Fraction]]
 # ---------------------------------------------------------------------------
 
 
-def _nearest_in_polytope(
-    A: np.ndarray, d: np.ndarray, center: np.ndarray
-) -> Optional[np.ndarray]:
-    """Nearest point of {x : A x >= d} to `center`, or None when the
-    least-distance program finds the set empty.
+def _solve(G: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
+    """The solution of the nonsingular system G z = b, by Gauss-Jordan
+    elimination in exact rationals."""
+    m = [[*row, v] for row, v in zip(G, b)]
+    k = len(m)
+    for c in range(k):
+        p = next(i for i in range(c, k) if m[i][c])
+        m[c], m[p] = m[p], m[c]
+        pivot = m[c]
+        for i in range(k):
+            if i != c and m[i][c]:
+                f = m[i][c] / pivot[c]
+                m[i] = [a - f * q for a, q in zip(m[i], pivot)]
+    return [row[k] / row[c] for c, row in enumerate(m)]
 
-    Least-distance programming (Lawson & Hanson 1974, ch. 23): with
-    h = d - A center, E = [A^T; h^T] and f = e_{n+1}, the NNLS residual
-    r = E w - f has r[n] < 0 exactly when the set is nonempty, and then
-    x = center - r[:n] / r[n]; r = 0 is a Farkas certificate of emptiness.
+
+def _nearest_in_polytope(rows: list[Row], center: list[Fraction]) -> list[Fraction]:
+    """Nearest point of the nonempty polytope {x : every row >= 0} to
+    `center`, in exact rationals.
+
+    Least-distance programming (Lawson & Hanson 1974, ch. 23): with column
+    i of E the row's coefficients a_i over -row_i(center), and f = e_{n+1},
+    the NNLS residual r = E w - f has r[n] < 0 (the set being nonempty) and
+    x = center - r[:n] / r[n].  The NNLS is Lawson & Hanson's active-set
+    algorithm, which ends after finitely many steps in exact arithmetic and
+    keeps the passive columns linearly independent, so each of its least
+    squares problems is one nonsingular system of normal equations.
     """
-    from scipy.optimize import nnls  # deferred: keeps `import bnncert.cli` lean
+    n = len(center)
+    cols = [
+        [*coeffs, -const - sum(a * c for a, c in zip(coeffs, center))] for coeffs, const in rows
+    ]
+    w: dict[int, Fraction] = {}  # the passive columns and their positive weights
 
-    n = center.shape[0]
-    E = np.vstack([A.T, d - A @ center])
-    f = np.zeros(n + 1)
-    f[n] = 1.0
-    w, _ = nnls(E, f)
-    r = E @ w - f
-    if not r[n] < 0:
-        return None
-    return center - r[:n] / r[n]
+    def residual() -> list[Fraction]:
+        r = [sum((v * cols[j][k] for j, v in w.items()), Fraction(0)) for k in range(n + 1)]
+        r[n] -= 1
+        return r
 
-
-def _ball_feasible(
-    rows_A: np.ndarray, rows_d: np.ndarray, region: PerturbationRegion
-) -> Optional[np.ndarray]:
-    """Witness of {A x >= d} intersected with the l2 region, or None.
-
-    The nearest point x of the cell (the rows plus the region's box rows) to
-    the center is accepted when it satisfies every row to within
-    1e-9 * (1 + max|d|) and lies within radius * (1 + 1e-9) + 1e-12 of the
-    center, so borderline cells that touch the ball are accepted.  A center
-    that meets every row in floating point is its own nearest point: the NNLS
-    solve starts and stops at w = 0 and returns the center unchanged.
-    """
-    center = region.center
-    A = np.vstack([rows_A, np.eye(region.dim), -np.eye(region.dim)])
-    d = np.concatenate([rows_d, region.lower, -region.upper])
-    x = _nearest_in_polytope(A, d, center)
-    if x is None:
-        return None
-    on_rows = np.all(A @ x - d >= -1e-9 * (1.0 + np.max(np.abs(d))))
-    in_ball = np.linalg.norm(x - center) <= region.radius * (1.0 + 1e-9) + 1e-12
-    return x if on_rows and in_ball else None
+    while True:
+        r = residual()
+        gain = {j: -sum(a * b for a, b in zip(col, r)) for j, col in enumerate(cols) if j not in w}
+        j = max(gain, key=gain.__getitem__, default=None)
+        if j is None or gain[j] <= 0:
+            break
+        w[j] = Fraction(0)
+        while True:  # least squares over the passive columns, kept feasible
+            passive = list(w)
+            z = _solve(
+                [[sum(a * b for a, b in zip(cols[p], cols[q])) for q in passive] for p in passive],
+                [cols[p][n] for p in passive],
+            )
+            if all(v > 0 for v in z):
+                w = dict(zip(passive, z))
+                break
+            alpha = min(w[p] / (w[p] - v) for p, v in zip(passive, z) if v <= 0)
+            w = {p: w[p] + alpha * (v - w[p]) for p, v in zip(passive, z)}
+            w = {p: v for p, v in w.items() if v > 0}
+    r = residual()
+    return [c - v / r[n] for c, v in zip(center, r)]
 
 
 def _cell_witness(rows: list[Row], region: PerturbationRegion) -> Optional[np.ndarray]:
-    """A point of the region that meets every row, or None.
+    """A point of the region that meets every row, or None, decided in
+    exact rationals.
 
-    For linf the cell is nonempty iff the `_max_slack` optimum t over the
-    region's box is >= 0 (closure semantics), and its x is the witness,
-    strictly inside the cell when t > 0; for l2 the cell is decided by least
-    distance."""
+    The cell is nonempty over the region's box iff the `_max_slack` optimum
+    t is >= 0 (closure semantics), and its x is strictly inside the cell
+    when t > 0.  For linf that x is the witness.  For l2 the box is the
+    ball's exact enclosure (`region.lower`/`upper` are rounded to binary64
+    and can cut a sliver off the ball), with the radius capped at 2 * n0 as
+    in `region_polynomials`, and a cell whose x lies outside the ball meets it
+    iff the cell's nearest point xn to the center (`_nearest_in_polytope`)
+    does.  xn is taken over the rows and the faces of [-1, 1]^n0 that cut
+    the ball; the whole ball lies on the inner side of every other face, so
+    those faces cannot change the answer.  The witness is then
+    xn + lam (x - xn) for the first lam of 1/2, 1/4, ... that stays in the
+    ball, strictly inside the cell when t > 0, and xn itself only when xn
+    lies on the sphere.
+    """
     if region.kind == "linf":
         t, x = _max_slack(rows, region.lower, region.upper)
         return np.array([float(v) for v in x]) if t >= 0 else None
-    A = np.array([[float(c) for c in coeffs] for coeffs, _ in rows])
-    d = np.array([-float(const) for _, const in rows])
-    return _ball_feasible(A.reshape(len(rows), region.dim), d, region)
+    center = [Fraction(v) for v in region.center]
+    radius = Fraction(min(region.radius, 2 * region.dim))
+    lower = [max(c - radius, Fraction(-1)) for c in center]
+    upper = [min(c + radius, Fraction(1)) for c in center]
+    t, x = _max_slack(rows, lower, upper)
+    if t < 0:
+        return None
+
+    def excess(point) -> Fraction:
+        return sum((v - c) ** 2 for v, c in zip(point, center)) - radius * radius
+
+    if excess(x) > 0:
+        faces = [  # s * x_j + 1 >= 0, for each face of the cube that cuts the ball
+            (tuple(Fraction(s * (k == j)) for k in range(region.dim)), Fraction(1))
+            for j, c in enumerate(center)
+            for s in (1, -1)
+            if s * c - radius < -1
+        ]
+        xn = _nearest_in_polytope([*rows, *faces], center)
+        gap = excess(xn)
+        if gap > 0:
+            return None
+        lam = Fraction(1, 2) if gap < 0 else Fraction(0)
+        while excess(y := [a + lam * (b - a) for a, b in zip(xn, x)]) > 0:
+            lam /= 2
+        x = y
+    return np.array([float(v) for v in x])
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +348,9 @@ def _completions(net: FoldedBnn, first: tuple[int, ...]) -> list[Pattern]:
 def feasible_patterns(net: FoldedBnn, region: PerturbationRegion) -> list[PatternRecord]:
     """All feasible patterns with witnesses, in enumeration order.
 
-    Each layer-1 cell is decided once by `_cell_witness` (for l2 in floating
-    point, with the slacks of `_ball_feasible`); a feasible cell contributes
-    every pattern of `_completions`, all with the cell's witness.
+    Each layer-1 cell is decided once, exactly, by `_cell_witness`; a
+    feasible cell contributes every pattern of `_completions`, all with the
+    cell's witness.
     """
     net.require_stabilized()
     if region.dim != net.input_dim:
@@ -357,7 +408,7 @@ def milp_feasible_patterns(instance: VerificationInstance) -> list[PatternRecord
 
     The region's own rows (the box rows, for l2 the box enclosure and the
     ball quadratic) are skipped: `_cell_witness` already holds the region,
-    as `_max_slack`'s bounds or `_ball_feasible`'s box and radius.  Every
+    as its box and, for l2, its center and radius.  Every
     other MILP row is jointly affine in the inputs and the binaries, so the
     rows are split once into an exact input part and binary part.  The
     binaries are fixed one at a time, layer-major and -1 before +1, so the

@@ -81,6 +81,24 @@ def test_oracle_confirms_attack_witness(example1_files, tmp_path):
     assert max(abs(c - x) for c, x in zip(cex, [0.0, 0.5, 0.0])) <= 0.7 + 1e-12
 
 
+def test_oracle_l2_witness_falsifies(example1_files, tmp_path):
+    """At l2 radius 1.2 the 512-point attack misses the label change, and
+    the minimizing cell's nearest point to the center, (2/3, -1/6, -2/3),
+    lies on a layer-1 hyperplane, where `forward` takes the other sign.
+    The oracle's witness lies strictly inside the cell, so it falsifies."""
+    rc, rep = run_json(
+        example1_files, tmp_path, "--eps", "1.2", "--norm", "l2", "--method", "oracle"
+    )
+    assert rc == 1
+    assert rep["verdict"] == "falsified"
+    (target,) = rep["targets"]
+    assert (target["lower_bound"], target["status"]) == (-1.0, "falsified")
+    cex = np.array(rep["counterexample"])
+    net = stabilize(fold_batchnorm(load_model(example1_files[0])))
+    assert forward(net, cex).label != 2
+    assert np.linalg.norm(cex - EXAMPLE1_X0) <= 1.2
+
+
 def test_lp_bound_is_sound_but_loose(example1_files, tmp_path):
     rc, rep = run_json(example1_files, tmp_path, "--eps", "0.7", "--method", "lp")
     assert rc == 2
@@ -782,8 +800,8 @@ def test_cli_import_and_small_verifies_load_no_scipy(example1_files, tmp_path):
     to 20-3-5-4 over the region and is certified; at eps 0.3 no neuron folds
     and its tightened relaxation has 1010 columns.  Nor does a linf `oracle`
     verify, whose cells are decided in rationals: at eps 0.5 the README net
-    has a cell feasible only at a box corner.  scipy is loaded only by
-    `nnls`, for l2 oracle cells."""
+    has a cell feasible only at a box corner.  Nor does an l2 `oracle`
+    verify, whose cells are decided in rationals too."""
     model, inputs = example1_files
     big_model, big_inputs = write_query(tmp_path, *seeded_net(1, (20, 12, 12, 4)))
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -811,13 +829,14 @@ def test_cli_import_and_small_verifies_load_no_scipy(example1_files, tmp_path):
         ["verify", "--model", str(big_model), "--input", str(big_inputs), "--eps", "0.3",
          "--method", "sdp1-tight", "--max-iter", "200"],
         base + ["--eps", "0.5", "--method", "oracle"],
+        base + ["--norm", "l2", "--eps", "0.7", "--method", "oracle"],
     ]
     out = subprocess.run(
         [sys.executable, "-c", code, json.dumps(queries)],
         env=env, capture_output=True, text=True, check=True,
     )
     steps = json.loads(out.stdout)
-    assert [rc for _, rc, _ in steps[1:]] == [0, 0, 2, 2, 0, 2, 0]
+    assert [rc for _, rc, _ in steps[1:]] == [0, 0, 2, 2, 0, 2, 0, 0]
     assert all(not modules for _, _, modules in steps), steps
 
 

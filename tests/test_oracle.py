@@ -23,7 +23,7 @@ from bnncert import (
 from bnncert import oracle
 from bnncert.model import forward_logits, stabilize
 from bnncert.oracle import (
-    _ball_feasible,
+    _cell_witness,
     milp_feasible_patterns,
     pattern_assignment,
     sample_region,
@@ -147,10 +147,18 @@ def witness_cases(kind):
 @pytest.mark.parametrize("kind", ["linf", "l2"])
 def test_witnesses_satisfy_their_patterns(kind):
     """Every witness lies in the region, meets its pattern's layer-1 rows to
-    1e-12 and reproduces the deeper signs."""
+    1e-12 and reproduces the deeper signs.  A cell with positive max slack
+    over the region's box has a witness that meets its rows strictly, so
+    `forward` reproduces its layer-1 signs."""
     for net, region in witness_cases(kind):
         for rec in feasible_patterns(net, region):
             assert region.contains(rec.witness)
+            rows = oracle._layer1_rows(net, rec.pattern[0])
+            t, _ = oracle._max_slack(rows, region.lower, region.upper)
+            if t > 0:
+                z1 = net.weight(1) @ rec.witness + net.bias(1)
+                assert np.all(np.asarray(rec.pattern[0]) * z1 > 0)
+                assert tuple(forward(net, rec.witness).activations[0]) == rec.pattern[0]
             cur = np.asarray(rec.witness, dtype=float)
             for i, layer_signs in enumerate(rec.pattern, start=1):
                 z = net.weight(i) @ cur + net.bias(i)
@@ -158,12 +166,16 @@ def test_witnesses_satisfy_their_patterns(kind):
                 cur = np.asarray(layer_signs, dtype=float)
 
 
+def rows_of(*rows):
+    """Exact rows sum(coeffs * x) + const >= 0 from (coeffs, const) pairs."""
+    return [(tuple(Fraction(c) for c in coeffs), Fraction(const)) for coeffs, const in rows]
+
+
 def test_l2_empty_cell_is_rejected():
     """x1 >= 0.5 and -x1 >= 0.4 share no point, inside the ball or not; it
     is the cell (+1, -1) of layer-1 weights [[1,0],[1,0]], biases (-0.5, 0.4)."""
     region = PerturbationRegion.l2([0.0, 0.0], 1.0)
-    A = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    assert _ball_feasible(A, np.array([0.5, 0.4]), region) is None
+    assert _cell_witness(rows_of(((1, 0), -0.5), ((-1, 0), -0.4)), region) is None
     net = FoldedBnn(
         widths=(2, 2, 2),
         weights=(np.array([[1, 0], [1, 0]]), np.array([[1, -1], [-1, 1]])),
@@ -173,6 +185,41 @@ def test_l2_empty_cell_is_rejected():
     assert {r.pattern for r in feasible_patterns(net, region)} == expected
     inst = encode_milp(net, region, objective_targeted(net, 1, 2), true_label=1, target=2)
     assert {r.pattern for r in milp_feasible_patterns(inst)} == expected
+
+
+def test_l2_cell_just_beyond_the_ball_is_dropped():
+    """x1 + x2 >= a lies a / sqrt(2) from the center 0, which exceeds the
+    radius by a relative 1e-11: the exact decider drops the cell."""
+    radius = 0.5
+    a = Fraction(np.sqrt(2) * radius * (1 + 1e-11))
+    assert Fraction(radius) ** 2 < a * a / 2 < Fraction(radius * (1 + 1e-10)) ** 2
+    region = PerturbationRegion.l2([0.0, 0.0], radius)
+    assert _cell_witness(rows_of(((1, 1), -a)), region) is None
+
+
+def test_l2_cell_touching_the_ball_is_kept():
+    """x1 >= r touches the ball of radius r around 0 at (r, 0) alone: the
+    cell is kept, with that point as its witness."""
+    for radius in (0.5, 0.3, 0.7):
+        region = PerturbationRegion.l2([0.0, 0.0], radius)
+        witness = _cell_witness(rows_of(((1, 0), -Fraction(radius))), region)
+        assert witness.tolist() == [radius, 0.0]
+
+
+def test_l2_ball_containing_the_cube_decides_as_the_box():
+    """A ball that holds [-1, 1]^n (radius 2 * sqrt(n), or inf) leaves the
+    box alone: each seeded cell is kept iff `_max_slack`'s t >= 0 over the
+    cube.  114 of the 160 cells are kept, 23 of them tie cells with t = 0."""
+    kept = ties = 0
+    for rows, lower, upper in small_cells(2718, len(FM_EMPTY)):
+        n = len(lower)
+        t, _ = oracle._max_slack(rows, [-1] * n, [1] * n)
+        kept += t >= 0
+        ties += t == 0
+        for radius in (2 * np.sqrt(n), np.inf):
+            region = PerturbationRegion.l2(np.zeros(n), radius)
+            assert (_cell_witness(rows, region) is not None) == (t >= 0)
+    assert (kept, ties) == (114, 23)
 
 
 def small_cells(seed, count):
@@ -230,6 +277,41 @@ def test_max_slack_is_exact_on_small_cells():
         ties += t == 0
     assert empty == FM_EMPTY
     assert ties == 13
+
+
+def test_nearest_point_is_exact_on_small_cells():
+    """On each nonempty seeded cell with its box rows, the nearest point xn
+    to a seeded center meets every row, and no point p of the cell (its
+    max-slack point, box corners and sampled box points that meet the rows)
+    makes an acute angle: (p - xn) . (center - xn) <= 0 exactly, the
+    condition that makes xn the projection of the center."""
+    rng = np.random.default_rng(6)
+    decided = 0
+    for rows, lower, upper in small_cells(2718, len(FM_EMPTY)):
+        t, x = oracle._max_slack(rows, lower, upper)
+        if t < 0:
+            continue
+        n = len(lower)
+        eye = [tuple(Fraction(int(j == k)) for k in range(n)) for j in range(n)]
+        cell = [*rows, *((e, -lo) for e, lo in zip(eye, lower))]
+        cell += [(tuple(-v for v in e), hi) for e, hi in zip(eye, upper)]
+        center = [Fraction(int(v), 8) for v in rng.integers(-12, 13, n)]
+        xn = oracle._nearest_in_polytope(cell, center)
+
+        def meets(point):
+            return all(const + sum(a * v for a, v in zip(coeffs, point)) >= 0
+                       for coeffs, const in cell)
+
+        assert meets(xn)
+        samples = (
+            [lo + (hi - lo) * Fraction(int(u), 64) for lo, hi, u in zip(lower, upper, draw)]
+            for draw in rng.integers(0, 65, (16, n))
+        )
+        for p in itertools.chain([x], itertools.product(*zip(lower, upper)), samples):
+            if meets(p):
+                assert sum((a - b) * (c - b) for a, b, c in zip(p, xn, center)) <= 0
+        decided += 1
+    assert decided == FM_EMPTY.count(".")
 
 
 def test_a_corner_cell_is_feasible(example1, x0_example):
