@@ -8,13 +8,18 @@ A robustness query is: does the predicted label of the reference input
 survive every perturbation in the region?  `verify` answers per attack
 target k != true label by lower-bounding the logit margin; "robust" demands a
 strictly positive rigorous bound for every target, "falsified" demands an
-explicit region point whose forward label differs.
+explicit point whose forward label differs.  The region is an exact set
+(`PerturbationRegion`): every proof covers all of it, and a point counts as
+a counterexample, from the attack or from an engine alike, only when
+`contains` places it in the region, decided exactly, and `forward` changes
+its label (`_is_counterexample`).
 
 Each query draws one seeded sample (`sample_logits`: the center plus
 `SAMPLES` region points, with their logits) and every sampling consumer
 reads it: the opening attack (the first row whose label differs, confirmed
-with `forward`), the exact margins at eps 0, and target k's sampled margin
-min(logit[label] - logit[k]) for `sample-ub` and `--metrics`.  The attack
+by `_is_counterexample`), the exact margins at eps 0, and target k's
+sampled margin min(logit[label] - logit[k]) for `sample-ub` and
+`--metrics`.  The attack
 runs before any engine, so an easily-falsified query never burns solver
 time.  When it falsifies at a positive radius, no target is bounded: the
 report lists no targets, and `--metrics` no improvement entries.  At eps 0
@@ -27,7 +32,7 @@ stabilized over the region (`stabilize(net, region)`), and the objectives
 are built on it; the sampling attack, the default label, the report's
 `widths` and the forward check of every counterexample read the network
 stabilized over the cube.  Bounding stops as soon as the verdict cannot
-change: after a forward-checked counterexample (any method), or after an
+change: after a confirmed counterexample (any method), or after an
 `lp`/`sdp1`/`sdp1-tight` target that is not certified (these engines return
 no witness, so the verdict can then only be "unknown").  The remaining
 targets keep their place in the report with status "skipped".  `oracle` and
@@ -184,14 +189,26 @@ def _prepare(
     return net, folded, x0, label, region, eps
 
 
+def _is_counterexample(
+    net: FoldedBnn, region: PerturbationRegion, x0: np.ndarray, true_label: int
+) -> bool:
+    """The proof behind a "falsified" verdict, for the attack's points and
+    an engine's alike: `x0` lies in the region, decided exactly, and a
+    one-row run of the network's definition, `forward`, changes its label."""
+    return region.contains(x0) and forward(net, x0).label != true_label
+
+
 def _find_counterexample(
-    net: FoldedBnn, points: np.ndarray, logits: np.ndarray, true_label: int
+    net: FoldedBnn,
+    region: PerturbationRegion,
+    points: np.ndarray,
+    logits: np.ndarray,
+    true_label: int,
 ) -> Optional[np.ndarray]:
     """The sampling attack: the first row of `sample_logits` whose label
-    differs, confirmed with `forward` before it is returned.  That one-row run
-    of the network's definition is the proof behind a "falsified" verdict."""
+    differs and that `_is_counterexample` confirms."""
     for x0 in points[np.argmax(logits, axis=1) + 1 != true_label]:
-        if forward(net, x0).label != true_label:
+        if _is_counterexample(net, region, x0, true_label):
             return x0
     return None
 
@@ -269,7 +286,7 @@ def _bounder(
     bound, approximate value, iterations, solver status, attack point), and
     the size of its relaxation (None for `oracle` and `sample-ub`).  The
     attack point is an input where the engine found a non-positive margin,
-    still to be forward-checked."""
+    still to be confirmed by `_is_counterexample`."""
     if method == "sample-ub":
         # the attack read the same rows and found no label change, so no
         # sampled margin is negative: the sample bounds, it never falsifies
@@ -338,7 +355,7 @@ def run_verify(args) -> int:
     net, folded, x0, label, region, eps = _prepare(args)
     opts = SolveOptions(tol=args.tol, max_iter=args.max_iter)
     points, logits = sample_logits(net, region, SAMPLES, args.seed)
-    counterexample = _find_counterexample(net, points, logits, label)
+    counterexample = _find_counterexample(net, region, points, logits, label)
     # each class's least sampled margin; at eps 0 the center's exact margin
     upper = np.min(logits[:, label - 1, None] - logits, axis=0)
     targets: list[TargetReport] = []
@@ -374,8 +391,8 @@ def run_verify(args) -> int:
             wall = time.perf_counter() - t0
             status = "robust" if lower is not None and lower > 0 else "unknown"
             # an engine's attack point downgrades the verdict only once
-            # a forward pass confirms it
-            if witness is not None and forward(net, witness).label != label:
+            # it is confirmed, as the attack's are
+            if witness is not None and _is_counterexample(net, region, witness, label):
                 status = "falsified"
                 counterexample = witness
             targets.append(TargetReport(k, args.method, lower, approx, status, wall, iters, sstat))

@@ -25,6 +25,11 @@ Polynomial coefficients are exact rationals end to end (weights are integers,
 biases are binary64 and hence dyadic rationals), so identity checks downstream
 are exact and the numeric layers decide when to round.
 
+A `PerturbationRegion` is an exact set of reals.  Its box is held in
+integers, and the region rows of every encoding, like layer 1's box in
+`neuron_rows`, are read from it exactly, so every relaxation covers the
+whole region; only its inward binary64 copy `lower`/`upper` is rounded.
+
 Every hidden neuron is modelled once, by `neuron_rows`, over the box [l, u]
 of its previous layer: with c = (l+u)/2 and r = (u-l)/2 the row bound is
 R = sum_k |W_jk| r_k and the effective bias is beta = b_j + <W_row, c>, so
@@ -75,14 +80,32 @@ __all__ = [
 ]
 
 
+def _round_toward(num: int, den: int, target: float) -> float:
+    """num / den (den > 0) in binary64: exactly where binary64 holds it,
+    else the float next to it on the side of `target`."""
+    f = num / den  # correctly rounded
+    n, d = f.as_integer_ratio()
+    over = n * den - num * d  # the sign of f - num / den
+    if over > 0 and target < f or over < 0 and target > f:
+        return math.nextafter(f, target)
+    return f
+
+
 @dataclass(frozen=True)
 class PerturbationRegion:
-    """A norm ball around a reference input, intersected with [-1,1]^n0.
+    """A norm ball around a reference input, intersected with [-1,1]^n0:
+    the exact real set of x in [-1,1]^n0 with |x - center| <= radius.
 
-    kind "linf": the ball is itself a box; per-coordinate bounds are the
-    clipped interval [center - radius, center + radius].
-    kind "l2": a Euclidean ball; `lower`/`upper` hold its box enclosure
-    (used by the linear encodings, which are then sound relaxations).
+    Every point of [-1,1]^n0 lies within 2*sqrt(n0) <= 2*n0 of the center,
+    so `capped_radius` = min(radius, 2*n0) gives the same set with a radius
+    that stays finite, however large (or infinite) the radius is.  The box
+    clip(center -/+ capped_radius) to [-1, 1] is the region for kind
+    "linf" and its enclosure for kind "l2".  It is held exactly, as the
+    integers `box_lower`/`box_upper` over one power-of-two denominator
+    `box_den` (`box` gives the rationals), and every proof reads it.
+    `lower`/`upper` are that box rounded inward to binary64: a float lies
+    in the box exactly when it lies in [lower, upper].  `contains` decides
+    membership exactly, with no slack.
 
     radius = 0 describes the single point {center}; the polynomial and linear
     encoders reject it (they need interior), but exact evaluation paths
@@ -92,6 +115,10 @@ class PerturbationRegion:
     kind: str
     center: np.ndarray
     radius: float
+    capped_radius: float = field(init=False)
+    box_lower: tuple[int, ...] = field(init=False)
+    box_upper: tuple[int, ...] = field(init=False)
+    box_den: int = field(init=False)
     lower: np.ndarray = field(init=False)
     upper: np.ndarray = field(init=False)
 
@@ -109,10 +136,23 @@ class PerturbationRegion:
         center.setflags(write=False)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", float(self.radius))
-        lower = np.clip(center - self.radius, -1.0, 1.0)
-        upper = np.clip(center + self.radius, -1.0, 1.0)
+        capped = min(self.radius, 2.0 * center.shape[0])
+        # a float's denominator is a power of two, so the largest is the lcm
+        c = center.tolist()
+        ratios = [v.as_integer_ratio() for v in c]
+        rn, rd = capped.as_integer_ratio()
+        den = max(rd, *(d for _, d in ratios))
+        r = rn * (den // rd)
+        box_lower = tuple(max(n * (den // d) - r, -den) for n, d in ratios)
+        box_upper = tuple(min(n * (den // d) + r, den) for n, d in ratios)
+        lower = np.array([_round_toward(v, den, ck) for v, ck in zip(box_lower, c)])
+        upper = np.array([_round_toward(v, den, ck) for v, ck in zip(box_upper, c)])
         lower.setflags(write=False)
         upper.setflags(write=False)
+        object.__setattr__(self, "capped_radius", capped)
+        object.__setattr__(self, "box_lower", box_lower)
+        object.__setattr__(self, "box_upper", box_upper)
+        object.__setattr__(self, "box_den", den)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
@@ -128,13 +168,35 @@ class PerturbationRegion:
     def dim(self) -> int:
         return self.center.shape[0]
 
-    def contains(self, x0: np.ndarray, slack: float = 1e-12) -> bool:
-        x0 = np.asarray(x0, dtype=float)
-        if np.any(np.abs(x0) > 1 + slack):
+    def box(self) -> tuple[list[Fraction], list[Fraction]]:
+        """The exact box's lower and upper bounds, as rationals."""
+        den = self.box_den
+        return (
+            [Fraction(v, den) for v in self.box_lower],
+            [Fraction(v, den) for v in self.box_upper],
+        )
+
+    def contains(self, x0: Sequence) -> bool:
+        """Whether the point `x0`, of floats or rationals, lies in the
+        region, decided exactly."""
+        if len(x0) != self.dim or not all(map(math.isfinite, x0)):
+            return False
+        x = [Fraction(v) for v in x0]
+        den = self.box_den
+        if not all(lo <= v * den <= hi for v, lo, hi in zip(x, self.box_lower, self.box_upper)):
             return False
         if self.kind == "linf":
-            return bool(np.all(np.abs(x0 - self.center) <= self.radius + slack))
-        return bool(np.linalg.norm(x0 - self.center) <= self.radius + slack)
+            return True
+        dist = sum((v - Fraction(c)) ** 2 for v, c in zip(x, self.center.tolist()))
+        return dist <= Fraction(self.capped_radius) ** 2
+
+    def round_inward(self, x0: Sequence[Fraction]) -> np.ndarray:
+        """The rational point `x0` in binary64, each coordinate rounded
+        toward the center's where binary64 does not hold it, so a point of
+        the region (a box, or a box and a ball, around the center) stays
+        in it."""
+        c = self.center.tolist()
+        return np.array([_round_toward(q.numerator, q.denominator, ck) for q, ck in zip(x0, c)])
 
 
 @dataclass(frozen=True)
@@ -285,27 +347,24 @@ def neuron_rows(
 def region_polynomials(region: PerturbationRegion) -> list[MultilinearPoly]:
     """Nonnegativity certificates of region membership.
 
-    linf: one (u_j - x)(x - l_j) per coordinate.  l2: the ball quadratic
-    radius^2 - |x0 - center|^2 followed by a (1-x)(1+x) box quadratic per
-    coordinate (the ball is only meaningful inside the global box, and the
-    box rows keep every layer-1 construction valid).  Every point of
-    [-1,1]^n0 lies within 2*sqrt(n0) <= 2*n0 of the center, so the ball row
-    uses min(radius, 2*n0): the same region, with a radius^2 that stays
-    finite in binary64 however large (or infinite) the radius is.
+    linf: one (u_j - x)(x - l_j) per coordinate of the exact box.  l2: the
+    ball quadratic capped_radius^2 - |x0 - center|^2 followed by a
+    (1-x)(1+x) box quadratic per coordinate (the ball is only meaningful
+    inside the global box, and the box rows keep every layer-1 construction
+    valid).
     """
     if not region.radius > 0:
         raise ValueError("region radius must be positive for polynomial encodings")
     n0 = region.dim
     polys: list[MultilinearPoly] = []
     if region.kind == "linf":
-        for j in range(1, n0 + 1):
+        for j, (lo, hi) in enumerate(zip(*region.box()), start=1):
             v = Var(0, j)
-            lo, hi = region.lower[j - 1], region.upper[j - 1]
             upper = MultilinearPoly.linear({v: -1}, hi)
             above = MultilinearPoly.linear({v: 1}, -lo)
             polys.append(upper * above)
         return polys
-    radius = MultilinearPoly.constant(min(region.radius, 2 * n0))
+    radius = MultilinearPoly.constant(region.capped_radius)
     ball = radius * radius
     for j in range(1, n0 + 1):
         v = Var(0, j)
@@ -434,9 +493,8 @@ def _lp_rows(
             x = MultilinearPoly.variable(Var(i, j))
             rows.append(Constraint("lin0", i, j, 1 - x))
             rows.append(Constraint("lin0", i, j, x + 1))
-    for j in range(1, region.dim + 1):
+    for j, (lo, hi) in enumerate(zip(*region.box()), start=1):
         v = Var(0, j)
-        lo, hi = region.lower[j - 1], region.upper[j - 1]
         rows.append(Constraint("region", 0, j, MultilinearPoly.linear({v: -1}, hi)))
         rows.append(Constraint("region", 0, j, MultilinearPoly.linear({v: 1}, -lo)))
     return rows
@@ -452,8 +510,8 @@ def encode_lp(
 ) -> VerificationInstance:
     """All-linear relaxation: envelopes, box rows, interval rows.
 
-    For an l2 region the interval rows describe the ball's box enclosure, so
-    the LP optimum stays a valid lower bound.
+    For an l2 region the interval rows describe the ball's exact box
+    enclosure, so the LP optimum stays a valid lower bound.
     """
     net.require_stabilized()
     rows = _lp_rows(net, region, objective)

@@ -394,25 +394,19 @@ def neuron_ranges(
     """(beta, R) of every neuron of hidden `layer` (1-based), exactly: over
     the box of its inputs the pre-activation ranges over [beta - R, beta + R].
 
-    The box of layer 1's inputs is the `region`'s box, in exact rationals;
-    the box of a deeper layer's +/-1 inputs, and of layer 1's without a
-    region, is the cube [-1, 1] (c = 0, r = 1), so its row bound is the row
-    1-norm, beta is the bias and every sum stays a Python integer.
+    The box of layer 1's inputs is the `region`'s exact box, integers over
+    one denominator; the box of a deeper layer's +/-1 inputs, and of layer
+    1's without a region, is the cube [-1, 1] (c = 0, r = 1), so its row
+    bound is the row 1-norm, beta is the bias and every sum stays a Python
+    integer.
     """
     weights = net.weight(layer).tolist()
     n_prev = net.widths[layer - 1]
     if layer == 1 and region is not None:
-        # c = center / den and r = half / den, over one common denominator:
-        # a float's denominator is a power of two, so their lcm is the
-        # largest, and den is twice that, so that lo * den and hi * den
-        # are even integers
-        lo = [v.as_integer_ratio() for v in region.lower.tolist()]
-        hi = [v.as_integer_ratio() for v in region.upper.tolist()]
-        den = 2 * max(d for _, d in lo + hi)
-        lo = [n * (den // d) for n, d in lo]
-        hi = [n * (den // d) for n, d in hi]
-        center = [(a + b) // 2 for a, b in zip(lo, hi)]
-        half = [(b - a) // 2 for a, b in zip(lo, hi)]
+        # c = center / den and r = half / den with den twice the box's
+        lo, hi, den = region.box_lower, region.box_upper, 2 * region.box_den
+        center = [a + b for a, b in zip(lo, hi)]
+        half = [b - a for a, b in zip(lo, hi)]
     else:
         center, half, den = [0] * n_prev, [1] * n_prev, 1
     out = []

@@ -5,12 +5,13 @@ walking the layer-1 sign vectors, of at most `DEFAULT_PATTERN_CAP` layer-1
 neurons (deeper layers may be wider).  Each one fixes a cell of the input
 space, and "does some admissible input produce these signs?" is a polytope
 membership query, decided once per cell and exactly, in rationals: a
-simplex maximizes the cell's least row slack over the region's box
+simplex maximizes the cell's least row slack over the region's exact box
 (`_max_slack`), and for Euclidean balls a cell whose max-slack point lies
 outside the ball is decided by its nearest point to the center, found by
-least-distance programming (an NNLS in rationals).  The signs of every
-deeper layer then follow from the layer before; they are computed, not
-searched.
+least-distance programming (an NNLS in rationals).  A cell's witness is
+rounded to binary64 toward the center, so it lies in the region
+(`PerturbationRegion.contains`).  The signs of every deeper layer then
+follow from the layer before; they are computed, not searched.
 
 A pattern is *feasible* when the non-strict system sigma * (W x' + b) >= 0 is
 satisfiable over the region -- the closure semantics every encoding in this
@@ -263,35 +264,29 @@ def _cell_witness(rows: list[Row], region: PerturbationRegion) -> Optional[np.nd
     """A point of the region that meets every row, or None, decided in
     exact rationals.
 
-    The cell is nonempty over the region's box iff the `_max_slack` optimum
-    t is >= 0 (closure semantics), and its x is strictly inside the cell
-    when t > 0.  For linf that x is the witness.  For l2 the box is the
-    ball's exact enclosure (`region.lower`/`upper` are rounded to binary64
-    and can cut a sliver off the ball), with the radius capped at 2 * n0 as
-    in `region_polynomials`, and a cell whose x lies outside the ball meets it
-    iff the cell's nearest point xn to the center (`_nearest_in_polytope`)
-    does.  xn is taken over the rows and the faces of [-1, 1]^n0 that cut
-    the ball; the whole ball lies on the inner side of every other face, so
-    those faces cannot change the answer.  The witness is then
-    xn + lam (x - xn) for the first lam of 1/2, 1/4, ... that stays in the
-    ball, strictly inside the cell when t > 0, and xn itself only when xn
-    lies on the sphere.
+    The cell is nonempty over the region's exact box iff the `_max_slack`
+    optimum t is >= 0 (closure semantics), and its x is strictly inside the
+    cell when t > 0.  That x lies in the region unless the region is an l2
+    ball and x lies outside it; the cell then meets the ball iff the cell's
+    nearest point xn to the center (`_nearest_in_polytope`) does.  xn is
+    taken over the rows and the faces of [-1, 1]^n0 that cut the ball; the
+    whole ball lies on the inner side of every other face, so those faces
+    cannot change the answer.  The witness is then xn + lam (x - xn) for
+    the first lam of 1/2, 1/4, ... that stays in the ball, strictly inside
+    the cell when t > 0, and xn itself only when xn lies on the sphere.  It
+    is returned rounded toward the center (`round_inward`), so it stays in
+    the region.
     """
-    if region.kind == "linf":
-        t, x = _max_slack(rows, region.lower, region.upper)
-        return np.array([float(v) for v in x]) if t >= 0 else None
-    center = [Fraction(v) for v in region.center]
-    radius = Fraction(min(region.radius, 2 * region.dim))
-    lower = [max(c - radius, Fraction(-1)) for c in center]
-    upper = [min(c + radius, Fraction(1)) for c in center]
-    t, x = _max_slack(rows, lower, upper)
+    t, x = _max_slack(rows, *region.box())
     if t < 0:
         return None
+    if not region.contains(x):
+        center = [Fraction(v) for v in region.center.tolist()]
+        radius = Fraction(region.capped_radius)
 
-    def excess(point) -> Fraction:
-        return sum((v - c) ** 2 for v, c in zip(point, center)) - radius * radius
+        def excess(point) -> Fraction:
+            return sum((v - c) ** 2 for v, c in zip(point, center)) - radius * radius
 
-    if excess(x) > 0:
         faces = [  # s * x_j + 1 >= 0, for each face of the cube that cuts the ball
             (tuple(Fraction(s * (k == j)) for k in range(region.dim)), Fraction(1))
             for j, c in enumerate(center)
@@ -306,7 +301,7 @@ def _cell_witness(rows: list[Row], region: PerturbationRegion) -> Optional[np.nd
         while excess(y := [a + lam * (b - a) for a, b in zip(xn, x)]) > 0:
             lam /= 2
         x = y
-    return np.array([float(v) for v in x])
+    return region.round_inward(x)
 
 
 # ---------------------------------------------------------------------------
@@ -490,18 +485,23 @@ def milp_feasible_patterns(instance: VerificationInstance) -> list[PatternRecord
 def sample_region(
     region: PerturbationRegion, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """`n` points of the region, one per row, drawn from `rng` in row order."""
+    """`n` points of the region, one per row, drawn from `rng` in row order.
+
+    A linf point is drawn from the box's inward float copy [lower, upper],
+    so it lies in the region.  An l2 point is drawn in the ball, but
+    rounding can put it an ulp outside; `PerturbationRegion.contains`
+    tells."""
     if region.kind == "linf":
         return rng.uniform(region.lower, region.upper, size=(n, region.dim))
     dim = region.dim
     raw = rng.normal(size=(n, dim))
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
-    radii = region.radius * rng.uniform(size=(n, 1)) ** (1.0 / dim)
+    radii = region.capped_radius * rng.uniform(size=(n, 1)) ** (1.0 / dim)
     pts = region.center + raw / norms * radii
     # clipping to the global box cannot increase the distance to the center
     # (the center lies in the box and coordinate-wise projection is
-    # non-expansive), so clipped samples stay inside the region
+    # non-expansive)
     return np.clip(pts, -1.0, 1.0)
 
 

@@ -267,10 +267,6 @@ class MultilinearPoly:
     def coefficient(self, mono: Iterable[Tuple[Var, int]]) -> Scalar:
         return self.terms.get(_mono(mono), 0)
 
-    def to_exact(self) -> "MultilinearPoly":
-        """This polynomial: its coefficients are stored exact already."""
-        return self
-
     def evaluate(self, assignment: Mapping[Var, Scalar]) -> Scalar:
         """Evaluate at a point; raises on any unassigned variable."""
         total: Scalar = 0

@@ -47,6 +47,7 @@ from bnncert.encode import (
     Clique,
     NeuronRow,
     VerificationInstance,
+    _round_toward,
     build_cliques,
     merge_cliques,
     neuron_rows,
@@ -765,13 +766,15 @@ def write_mps(instance: VerificationInstance, path) -> None:
         if rhs != 0.0:
             lines.append(f"    RHS       {row_names[r]:<10}{rhs!r}")
     lines.append("BOUNDS")
+    region = instance.region
+    den = 2 * region.box_den  # z = (x + 1) / 2
     for j, v in enumerate(variables):
         name = _mps_name(v)
         if v in binaries:
             lines.append(f" BV BND       {name}")
-        else:  # an input: the region's interval, shifted
-            lo = (float(instance.region.lower[v.index - 1]) + 1.0) / 2.0
-            hi = (float(instance.region.upper[v.index - 1]) + 1.0) / 2.0
+        else:  # an input: the region's exact interval, shifted, rounded outward
+            lo = _round_toward(region.box_lower[v.index - 1] + region.box_den, den, -math.inf)
+            hi = _round_toward(region.box_upper[v.index - 1] + region.box_den, den, math.inf)
             lines.append(f" LO BND       {name:<10}{lo!r}")
             lines.append(f" UP BND       {name:<10}{hi!r}")
     lines.append("ENDATA")

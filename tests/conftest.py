@@ -9,7 +9,10 @@ capped at 0.3 * nv.  `random_region` centers its regions in [-0.2, 0.2]^n0
 with radii in [0.6, 1.0] by default, where every layer-1 neuron takes both
 signs; small radii make layer-1 neurons constant over the region, which every
 encoding accepts too.
+`in_region` is the reference membership test, in rationals.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -101,6 +104,19 @@ def random_region(
     if kind == "linf":
         return PerturbationRegion.linf(center, radius)
     return PerturbationRegion.l2(center, radius)
+
+
+def in_region(region: PerturbationRegion, x) -> bool:
+    """Reference membership, in rationals from the region's center and
+    radius."""
+    x = [Fraction(v) for v in x]
+    dist = [v - Fraction(c) for v, c in zip(x, region.center.tolist())]
+    if any(abs(v) > 1 for v in x) or np.isinf(region.radius):
+        return all(abs(v) <= 1 for v in x)
+    r = Fraction(region.radius)
+    if region.kind == "linf":
+        return all(abs(d) <= r for d in dist)
+    return sum(d * d for d in dist) <= r * r
 
 
 def random_widths(rng: np.random.Generator, caps) -> tuple[int, ...]:

@@ -250,7 +250,7 @@ def test_criterion_05_milp_pattern_exactness():
         encoded = {rec.pattern for rec in milp_feasible_patterns(inst)}
         assert encoded == {rec.pattern for rec in feasible_patterns(net, region)}
         exact = exact_verify(net, region, objective)
-        obj = objective.to_exact()
+        obj = objective
         best = min(obj.evaluate(pattern_assignment(p)) for p in encoded)
         assert best == exact.tau
 
@@ -434,7 +434,7 @@ def test_criterion_11_worked_example_end_to_end(example1_files):
     trace = forward(net, [0.0, 0.5, 0.0])
     assert trace.label == 2
     assert tuple(trace.logits) == (-2.0, 1.0)
-    objective = objective_targeted(net, 2, 1).to_exact()
+    objective = objective_targeted(net, 2, 1)
     assignment = {
         Var(2, j): int(s) for j, s in enumerate(trace.activations[1], start=1)
     }

@@ -567,10 +567,10 @@ def test_a_crash_exits_three_not_falsified(example1_files, capsys, monkeypatch):
 
 def attack_loop(net, region, label, n, seed):
     """Reference: the sampling attack as one `forward` per row, the center
-    first."""
+    first, keeping only a row that lies in the region."""
     points = [region.center, *sample_region(region, n, np.random.default_rng(seed))]
     for x0 in points:
-        if forward(net, x0).label != label:
+        if region.contains(x0) and forward(net, x0).label != label:
             return x0
     return None
 
@@ -589,7 +589,7 @@ def test_batched_attack_returns_the_loop_counterexample():
                 region = getattr(PerturbationRegion, norm)(x, eps)
                 for seed in (0, 1):
                     points, logits = sample_logits(net, region, cli.SAMPLES, seed)
-                    got = cli._find_counterexample(net, points, logits, label)
+                    got = cli._find_counterexample(net, region, points, logits, label)
                     want = attack_loop(net, region, label, cli.SAMPLES, seed)
                     assert (got is None) == (want is None)
                     if got is not None:
@@ -919,3 +919,26 @@ def test_exactly_folded_biases_let_the_attack_falsify(tmp_path):
     for method in ("sdp1-tight", "oracle", "lp"):
         assert main(["verify", "--model", str(model), "--input", str(inputs), "--eps", "1.0",
                      "--method", method]) == 1
+
+
+def test_oracle_counterexample_lies_in_the_exact_region(tmp_path):
+    """x - 0.30000000000000004 >= 0 changes the label.  Over |x - 0.1| <= 0.2
+    the exact bound 0.1 + 0.2 = 0.3000000000000000166 lies below that bias,
+    so the query is robust; only the float 0.1 + 0.2, one ulp outside the
+    region, changes the label."""
+    model = tmp_path / "net.json"
+    model.write_text(json.dumps({
+        "widths": [1, 1, 2],
+        "layers": [
+            {"weights": [[1]], "bias": [-0.30000000000000004]},
+            {"weights": [[-1], [1]], "bias": [0, 0]},
+        ],
+    }))
+    inputs = tmp_path / "input.txt"
+    inputs.write_text("0.1\n")
+    argv = ["verify", "--model", str(model), "--input", str(inputs), "--eps", "0.2"]
+    assert main(argv + ["--method", "oracle"]) == 0
+    region = PerturbationRegion.linf([0.1], 0.2)
+    assert not region.contains([0.1 + 0.2])
+    net = stabilize(fold_batchnorm(load_model(model)))
+    assert forward(net, [0.1 + 0.2]).label == 2

@@ -30,9 +30,9 @@ from bnncert import (
     write_mps,
 )
 from bnncert.encode import EXACT_PSD_ORDER
-from bnncert.oracle import feasible_patterns
+from bnncert.oracle import feasible_patterns, sample_region
 
-from conftest import make_example1, random_net, random_region
+from conftest import in_region, make_example1, random_net, random_region
 
 
 def region1(kind="linf", radius=1.0):
@@ -80,6 +80,52 @@ def test_region_linf_clips_to_global_box():
     assert p.evaluate({Var(0, 1): 0.4}) == pytest.approx(0.0)
     assert p.evaluate({Var(0, 1): 1.0}) == pytest.approx(0.0)
     assert p.evaluate({Var(0, 1): 0.7}) > 0
+
+
+def seeded_regions(seed, count):
+    """Regions of 1 to 6 inputs in both norms: 4-digit and full-precision
+    centers, some on the cube's faces, and radii from 0 to past the cube,
+    infinity included."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n0 = int(rng.integers(1, 7))
+        center = rng.uniform(-1, 1, n0)
+        if i % 2:
+            center = np.round(center, 4)
+        if i % 5 == 0:
+            center[0] = rng.choice([-1.0, 1.0])
+        radius = [float(rng.uniform(0, 0.7)), round(float(rng.uniform(0, 3)), 4), np.inf][i % 3]
+        yield PerturbationRegion("linf" if i % 4 < 2 else "l2", center, radius)
+
+
+def test_region_box_is_exact_and_its_floats_lie_inside():
+    """The box is clip(c -/+ r) to [-1, 1] exactly.  `lower`/`upper` lie in
+    it, with no float strictly between each and its exact bound, so
+    `contains` holds at a float bound and fails one ulp past it.  It agrees
+    with exact membership on points of the float box, and every linf sample
+    passes it."""
+    rng = np.random.default_rng(7)
+    for region in seeded_regions(26, 300):
+        c = [Fraction(v) for v in region.center.tolist()]
+        r = Fraction(min(region.radius, 2.0))
+        lo, hi = [max(v - r, -1) for v in c], [min(v + r, 1) for v in c]
+        assert region.box() == (lo, hi)
+        for f, q in zip(region.lower, lo):
+            assert Fraction(f) >= q > Fraction(np.nextafter(f, -np.inf))
+        for f, q in zip(region.upper, hi):
+            assert Fraction(f) <= q < Fraction(np.nextafter(f, np.inf))
+        x = np.array(region.center)
+        for j in range(region.dim):
+            for bound, out in ((region.lower[j], -np.inf), (region.upper[j], np.inf)):
+                x[j] = bound
+                assert region.contains(x)
+                x[j] = np.nextafter(bound, out)
+                assert not region.contains(x)
+            x[j] = region.center[j]
+        for x in rng.uniform(region.lower, region.upper, size=(20, region.dim)):
+            assert region.contains(x) == in_region(region, x)
+        if region.kind == "linf":
+            assert all(map(region.contains, sample_region(region, 50, rng)))
 
 
 def test_region_rejects_zero_radius():
@@ -241,8 +287,7 @@ def corner_envelopes(net, layer, region):
     extremes of z over the box computed corner-wise: (x+1)*z_max - 2z and
     (1-x)*(-z_min) + 2z."""
     if layer == 1:
-        lo = [Fraction(v) for v in region.lower.tolist()]
-        hi = [Fraction(v) for v in region.upper.tolist()]
+        lo, hi = region.box()
     else:
         lo, hi = [-1] * net.widths[layer - 1], [1] * net.widths[layer - 1]
     out = {}
@@ -280,8 +325,9 @@ def test_layer1_rows_are_centered_on_the_clipped_box(example1):
     assert region.lower.tolist() == [0.8, -1.0, -1.0]
     assert region.upper.tolist() == [1.0, -0.8, -0.8]
     # neuron (1,1): z = -x1 + x2 + x3 + 1.5 runs over [-1.5, 1.5 - 3a] on
-    # the box, so it is -1 there and c_plus = 1.5 - 3a is negative
-    a = Fraction(0.8)
+    # the box, so it is -1 there and c_plus = 1.5 - 3a is negative; the
+    # box is exact, so a = 1 - 0.2 in rationals, not the float 0.8
+    a = 1 - Fraction(0.2)
     lp = encode_lp(example1, region, objective1(example1))
     rows = {
         c.family: c.poly for c in lp.constraints.inequalities if (c.layer, c.neuron) == (1, 1)
@@ -290,7 +336,7 @@ def test_layer1_rows_are_centered_on_the_clipped_box(example1):
     z = MultilinearPoly.linear({Var(0, 1): -1, Var(0, 2): 1, Var(0, 3): 1}, Fraction(3, 2))
     assert rows["lin1"] == (x + 1) * (Fraction(3, 2) - 3 * a) - z * 2
     assert rows["lin2"] == (1 - x) * Fraction(3, 2) + z * 2
-    # neuron (1,2): z = -x1 - x2 + x3 + 2, R = 3(1 - a)/2 with a = 0.8 and
+    # neuron (1,2): z = -x1 - x2 + x3 + 2, R = 3(1 - a)/2 and
     # zeta = z - beta = -x1 - x2 + x3 + (1 + a)/2
     inst = encode_tightened(example1, region, objective1(example1))
     rows = {
@@ -624,3 +670,24 @@ def test_write_mps_bytes_are_pinned(example1, tmp_path, threshold, digest):
     path = tmp_path / "toy.mps"
     write_mps(inst, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_write_mps_rounds_input_bounds_outward(example1, tmp_path):
+    """The shifted bounds (lo + 1)/2 and (hi + 1)/2 of the exact box, rounded
+    outward: for lo = 0.1 the nearest float to (0.1 + 1)/2 is 0.55, which
+    lies above the exact 0.55000000000000000278, so the bound is the float
+    below it."""
+    region = PerturbationRegion.linf([0.1 + 0.0625, 0.5, 0.0], 0.0625)
+    assert region.box()[0][0] == Fraction(0.1)
+    path = tmp_path / "box.mps"
+    write_mps(encode_milp(example1, region, objective1(example1)), path)
+    bounds = {}
+    for line in path.read_text().splitlines():
+        kind, *rest = line.split()
+        if kind in ("LO", "UP"):
+            bounds[kind, rest[1]] = float(rest[2])
+    assert bounds["LO", "Z0_1"] == np.nextafter(0.55, 0)
+    for j, (lo, hi) in enumerate(zip(*region.box()), start=1):
+        written_lo, written_hi = bounds["LO", f"Z0_{j}"], bounds["UP", f"Z0_{j}"]
+        assert Fraction(written_lo) <= (lo + 1) / 2 < Fraction(np.nextafter(written_lo, 1))
+        assert Fraction(np.nextafter(written_hi, 0)) < (hi + 1) / 2 <= Fraction(written_hi)

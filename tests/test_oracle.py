@@ -29,7 +29,14 @@ from bnncert.oracle import (
     sample_region,
 )
 
-from conftest import EXAMPLE1_X0, make_example1, random_net, random_region, random_widths
+from conftest import (
+    EXAMPLE1_X0,
+    in_region,
+    make_example1,
+    random_net,
+    random_region,
+    random_widths,
+)
 
 
 def objective1(net):
@@ -135,6 +142,24 @@ def l2_family(seed, n_nets=6):
         radius = 0.55 * max(np.abs(row).sum() / np.linalg.norm(row) for row in W)
         for scale in (1.0, 0.6, 0.3):
             yield net, PerturbationRegion.l2(center, scale * radius)
+
+
+def test_oracle_witnesses_lie_in_the_exact_region():
+    """Seeded nets up to 6-5-4-3 around 4-digit centers, in both norms: a
+    cell's witness often sits on a box face, where c -/+ r is rarely a
+    float, and it is rounded toward the center, so it stays in the region."""
+    rng = np.random.default_rng(26)
+    n = 0
+    for _ in range(60):
+        net = random_net(rng, random_widths(rng, (6, 5, 4, 3)))
+        center = np.round(rng.uniform(-0.9, 0.9, net.input_dim), 4)
+        radius = round(float(rng.uniform(0.2, 0.9)), 4)
+        for kind in ("linf", "l2"):
+            region = getattr(PerturbationRegion, kind)(center, radius)
+            for rec in feasible_patterns(net, region):
+                assert region.contains(rec.witness) and in_region(region, rec.witness)
+                n += 1
+    assert n >= 500
 
 
 def witness_cases(kind):
@@ -403,7 +428,7 @@ def test_milp_patterns_match_oracle_random(seed):
         # and the minimum over encoded patterns is the oracle's tau
         ex = exact_verify(net, region, f)
         milp_min = min(
-            f.to_exact().evaluate(pattern_assignment(p)) for p in patterns
+            f.evaluate(pattern_assignment(p)) for p in patterns
         )
         assert milp_min == ex.tau
 
@@ -522,7 +547,7 @@ def test_milp_threshold_feasibility_matches_sign(example1, x0_example):
     attack_exists = ex.tau <= 0
     assert bool(cut_set) == attack_exists
     for p in cut_set:
-        assert f.to_exact().evaluate(pattern_assignment(p)) <= 0
+        assert f.evaluate(pattern_assignment(p)) <= 0
 
 
 def sampled_margin(logits, label, k):

@@ -541,10 +541,10 @@ def gram_polynomial(G, variables):
 
 def chain_expansion(result, instance, cliques):
     """Reference: the certificate expanded as a chain of exact polynomials."""
-    remainder = instance.objective.to_exact()
+    remainder = instance.objective
     for mult, con in zip(result.sigmas, instance.constraints.inequalities):
         if mult > 0:
-            remainder = remainder - con.poly.to_exact() * Fraction(mult)
+            remainder = remainder - con.poly * Fraction(mult)
     for G, clique in zip(result.grams, cliques):
         remainder = remainder - gram_polynomial(G, clique.variables)
     remainder = remainder.reduce_binary_squares()
@@ -877,7 +877,7 @@ def assert_matches_chain(cert, inst, cliques):
 def test_expansion_keeps_non_dyadic_objective_coefficients_exact():
     inst, cliques, res = query_certificate()
     third = Fraction(1, 3)
-    objective = inst.objective.to_exact().scale(third) + MultilinearPoly(
+    objective = inst.objective.scale(third) + MultilinearPoly(
         {((Var(2, 1), 1),): third, ((Var(0, 1), 3),): -third}  # the cube is in no row
     )
     assert_matches_chain(res, with_objective(inst, objective), cliques)
