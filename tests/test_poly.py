@@ -81,13 +81,16 @@ def test_constant_term_and_degree():
     assert p.coefficient([(X11, 1), (X12, 1)]) == -2
 
 
-def test_float_coefficients_are_stored_exactly():
+def test_to_exact_reproduces_float_coefficients():
     p = MultilinearPoly.linear({X11: 0.1, X12: -2.5}, 0.75)
-    assert p.terms == {  # the binary64 values
-        ((X11, 1),): Fraction(0.1),
-        ((X12, 1),): Fraction(-5, 2),
-        (): Fraction(3, 4),
-    }
+    assert p.coefficient([(X11, 1)]) == Fraction(0.1)  # the binary64 value
+    assert p.coefficient([(X12, 1)]) == Fraction(-5, 2)
+    assert p.constant_term() == Fraction(3, 4)
+
+
+def test_float_coefficients_are_stored_exactly():
+    p = MultilinearPoly.linear({X11: 0.1}, 0.75)
+    assert p.terms == {((X11, 1),): Fraction(0.1), (): Fraction(3, 4)}
     assert all(type(c) is Fraction for c in p.terms.values())
     # a float scale factor is made exact before it multiplies
     assert p.scale(0.1).coefficient([(X11, 1)]) == Fraction(0.1) ** 2
