@@ -22,7 +22,7 @@ kind into matrix rows through one moment assembly (the linear kinds without
 PSD blocks), and also writes the MPS file of the MILP encoding.
 
 Polynomial coefficients are exact rationals end to end (weights are integers,
-biases are binary64 and hence dyadic rationals), so identity checks downstream
+exact biases b + d are dyadic rationals), so identity checks downstream
 are exact and the numeric layers decide when to round.
 
 A `PerturbationRegion` is an exact set of reals.  Its box is held in
@@ -32,17 +32,17 @@ whole region; only its inward binary64 copy `lower`/`upper` is rounded.
 
 Every hidden neuron is modelled once, by `neuron_rows`, over the box [l, u]
 of its previous layer: with c = (l+u)/2 and r = (u-l)/2 the row bound is
-R = sum_k |W_jk| r_k and the effective bias is beta = b_j + <W_row, c>, so
-the pre-activation ranges over [beta - R, beta + R].  `neuron_ranges`
-(`bnncert.model`, where `stabilize` reads it to fold the neurons that are
-constant over a query's region) computes that exact range, in integers over
-one common denominator, and `neuron_rows` reads it.  The row-bound
-products and the linear envelopes are built from that record.  The box is
-the only difference between layers: layer 1 sees the region's box, a
-deeper layer the +/-1 box (c = 0, r = 1, so R is the row 1-norm and beta
-the bias).  Every row holds for every neuron, one that is constant over the
-box included: the linear envelopes are exact sums of a one-sided sign
-product and a row-bound product of the tightened encoding.
+R = sum_k |W_jk| r_k and the effective bias is beta = b_j + d_j + <W_row, c>
+with b_j + d_j the exact bias (`FoldedBnn.exact_bias`), so the pre-activation
+ranges over [beta - R, beta + R].  `neuron_ranges` (`bnncert.model`, where
+`stabilize` reads it to fold the neurons that are constant over a query's
+region) computes that exact range, and `neuron_rows` reads it.  The
+row-bound products and the linear envelopes are built from that record.
+The box is the only difference between layers: layer 1 sees the region's
+box, a deeper layer the +/-1 box (c = 0, r = 1, so R is the row 1-norm).
+Every row holds for every neuron, one that is constant over the box
+included: the linear envelopes are exact sums of a one-sided sign product
+and a row-bound product of the tightened encoding.
 """
 
 from __future__ import annotations
@@ -330,13 +330,13 @@ def neuron_rows(
     rows = []
     ranges = neuron_ranges(net, layer, region)
     for j, (w, b, (beta, bound)) in enumerate(
-        zip(net.weight(layer).tolist(), net.bias(layer).tolist(), ranges), start=1
+        zip(net.weight(layer).tolist(), net.exact_bias(layer), ranges), start=1
     ):
         coeffs = {Var(layer - 1, k): wk for k, wk in enumerate(w, start=1) if wk}
         rows.append(
             NeuronRow(
                 var=Var(layer, j),
-                z=MultilinearPoly.linear(coeffs, Fraction(b)),
+                z=MultilinearPoly.linear(coeffs, b),
                 row_bound=bound,
                 beta=beta,
             )
@@ -387,7 +387,8 @@ def _region_constraints(region: PerturbationRegion) -> list[Constraint]:
 
 
 def objective_targeted(net: FoldedBnn, true_label: int, target: int) -> MultilinearPoly:
-    """Logit margin <out_row(true) - out_row(target), x_L> + bias difference.
+    """Logit margin <out_row(true) - out_row(target), x_L> + the difference
+    of the two classes' exact biases.
 
     Positive on the whole region means no perturbation can push the target
     class above the true class.
@@ -398,7 +399,7 @@ def objective_targeted(net: FoldedBnn, true_label: int, target: int) -> Multilin
     if target == true_label:
         raise ValueError("attack target must differ from the true label")
     w = net.weight(net.depth + 1)
-    b = net.bias(net.depth + 1)
+    b = net.exact_bias(net.depth + 1)
     row = w[true_label - 1] - w[target - 1]
     coeffs = {
         Var(net.depth, k + 1): int(row[k]) for k in range(row.shape[0]) if row[k] != 0

@@ -8,9 +8,11 @@ sees only ternary weights and real biases.  `stabilize(net, region)` then
 removes every hidden neuron whose sign is constant over the box of its
 inputs (for layer 1 the region's box or the cube [-1, 1]^n0, for a deeper
 layer the cube) through `fold_signs`, the one folding operation: it adds
-the removed constants to the next layer's bias exactly, or, where binary64
-cannot hold the sum, without changing the sign of any pre-activation a
-hidden neuron can see.
+the removed constants to the next layer's integer offsets, so no fold
+rounds.  A neuron's pre-activation is (W x + d) + b: the float bias b is
+added once to the integer offset d and the sum W x, as in the unfolded
+net.  Every reader goes through two `FoldedBnn` methods: `preactivation`
+for the float value and `exact_bias` for the rational b + d.
 
 Class labels and neuron indices are 1-based throughout the package.
 """
@@ -18,7 +20,6 @@ Class labels and neuron indices are 1-based throughout the package.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -140,19 +141,24 @@ class FoldedBnn:
 
     Produced by `fold_batchnorm` and validated by `stabilize`.  ``log``
     records folded batch-norm layers and constant-propagated neurons.
+    ``offsets`` holds one integer per neuron, the sum that folded neurons
+    of the layer before contribute (all zeros where nothing folded; layer
+    1 reads the real inputs, so its offsets are zero).
     """
 
     widths: tuple[int, ...]
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
     log: tuple[str, ...] = ()
+    offsets: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self) -> None:
         n_layers = len(self.widths) - 1
-        if len(self.weights) != n_layers or len(self.biases) != n_layers:
+        offsets = self.offsets or tuple(np.zeros(n, dtype=np.int64) for n in self.widths[1:])
+        if not len(self.weights) == len(self.biases) == len(offsets) == n_layers:
             raise ValueError("layer count inconsistent with widths")
-        frozen_w, frozen_b = [], []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases), start=1):
+        frozen_w, frozen_b, frozen_d = [], [], []
+        for i, (w, b, d) in enumerate(zip(self.weights, self.biases, offsets), start=1):
             w = np.asarray(w)
             if w.shape != (self.widths[i], self.widths[i - 1]):
                 raise ValueError(f"layer {i}: weight shape mismatch")
@@ -164,11 +170,16 @@ class FoldedBnn:
             # every logit margin carries a difference of two output biases
             if i == n_layers and b.size and not np.isfinite(float(b.max()) - float(b.min())):
                 raise ValueError(f"layer {i}: output bias differences overflow binary64")
+            d = np.asarray(d)
+            if d.shape != (self.widths[i],) or d.dtype.kind not in "iu" or (i == 1 and d.any()):
+                raise ValueError(f"layer {i}: expected one integer offset per neuron, 0 in layer 1")
             frozen_w.append(_freeze(w.astype(np.int64)))
             frozen_b.append(_freeze(b))
+            frozen_d.append(_freeze(d.astype(np.int64)))
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
         object.__setattr__(self, "weights", tuple(frozen_w))
         object.__setattr__(self, "biases", tuple(frozen_b))
+        object.__setattr__(self, "offsets", tuple(frozen_d))
 
     @property
     def depth(self) -> int:
@@ -194,21 +205,33 @@ class FoldedBnn:
         return self.weights[layer - 1]
 
     def bias(self, layer: int) -> np.ndarray:
+        """The float bias b of 1-based `layer`, without its offsets."""
         return self.biases[layer - 1]
 
+    def exact_bias(self, layer: int) -> list[Fraction]:
+        """The exact constant b_k + d_k of every neuron of `layer`."""
+        b, d = self.bias(layer).tolist(), self.offsets[layer - 1].tolist()
+        return [Fraction(bk) + dk for bk, dk in zip(b, d)]
+
+    def preactivation(self, layer: int, x: np.ndarray) -> np.ndarray:
+        """The float pre-activations of `layer` at the vector `x`, or at each
+        row of the matrix `x`: W x + b in layer 1, and (W x + d) + b deeper,
+        where x is +/-1, so the unfolded net's value: an exact integer sum,
+        then b added once."""
+        x, w = np.asarray(x), self.weight(layer)
+        z = w @ x if x.ndim == 1 else x @ w.T
+        return (z if layer == 1 else z + self.offsets[layer - 1]) + self.bias(layer)
+
     def is_stabilized(self) -> bool:
-        """True iff every hidden neuron satisfies -nv_k <= b_k < nv_k, the
-        rule `stabilize` keeps a neuron by (so nv_k > 0)."""
-        return not any(
-            _constant_signs(self.bias(i), row_norm1(self.weight(i))).any()
-            for i in range(1, self.depth + 1)
-        )
+        """True iff every hidden neuron satisfies -nv_k <= b_k + d_k < nv_k,
+        the rule `stabilize` keeps a neuron by (so nv_k > 0)."""
+        return not any(_constant_signs(self, i).any() for i in range(1, self.depth + 1))
 
     def require_stabilized(self) -> "FoldedBnn":
         if not self.is_stabilized():
             raise ValueError(
-                "network has constant-sign hidden neurons (bias >= row 1-norm or "
-                "bias < -row 1-norm); run stabilize() first"
+                "network has constant-sign hidden neurons (b + d >= row 1-norm or "
+                "b + d < -row 1-norm); run stabilize() first"
             )
         return self
 
@@ -338,10 +361,11 @@ def fold_signs(net: FoldedBnn, layer: int, signs: Sequence[int], where: str = ""
     """Remove the neurons of hidden `layer` whose entry of `signs` is +1 or
     -1, the constant sign they take; an entry 0 keeps its neuron.
 
-    Each removed neuron's constant enters the next layer's bias through its
-    column (`_fold_bias`), and one log line per neuron records the fold
-    ("layer 1 neuron 3: constant +1{where}, removed").  Raises `ValueError`
-    if the layer empties out.
+    Each removed neuron's constant enters the next layer's integer offsets
+    through its column, and the float biases stay as they are, so the fold
+    is exact.  One log line per neuron records it ("layer 1 neuron 3:
+    constant +1{where}, removed").  Raises `ValueError` if the layer empties
+    out.
     """
     if not 1 <= layer <= net.depth:
         raise ValueError(f"layer {layer} is not a hidden layer")
@@ -353,39 +377,17 @@ def fold_signs(net: FoldedBnn, layer: int, signs: Sequence[int], where: str = ""
     if not keep.any():
         raise ValueError(f"layer {layer} fully stabilized; verification degenerate")
     widths, weights, biases = list(net.widths), list(net.weights), list(net.biases)
-    hidden = layer + 1 < len(widths) - 1
-    offset = weights[layer][:, fold] @ signs[fold]
-    biases[layer] = np.array(
-        [_fold_bias(b, int(d), hidden) for b, d in zip(biases[layer].tolist(), offset.tolist())]
-    )
+    offsets = list(net.offsets)
+    offsets[layer] = offsets[layer] + weights[layer][:, fold] @ signs[fold]
     weights[layer] = weights[layer][:, keep]
     weights[layer - 1] = weights[layer - 1][keep, :]
     biases[layer - 1] = biases[layer - 1][keep]
+    offsets[layer - 1] = offsets[layer - 1][keep]
     widths[layer] = int(keep.sum())
     log = list(net.log)
     for k in np.flatnonzero(fold):
         log.append(f"layer {layer} neuron {k + 1}: constant {signs[k]:+d}{where}, removed")
-    return FoldedBnn(tuple(widths), tuple(weights), tuple(biases), tuple(log))
-
-
-def _fold_bias(b: float, d: int, hidden: bool) -> float:
-    """The bias b plus the integer d that folded columns contribute.
-
-    It is the exact sum wherever binary64 holds it.  Otherwise a hidden bias
-    is the float next to the sum on the side of floor(sum) + 1/2: the neuron
-    sees integer sums s only, and s + b >= 0 exactly when s >= -floor(b), so
-    it keeps the exact sum's sign at every s and gains no zero.  An output
-    bias is rounded to nearest, so a logit margin may move by an ulp.
-    """
-    if not d:
-        return b
-    exact = Fraction(b) + d
-    f = float(exact)  # correctly rounded
-    if hidden and Fraction(f) != exact:
-        mid = math.floor(exact) + Fraction(1, 2)
-        if (f > exact) != (mid > exact):  # rounded away from the midpoint
-            f = float(np.nextafter(f, float(mid)))
-    return f
+    return FoldedBnn(tuple(widths), tuple(weights), tuple(biases), tuple(log), tuple(offsets))
 
 
 def neuron_ranges(
@@ -397,8 +399,8 @@ def neuron_ranges(
     The box of layer 1's inputs is the `region`'s exact box, integers over
     one denominator; the box of a deeper layer's +/-1 inputs, and of layer
     1's without a region, is the cube [-1, 1] (c = 0, r = 1), so its row
-    bound is the row 1-norm, beta is the bias and every sum stays a Python
-    integer.
+    bound is the row 1-norm and beta is the exact bias b + d
+    (`FoldedBnn.exact_bias`).
     """
     weights = net.weight(layer).tolist()
     n_prev = net.widths[layer - 1]
@@ -410,10 +412,10 @@ def neuron_ranges(
     else:
         center, half, den = [0] * n_prev, [1] * n_prev, 1
     out = []
-    for w, b in zip(weights, net.bias(layer).tolist()):
+    for w, b in zip(weights, net.exact_bias(layer)):
         shift = sum(wk * ck for wk, ck in zip(w, center) if wk)
         bound = sum(abs(wk) * hk for wk, hk in zip(w, half) if wk)
-        out.append((Fraction(b) + Fraction(shift, den), Fraction(bound, den)))
+        out.append((b + Fraction(shift, den), Fraction(bound, den)))
     return out
 
 
@@ -423,33 +425,37 @@ def stabilize(net: FoldedBnn, region: Optional[PerturbationRegion] = None) -> Fo
     Layer 1 is tested over the `region`'s box (the cube [-1, 1]^n0 without
     a region), a deeper layer over the cube of its +/-1 inputs; over its box
     a pre-activation ranges over [beta - R, beta + R] (`neuron_ranges`; on
-    the cube beta = b_k and R = nv_k, the row 1-norm, so the test is exact
-    in binary64).  With sign(0) := +1 the neuron is constant +1 where
+    the cube beta = b_k + d_k and R = nv_k, the row 1-norm, and the test is
+    exact in binary64).  With sign(0) := +1 the neuron is constant +1 where
     beta - R >= 0 and -1 where beta + R < 0; `fold_signs` deletes it and
-    folds the constant into the next layer's bias, logging a layer-1 fold
-    over a region " over the region".  The tie beta + R = 0 is kept: z = 0,
-    hence +1, at one corner of the box.  Folding layer i changes only layer
-    i+1's bias and columns, visited next, so one pass reaches the fixpoint;
-    a region's box lies in the cube, so the result is stabilized on the
-    cube.  Raises `ValueError` if a hidden layer empties out.
+    folds the constant into the next layer's offsets, logging a layer-1
+    fold over a region " over the region".  The tie beta + R = 0 is kept:
+    z = 0, hence +1, at one corner of the box.  Folding layer i changes only
+    layer i+1's offsets and columns, visited next, so one pass reaches the
+    fixpoint; a region's box lies in the cube, so the result is stabilized
+    on the cube.  Raises `ValueError` if a hidden layer empties out.
     """
     for i in range(1, net.depth + 1):
-        if i == 1 and region is not None:
-            beta, bound = np.array(neuron_ranges(net, 1, region), dtype=object).T
-            where = " over the region"
-        else:
-            beta, bound, where = net.bias(i), row_norm1(net.weight(i)), ""
-        signs = _constant_signs(beta, bound)
+        signs = _constant_signs(net, i, region)
         if signs.any():
+            where = " over the region" if i == 1 and region is not None else ""
             net = fold_signs(net, i, signs, where)
     return net
 
 
-def _constant_signs(beta: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """The sign of each neuron whose pre-activation, ranging over [beta - R,
-    beta + R], has one sign: +1 where beta - R >= 0, -1 where beta + R < 0,
-    and 0 for a neuron that takes both."""
-    return np.subtract(beta >= bound, beta < -bound, dtype=np.int64)
+def _constant_signs(
+    net: FoldedBnn, layer: int, region: Optional[PerturbationRegion] = None
+) -> np.ndarray:
+    """The sign of each neuron of hidden `layer` whose pre-activation has
+    one sign over [beta - R, beta + R] (`neuron_ranges`): +1 where beta >=
+    R, -1 where beta < -R, and 0 for a neuron that takes both."""
+    if layer == 1 and region is not None:
+        beta, bound = np.array(neuron_ranges(net, 1, region), dtype=object).T
+        return np.subtract(beta >= bound, beta < -bound, dtype=np.int64)
+    # on the cube beta = b + d and R = nv: binary64 compares b with the
+    # integers nv - d and -nv - d exactly
+    b, nv, d = net.bias(layer), row_norm1(net.weight(layer)), net.offsets[layer - 1]
+    return np.subtract(b >= nv - d, b < -nv - d, dtype=np.int64)
 
 
 def _sign_pm1(z: np.ndarray) -> np.ndarray:
@@ -469,11 +475,11 @@ def forward(net: FoldedBnn, x0: Sequence[float]) -> ForwardTrace:
     flags = []
     cur = x
     for i in range(1, net.depth + 1):
-        z = net.weight(i) @ cur + net.bias(i)
+        z = net.preactivation(i, cur)
         flags.append(_freeze(z == 0))
         cur = _sign_pm1(z)
         activations.append(_freeze(cur))
-    logits = net.weight(net.depth + 1) @ cur + net.bias(net.depth + 1)
+    logits = net.preactivation(net.depth + 1, cur)
     label = int(np.argmax(logits)) + 1
     return ForwardTrace(
         activations=tuple(activations),
@@ -492,21 +498,20 @@ def forward_activations(net: FoldedBnn, xs: np.ndarray) -> tuple[np.ndarray, ...
     of the exact value, so a sign can differ only where a pre-activation is
     within twice that of zero; those rows are recomputed with `forward`'s
     expression.  Deeper layers sum integers, which no order rounds, plus one
-    bias rounding.
+    bias rounding (`FoldedBnn.preactivation`).
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != net.widths[0]:
         raise ValueError(f"inputs of shape {xs.shape} do not match n0 = {net.widths[0]}")
-    w, b = net.weight(1), net.bias(1)
-    z = xs @ w.T + b
+    z = net.preactivation(1, xs)
     slack = 2.0 * (xs.shape[1] + 2) * np.finfo(float).eps
-    near = np.abs(z) <= slack * (np.abs(xs).sum(axis=1, keepdims=True) + np.abs(b))
+    near = np.abs(z) <= slack * (np.abs(xs).sum(axis=1, keepdims=True) + np.abs(net.bias(1)))
     cur = _sign_pm1(z)
     for r in np.flatnonzero(near.any(axis=1)):
-        cur[r] = _sign_pm1(w @ xs[r] + b)
+        cur[r] = _sign_pm1(net.preactivation(1, xs[r]))
     acts = [cur]
     for i in range(2, net.depth + 1):
-        cur = _sign_pm1(cur @ net.weight(i).T + net.bias(i))
+        cur = _sign_pm1(net.preactivation(i, cur))
         acts.append(cur)
     return tuple(acts)
 
@@ -514,12 +519,13 @@ def forward_activations(net: FoldedBnn, xs: np.ndarray) -> tuple[np.ndarray, ...
 def forward_logits(net: FoldedBnn, xs: np.ndarray) -> np.ndarray:
     """Logits of the rows of `xs`, one row each, from `forward_activations`.
 
-    They equal `forward`'s byte for byte: W x_L is a product of int64
-    matrices, which no order rounds, and the bias is added to it once, as in
-    `forward`.  So `np.argmax(logits, axis=1) + 1` is `forward`'s label.
+    They equal `forward`'s byte for byte: both read
+    `FoldedBnn.preactivation`, where W x_L + d is an int64 sum, which no
+    order rounds, and the bias is added to it once.  So
+    `np.argmax(logits, axis=1) + 1` is `forward`'s label.
     """
     last = forward_activations(net, xs)[-1]
-    return last @ net.weight(net.depth + 1).T + net.bias(net.depth + 1)
+    return net.preactivation(net.depth + 1, last)
 
 
 def forward_raw(raw: RawBnn, x0: Sequence[float]) -> int:

@@ -312,29 +312,32 @@ def _cell_witness(rows: list[Row], region: PerturbationRegion) -> Optional[np.nd
 def _layer1_rows(net: FoldedBnn, signs: tuple[int, ...]) -> list[Row]:
     """sigma_j * (<W1_j, x0> + b_j) >= 0 as exact rows over x0."""
     w = net.weight(1)
-    b = net.bias(1)
+    b = net.exact_bias(1)
     n0 = net.input_dim
     rows: list[Row] = []
     for j, s in enumerate(signs):
         coeffs = tuple(Fraction(s * int(w[j, k])) for k in range(n0))
-        rows.append((coeffs, Fraction(s) * Fraction(b[j])))
+        rows.append((coeffs, s * b[j]))
     return rows
 
 
 def _completions(net: FoldedBnn, first: tuple[int, ...]) -> list[Pattern]:
     """Every full pattern with layer-1 signs `first`, in enumeration order.
 
-    A deeper pre-activation z = W s + b is an integer sum plus one rounding
-    of b, so its sign is exact; z = 0 admits both signs (closure semantics).
+    A deeper pre-activation z = (W s + d) + b (`FoldedBnn.preactivation`)
+    is an integer sum plus one rounding of b, so its sign is exact; z = 0
+    admits both signs (closure semantics).
     """
     patterns: list[Pattern] = [(first,)]
     for i in range(2, net.depth + 1):
-        w, b = net.weight(i), net.bias(i)
         patterns = [
             p + (layer,)
             for p in patterns
             for layer in itertools.product(
-                *[(-1, 1) if z == 0 else (1,) if z > 0 else (-1,) for z in w @ p[-1] + b]
+                *[
+                    (-1, 1) if z == 0 else (1,) if z > 0 else (-1,)
+                    for z in net.preactivation(i, p[-1])
+                ]
             )
         ]
     return patterns

@@ -689,7 +689,32 @@ def _mps_name(v: Var) -> str:
     return f"Z{v.layer}_{v.index}"
 
 
-def _export_data(instance: VerificationInstance):
+def _shifted_row(const, coeffs) -> tuple[dict[int, float], float]:
+    """The row const + sum_v a_v x_v >= 0 over z = (x + 1)/2 in binary64:
+    sum_v 2 a_v z_v >= sum_v a_v - const, each 2 a_v rounded to nearest and
+    the right-hand side lowered by the most those roundings can take away
+    over [0, 1], then rounded down, so every z in [0, 1] that meets the
+    exact row meets the written one."""
+    written, rhs = {}, -Fraction(const)
+    for idx, a in coeffs:
+        a = Fraction(a)
+        rhs += a
+        if a:
+            written[idx] = float(2 * a)
+            rhs += min(0, Fraction(written[idx]) - 2 * a)
+    return written, _round_toward(rhs.numerator, rhs.denominator, -math.inf)
+
+
+def write_mps(instance: VerificationInstance, path) -> None:
+    """Write the MILP encoding as an MPS file over shifted variables.
+
+    Every variable x in [-1,1] is written as z = (x+1)/2 in [0,1]; hidden
+    variables are declared integer (hence binary).  The leading comment block
+    records the affine map and the objective constant.  Rows are all of type
+    G (>=) after the shift, each rounded so that it keeps every exact point
+    (`_shifted_row`).  The region's box is written as the inputs' BOUNDS,
+    rounded outward, and not repeated as rows.
+    """
     if instance.encoding_kind != "milp":
         raise ValueError("only the MILP encoding exports to MPS")
     for c in instance.constraints.inequalities:
@@ -699,26 +724,21 @@ def _export_data(instance: VerificationInstance):
                 "use an linf region"
             )
     msdp = assemble_moment_sdp(instance)
-    n = msdp.index.total_count - 1
     # without cliques the moment ids past the constant are the variables
     variables = tuple(key[0] for key in msdp.index.order[1:])
-    A = np.array([_dense(n, coeffs) for _, coeffs in msdp.rows])
-    d = np.array([-float(const) for const, _ in msdp.rows])
-    return variables, A, d, _dense(n, msdp.objective), float(msdp.objective_const)
-
-
-def write_mps(instance: VerificationInstance, path) -> None:
-    """Write the MILP encoding as an MPS file over shifted variables.
-
-    Every variable x in [-1,1] is written as z = (x+1)/2 in [0,1]; hidden
-    variables are declared integer (hence binary).  The leading comment block
-    records the affine map and the objective constant.  Rows are all of type
-    G (>=) after the shift.
-    """
-    variables, A, d, c, c0 = _export_data(instance)
-    # x = 2z - 1:  sum c_v x_v >= d  =>  sum 2 c_v z_v >= d + sum c_v
+    rows = [
+        _shifted_row(*row)
+        for row, c in zip(msdp.rows, instance.constraints.inequalities)
+        if c.family != "region"
+    ]
+    c = _dense(len(variables), msdp.objective)
+    obj_const_z = float(msdp.objective_const) - float(np.sum(c))
     binaries = set(instance.binary_vars)
-    obj_const_z = c0 - float(np.sum(c))
+    row_names = [f"R{r+1:06d}" for r in range(len(rows))]
+    entries = [[("OBJ", 2.0 * float(cj))] if cj != 0.0 else [] for cj in c]
+    for name, (written, _) in zip(row_names, rows):
+        for idx, w in written.items():
+            entries[idx - 1].append((name, w))
     lines: list[str] = []
     lines.append("* Linear robustness encoding; variables shifted by x = 2z - 1.")
     lines.append("* Original variables lie in [-1,1]; integer z columns are the")
@@ -729,46 +749,27 @@ def write_mps(instance: VerificationInstance, path) -> None:
     for v in variables:
         kind = "integer" if v in binaries else "continuous"
         lines.append(f"* map {_mps_name(v)} <-> x[{v.layer},{v.index}] ({kind})")
-    lines.append("NAME          ROBUST")
-    lines.append("ROWS")
-    lines.append(" N  OBJ")
-    row_names = [f"R{r+1:06d}" for r in range(A.shape[0])]
-    for name in row_names:
-        lines.append(f" G  {name}")
+    lines += ["NAME          ROBUST", "ROWS", " N  OBJ", *(f" G  {n}" for n in row_names)]
     lines.append("COLUMNS")
-    marker_open = "    MK0001    'MARKER'                 'INTORG'"
-    marker_close = "    MK0002    'MARKER'                 'INTEND'"
-
-    def column_lines(j: int, v: Var) -> list[str]:
-        entries = []
-        if c[j] != 0.0:
-            entries.append(("OBJ", 2.0 * float(c[j])))
-        for r in range(A.shape[0]):
-            if A[r, j] != 0.0:
-                entries.append((row_names[r], 2.0 * float(A[r, j])))
-        name = _mps_name(v)
-        return [f"    {name:<10}{row:<10}{val!r}" for row, val in entries]
-
-    int_cols = [(j, v) for j, v in enumerate(variables) if v in binaries]
-    cont_cols = [(j, v) for j, v in enumerate(variables) if v not in binaries]
-    if int_cols:
-        lines.append(marker_open)
-        for j, v in int_cols:
-            lines.extend(column_lines(j, v))
-        lines.append(marker_close)
-    for j, v in cont_cols:
-        lines.extend(column_lines(j, v))
+    # integer columns go between the markers, continuous ones after them
+    columns: dict[bool, list[str]] = {True: [], False: []}
+    for j, v in enumerate(variables):
+        columns[v in binaries] += [f"    {_mps_name(v):<10}{r:<10}{a!r}" for r, a in entries[j]]
+    if any(v in binaries for v in variables):
+        lines.append("    MK0001    'MARKER'                 'INTORG'")
+        lines += columns[True]
+        lines.append("    MK0002    'MARKER'                 'INTEND'")
+    lines += columns[False]
     lines.append("RHS")
     if obj_const_z != 0.0:
         lines.append(f"    RHS       OBJ       {-obj_const_z!r}")
-    for r in range(A.shape[0]):
-        rhs = float(d[r]) + float(np.sum(A[r]))
+    for name, (_, rhs) in zip(row_names, rows):
         if rhs != 0.0:
-            lines.append(f"    RHS       {row_names[r]:<10}{rhs!r}")
+            lines.append(f"    RHS       {name:<10}{rhs!r}")
     lines.append("BOUNDS")
     region = instance.region
     den = 2 * region.box_den  # z = (x + 1) / 2
-    for j, v in enumerate(variables):
+    for v in variables:
         name = _mps_name(v)
         if v in binaries:
             lines.append(f" BV BND       {name}")

@@ -53,7 +53,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from bnncert.encode import EXACT_PSD_ORDER, Clique, VerificationInstance
+from bnncert.encode import EXACT_PSD_ORDER, Clique, VerificationInstance, _round_toward
 from bnncert.poly import mono_mul, reduce_mono
 from bnncert.sdp import (
     ConicProblem,
@@ -144,7 +144,7 @@ class RigorousBound:
         """coefficient_residual + sum(eigenvalue_deficits), summed exactly
         and rounded up: no less than what `value` subtracts from the anchor."""
         exact = sum(map(Fraction, self.eigenvalue_deficits), Fraction(self.coefficient_residual))
-        return _float_up(exact)
+        return _round_toward(exact.numerator, exact.denominator, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -457,20 +457,6 @@ def solve_lp(
 # ---------------------------------------------------------------------------
 
 
-def _float_down(x: Fraction) -> float:
-    f = float(x)
-    if Fraction(f) > x:
-        f = math.nextafter(f, -math.inf)
-    return f
-
-
-def _float_up(x: Fraction) -> float:
-    f = float(x)
-    if Fraction(f) < x:
-        f = math.nextafter(f, math.inf)
-    return f
-
-
 def _exact_psd_check(upper: Sequence[Sequence[int]]) -> bool:
     """Exact LDL^T with PSD pivoting rules; True proves G >= 0.
 
@@ -637,9 +623,11 @@ def rigorous_lower_bound(
             continue
         lam_min = float(np.linalg.eigvalsh(G)[0])
         widen = size * eps * float(np.linalg.norm(G, "fro"))
-        deficits.append(_float_up(size * max(Fraction(0), Fraction(widen) - Fraction(lam_min))))
+        deficit = size * max(Fraction(0), Fraction(widen) - Fraction(lam_min))
+        deficits.append(_round_toward(deficit.numerator, deficit.denominator, math.inf))
 
-    value = _float_down(Fraction(anchor_int - budget_int, scale) - sum(map(Fraction, deficits)))
+    exact = Fraction(anchor_int - budget_int, scale) - sum(map(Fraction, deficits))
+    value = _round_toward(exact.numerator, exact.denominator, -math.inf)
     # never report more than the solve's own objective estimate; anything
     # below a valid lower bound is still a valid lower bound
     pobj = float(result.primal_objective)
@@ -647,7 +635,7 @@ def rigorous_lower_bound(
         value = pobj
     return RigorousBound(
         value=value,
-        anchor=_float_down(Fraction(anchor_int, scale)),
-        coefficient_residual=_float_up(Fraction(budget_int, scale)),
+        anchor=_round_toward(anchor_int, scale, -math.inf),
+        coefficient_residual=_round_toward(budget_int, scale, math.inf),
         eigenvalue_deficits=tuple(deficits),
     )

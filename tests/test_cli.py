@@ -19,7 +19,7 @@ from bnncert.oracle import exact_verify, sample_logits, sample_region
 from bnncert.sdp import read_sdpa
 from bnncert.solver import SolveOptions
 
-from conftest import EXAMPLE1_JSON, EXAMPLE1_X0, make_example1, random_net
+from conftest import EXAMPLE1_JSON, EXAMPLE1_X0, in_region, make_example1, random_net
 
 
 def run(example1_files, *extra):
@@ -942,3 +942,29 @@ def test_oracle_counterexample_lies_in_the_exact_region(tmp_path):
     assert not region.contains([0.1 + 0.2])
     net = stabilize(fold_batchnorm(load_model(model)))
     assert forward(net, [0.1 + 0.2]).label == 2
+
+
+def test_oracle_falsifies_the_tie_that_a_rounded_fold_hid(tmp_path):
+    """Two layer-2 neurons are +1 over the whole cube and fold 2 into class
+    2's logit, whose bias 0.1 reads 2.1 after the fold.  Rounded, 0.1 + 2
+    would lie above 2.1 and class 2 would win everywhere; exactly, both
+    logits are 2.1 at x = 0.25, where the tie breaks to class 1."""
+    model = tmp_path / "tie.json"
+    model.write_text(json.dumps({
+        "widths": [1, 1, 4, 2],
+        "layers": [
+            {"weights": [[1]], "bias": [-0.2499]},
+            {"weights": [[0], [0], [1], [1]], "bias": [1, 1, 0, 0]},
+            {"weights": [[0, 0, 1, 1], [1, 1, 0, 0]], "bias": [0.1, 0.1]},
+        ],
+    }))
+    inputs = tmp_path / "input.txt"
+    inputs.write_text("-0.25\n")
+    report = tmp_path / "report.json"
+    argv = ["verify", "--model", str(model), "--input", str(inputs), "--eps", "0.5",
+            "--method", "oracle", "--json", str(report)]
+    assert main(argv) == 1
+    rep = json.loads(report.read_text())
+    x = rep["counterexample"]
+    assert in_region(PerturbationRegion.linf([-0.25], 0.5), x)
+    assert forward(fold_batchnorm(load_model(model)), x).label == 1

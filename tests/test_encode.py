@@ -659,13 +659,13 @@ def test_write_mps_rejects_ball_region(example1, tmp_path):
 @pytest.mark.parametrize(
     "threshold, digest",
     [
-        (None, "fcac3364d9ce19ae70e1319c4713ffb9c5aa3a2135806f50eabdb77a29919fab"),
-        (0.0, "2f30fd858e115e7df645e998b69853e90e434b7aec4a0f35394f26adf219c365"),
+        (None, "4db9711e687287a9f14067d020b02e2ec62782d28b1b0cac0c13dff2c86456ee"),
+        (0.0, "37f2f7b2e93698843412e519ebea2ba6dbf89d000c3cd35ce6e7af16c07653b7"),
     ],
     ids=["bound", "threshold-0"],
 )
 def test_write_mps_bytes_are_pinned(example1, tmp_path, threshold, digest):
-    """The README net's MILP at linf 1.0, as the writer has always written it."""
+    """The README net's MILP at linf 1.0, byte for byte."""
     inst = encode_milp(example1, region1("linf", 1.0), objective1(example1), threshold)
     path = tmp_path / "toy.mps"
     write_mps(inst, path)
@@ -691,3 +691,46 @@ def test_write_mps_rounds_input_bounds_outward(example1, tmp_path):
         written_lo, written_hi = bounds["LO", f"Z0_{j}"], bounds["UP", f"Z0_{j}"]
         assert Fraction(written_lo) <= (lo + 1) / 2 < Fraction(np.nextafter(written_lo, 1))
         assert Fraction(np.nextafter(written_hi, 0)) < (hi + 1) / 2 <= Fraction(written_hi)
+
+
+def mps_rows(text):
+    """(lhs, rhs) of a MILP's MPS file: lhs[row] lists its (column, value)
+    entries, rhs[row] its right-hand side (0 when absent), G rows only."""
+    lhs, rhs, section = {}, {}, None
+    for line in text.splitlines():
+        if line.startswith("*"):
+            continue
+        if not line.startswith(" "):
+            section = line.split()[0]
+            continue
+        parts = line.split()
+        if section == "ROWS" and parts[0] == "G":
+            lhs[parts[1]], rhs[parts[1]] = [], Fraction(0)
+        elif section == "COLUMNS" and "'MARKER'" not in line and parts[1] in lhs:
+            lhs[parts[1]].append((parts[0], Fraction(float(parts[2]))))
+        elif section == "RHS" and parts[1] in rhs:
+            rhs[parts[1]] = Fraction(float(parts[2]))
+    return lhs, rhs
+
+
+def test_write_mps_rows_hold_at_an_exact_point_of_the_region(example1, tmp_path):
+    """At the region's exact lower corner and its exact signs every written
+    row holds, in rationals.  Rounded to nearest, the region row 2 z >= 1.1
+    cut off z = (0.1 + 1)/2, since the float 1.1 lies above 0.1 + 1; the
+    rows now skip the region, which BOUNDS carry, and round outward."""
+    region = PerturbationRegion.linf([0.1 + 0.0625, 0.5, 0.0], 0.0625)
+    path = tmp_path / "box.mps"
+    write_mps(encode_milp(example1, region, objective1(example1)), path)
+    x = region.box()[0]
+    point = {f"Z0_{k}": (v + 1) / 2 for k, v in enumerate(x, start=1)}
+    for i in range(1, example1.depth + 1):
+        z = [
+            b + sum(w * v for w, v in zip(row, x))
+            for row, b in zip(example1.weight(i).tolist(), example1.exact_bias(i))
+        ]
+        x = [1 if v >= 0 else -1 for v in z]
+        point.update({f"Z{i}_{j}": Fraction(s + 1, 2) for j, s in enumerate(x, start=1)})
+    lhs, rhs = mps_rows(path.read_text())
+    assert lhs
+    for row, entries in lhs.items():
+        assert sum(a * point[col] for col, a in entries) >= rhs[row], row

@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -144,7 +143,7 @@ def test_non_finite_parameters_are_rejected(bad):
 
 def test_stabilize_removes_constant_neuron():
     # neuron 1 has nv=3 < |b|=5, so it is pinned at +1; its +1 output flows
-    # into the next bias through column 1
+    # into the next layer's exact bias through column 1
     net = FoldedBnn(
         widths=(3, 2, 2),
         weights=(
@@ -156,7 +155,7 @@ def test_stabilize_removes_constant_neuron():
     out = stabilize(net)
     assert out.widths == (3, 1, 2)
     np.testing.assert_array_equal(out.weight(1), [[1, -1, 0]])
-    np.testing.assert_allclose(out.bias(2), [1.0, 0.0])
+    assert out.exact_bias(2) == [1, 0]
     assert any("constant +1" in line for line in out.log)
 
 
@@ -177,7 +176,7 @@ def test_stabilize_zero_row_uses_sign_zero_convention():
     )
     out = stabilize(net)
     assert out.widths == (2, 1, 2)
-    np.testing.assert_allclose(out.bias(2), [1.0, -1.0])
+    assert out.exact_bias(2) == [1, -1]
 
 
 def test_stabilize_rejects_emptied_layer():
@@ -390,8 +389,9 @@ def test_stabilize_preserves_labels_at_ties():
 
 def rounding_net():
     """2-4-2-2 net whose layer-2 neuron 1 sums two constant +1 neurons into
-    the bias -2^-53: the exact sum 2 - 2^-53 rounds to 2.0 in binary64, where
-    the neuron would read as constant +1.  It is -1 where x1 < 0 and x2 < 0."""
+    the bias -2^-53: the exact sum 2 - 2^-53 would round to 2.0 in binary64,
+    where the neuron would read as constant +1.  It is -1 where x1 < 0 and
+    x2 < 0."""
     return RawBnn(
         widths=(2, 4, 2, 2),
         weights=(
@@ -412,8 +412,9 @@ def test_stabilize_folds_constants_into_biases_exactly():
         "layer 1 neuron 1: constant +1, removed",
         "layer 1 neuron 2: constant +1, removed",
     )
-    # the float next to 2 - 2^-53 below it, on the side of 1.5
-    assert out.bias(2)[0] == 2.0 - 2.0**-52
+    # the exact sum, which binary64 cannot hold; the float bias is untouched
+    assert out.exact_bias(2)[0] == 2 - Fraction(2) ** -53
+    assert out.bias(2)[0] == -(2.0**-53)
     labels = []
     for x in itertools.product((-0.5, 0.5), repeat=2):
         assert forward(out, x).label == forward_raw(raw, x)
@@ -422,9 +423,9 @@ def test_stabilize_folds_constants_into_biases_exactly():
 
 
 def fold_into(b, d, hidden):
-    """The bias b of the layer after hidden layer 1, once |d| neurons of
-    layer 1, each read with weight +1, fold to sign(d): a hidden bias when
-    `hidden`, else the output bias."""
+    """A net whose layer 2 has bias b, once |d| neurons of layer 1, each
+    read with weight +1, fold to sign(d): a hidden layer when `hidden`, else
+    the output layer."""
     n = 1 + abs(d)
     layers = [(np.ones((n, 1), dtype=int), np.zeros(n)), (np.ones((1, n), dtype=int), np.array([b]))]
     if hidden:
@@ -434,28 +435,23 @@ def fold_into(b, d, hidden):
         weights=tuple(w for w, _ in layers),
         biases=tuple(c for _, c in layers),
     )
-    return fold_signs(net, 1, [0] + [int(np.sign(d))] * abs(d)).bias(2)[0]
+    return fold_signs(net, 1, [0] + [int(np.sign(d))] * abs(d))
 
 
 @given(st.floats(-8.0, 8.0, allow_nan=False), st.integers(-6, 6).filter(bool))
 @example(-(2.0**-53), 2)
 @example(0.1, 2)
-def test_folded_hidden_bias_keeps_every_integer_sum_sign(b, d):
-    """A hidden bias b + d that binary64 cannot hold moves by at most one
-    ulp toward floor(b + d) + 1/2: it keeps the floor and lands on no
-    integer, so s + bias has the exact sum's sign for every integer s.  An
-    output bias rounds to nearest."""
-    exact = Fraction(b) + d
-    hidden = Fraction(fold_into(b, d, hidden=True))
-    assert math.floor(hidden) == math.floor(exact)
-    assert abs(hidden - exact) <= Fraction(math.ulp(float(exact)))
-    if Fraction(float(exact)) == exact:
-        assert hidden == exact
-    else:
-        assert hidden != math.floor(exact)
-    for s in range(-20, 21):
-        assert (s + hidden >= 0) == (s + exact >= 0)
-    assert fold_into(b, d, hidden=False) == float(exact)
+def test_folded_bias_is_exact(b, d):
+    """A fold leaves the float bias b as it is and adds d to the integer
+    offset: the exact bias is Fraction(b) + d, in a hidden layer and in
+    the output layer alike, and the float pre-activation at the remaining
+    sign s is (s + d) + b, the exact sum rounded once."""
+    for hidden in (True, False):
+        net = fold_into(b, d, hidden)
+        assert net.exact_bias(2) == [Fraction(b) + d]
+        assert net.bias(2)[0] == b
+        for s in (-1, 1):
+            assert net.preactivation(2, [s])[0] == float(Fraction(b) + d + s)
 
 
 def test_fold_signs_logs_each_fold_and_refuses_to_empty_a_layer(example1):
@@ -463,7 +459,7 @@ def test_fold_signs_logs_each_fold_and_refuses_to_empty_a_layer(example1):
     assert out.widths == (3, 1, 2, 2)
     assert out.log == ("layer 1 neuron 2: constant -1 over the region, removed",)
     np.testing.assert_array_equal(out.weight(2), [[-1], [-1]])
-    np.testing.assert_array_equal(out.bias(2), [2.0, -1.5])
+    assert out.exact_bias(2) == [2, Fraction(-3, 2)]
     with pytest.raises(ValueError, match="layer 2 fully stabilized"):
         fold_signs(example1, 2, [1, -1])
     with pytest.raises(ValueError, match="one sign"):
@@ -474,29 +470,32 @@ def test_fold_signs_logs_each_fold_and_refuses_to_empty_a_layer(example1):
 
 def stabilize_to_fixpoint(net):
     """Reference: sweep every hidden layer, folding each neuron constant on
-    the cube, until a whole sweep folds nothing."""
+    the cube into the next layer's integer offsets, until a whole sweep
+    folds nothing.  The biases are integers, so b + d is exact."""
     widths, log = list(net.widths), list(net.log)
-    weights, biases = list(net.weights), list(net.biases)
+    weights, biases, offsets = list(net.weights), list(net.biases), list(net.offsets)
     changed = True
     while changed:
         changed = False
         for i in range(1, len(widths) - 1):
             nv = np.abs(weights[i - 1]).sum(axis=1)
-            const = (biases[i - 1] >= nv) | (biases[i - 1] < -nv)
+            z = biases[i - 1] + offsets[i - 1]
+            const = (z >= nv) | (z < -nv)
             if not const.any():
                 continue
             changed = True
             for k in np.flatnonzero(const):
-                c = 1 if biases[i - 1][k] >= 0 else -1
-                biases[i] = biases[i] + weights[i][:, k] * c
+                c = 1 if z[k] >= 0 else -1
+                offsets[i] = offsets[i] + weights[i][:, k] * c
                 log.append(f"layer {i} neuron {k + 1}: constant {'+1' if c > 0 else '-1'}, removed")
             weights[i] = weights[i][:, ~const]
             weights[i - 1] = weights[i - 1][~const, :]
             biases[i - 1] = biases[i - 1][~const]
+            offsets[i - 1] = offsets[i - 1][~const]
             widths[i] = int((~const).sum())
             if widths[i] == 0:
                 raise ValueError(f"layer {i} fully stabilized; verification degenerate")
-    return FoldedBnn(tuple(widths), tuple(weights), tuple(biases), tuple(log))
+    return FoldedBnn(tuple(widths), tuple(weights), tuple(biases), tuple(log), tuple(offsets))
 
 
 def induced_fold_run(net, out):
@@ -539,7 +538,10 @@ def test_one_stabilize_pass_reaches_the_fixpoint():
             continue
         out = stabilize(net)
         assert out.widths == expected.widths and out.log == expected.log
-        for a, b in zip(out.weights + out.biases, expected.weights + expected.biases):
+        for a, b in zip(
+            out.weights + out.biases + out.offsets,
+            expected.weights + expected.biases + expected.offsets,
+        ):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         cascades += induced_fold_run(net, out) >= 2
     assert cascades >= 20 and raised >= 50
@@ -583,7 +585,10 @@ def test_stabilize_over_the_cube_region_is_stabilize():
             continue
         out = stabilize(net, cube)
         assert out.widths == expected.widths
-        for a, b in zip(out.weights + out.biases, expected.weights + expected.biases):
+        for a, b in zip(
+            out.weights + out.biases + out.offsets,
+            expected.weights + expected.biases + expected.offsets,
+        ):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert [line.replace(" over the region", "") for line in out.log] == list(expected.log)
         folded += out.widths[1] < net.widths[1]
@@ -607,6 +612,41 @@ def test_stabilize_over_a_region_leaves_a_stabilized_net():
         outputs += 1
         cascades += any(line.startswith("layer 2") for line in out.log)
     assert outputs >= 50 and cascades >= 40
+
+
+def test_stabilize_keeps_every_logit_byte_for_byte():
+    """Folds add integers to an integer sum, and the float bias is added
+    once, as in the unfolded net: `forward` on the stabilized net gives the
+    unfolded net's logits byte for byte.  Biases with one decimal, like
+    0.1, make b + d inexact in binary64 wherever a fold reaches the output
+    layer."""
+    rng = np.random.default_rng(0)
+    widths = (3, 4, 4, 3)
+    output_folds = 0
+    for _ in range(200):
+        weights = [rng.choice([-1, 0, 1], size=(n, m)) for m, n in zip(widths, widths[1:])]
+        biases = [rng.integers(-40, 41, size=n) / 10 for n in widths[1:]]
+        net = FoldedBnn(widths=widths, weights=tuple(weights), biases=tuple(biases))
+        try:
+            out = stabilize(net)
+        except ValueError:
+            continue  # a layer emptied out; nothing to compare
+        output_folds += out.widths[-2] < widths[-2]
+        for x in rng.uniform(-1, 1, size=(5, widths[0])):
+            assert forward(out, x).logits.tobytes() == forward(net, x).logits.tobytes()
+    assert output_folds >= 100
+
+
+def test_offsets_are_integers_one_per_neuron(example1):
+    zeros = tuple(np.zeros(n, dtype=np.int64) for n in example1.widths[1:])
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(example1.offsets, zeros))
+    args = (example1.widths, example1.weights, example1.biases, ())
+    with pytest.raises(ValueError, match="one integer offset"):
+        FoldedBnn(*args, (zeros[0], np.zeros(2), zeros[2]))
+    with pytest.raises(ValueError, match="one integer offset"):
+        FoldedBnn(*args, (zeros[0], np.zeros(3, dtype=np.int64), zeros[2]))
+    with pytest.raises(ValueError, match="layer 1"):
+        FoldedBnn(*args, (np.ones(2, dtype=np.int64), zeros[1], zeros[2]))
 
 
 @pytest.mark.parametrize("seed", range(3))

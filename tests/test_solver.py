@@ -1,6 +1,7 @@
 """Operator-splitting conic solver and the rigorous certificate bound."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -44,13 +45,23 @@ from bnncert.solver import (
     _equilibrate,
     _exact_psd_check,
     conic_setup,
-    _float_down,
-    _float_up,
     _project_cone,
     _psd_groups,
 )
 
 from conftest import make_example1, random_net, random_region
+
+
+def float_down(x: Fraction) -> float:
+    """Reference: the largest float <= x."""
+    f = float(x)
+    return math.nextafter(f, -math.inf) if Fraction(f) > x else f
+
+
+def float_up(x: Fraction) -> float:
+    """Reference: the smallest float >= x."""
+    f = float(x)
+    return math.nextafter(f, math.inf) if Fraction(f) < x else f
 
 
 def sparse(M: np.ndarray) -> SparseMatrix:
@@ -361,7 +372,7 @@ def test_rigorous_bound_budget_is_rounded_up():
     for bound in (rb, tiny):
         exact = Fraction(bound.coefficient_residual) + sum(map(Fraction, bound.eigenvalue_deficits))
         assert Fraction(bound.budget) >= exact
-        assert bound.budget == _float_up(exact)
+        assert bound.budget == float_up(exact)
 
 
 def test_rigorous_bound_rejects_mismatched_certificate(example1):
@@ -557,8 +568,8 @@ def chain_expansion(result, instance, cliques):
             continue
         lam = float(np.linalg.eigvalsh(G)[0])
         widen = G.shape[0] * np.finfo(float).eps * float(np.linalg.norm(G, "fro"))
-        deficits.append(_float_up(G.shape[0] * max(Fraction(0), Fraction(widen) - Fraction(lam))))
-    return _float_down(anchor), _float_up(budget), tuple(deficits)
+        deficits.append(float_up(G.shape[0] * max(Fraction(0), Fraction(widen) - Fraction(lam))))
+    return float_down(anchor), float_up(budget), tuple(deficits)
 
 
 def expansion_instances():
