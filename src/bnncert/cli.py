@@ -14,24 +14,25 @@ a counterexample, from the attack or from an engine alike, only when
 `contains` places it in the region, decided exactly, and `forward` changes
 its label (`_is_counterexample`).
 
+Every reader of a query reads one network: the file's, stabilized over
+the cube and then over the region (`stabilize(net, region)`, left as it is
+where a hidden layer would empty).  Folds are exact, so its `forward` is
+the file's network's at every point of the region; the report's `widths`
+are those of the network stabilized over the cube alone.
+
 Each query draws one seeded sample (`sample_logits`: the center plus
 `SAMPLES` region points, with their logits) and every sampling consumer
-reads it: the opening attack (the first row whose label differs, confirmed
-by `_is_counterexample`), the exact margins at eps 0, and target k's
+reads it: the opening attack (`_find_counterexample`) and target k's
 sampled margin min(logit[label] - logit[k]) for `sample-ub` and
-`--metrics`.  The attack
-runs before any engine, so an easily-falsified query never burns solver
-time.  When it falsifies at a positive radius, no target is bounded: the
-report lists no targets, and `--metrics` no improvement entries.  At eps 0
-every target is listed with its exact forward margin.
+`--metrics`.  The attack runs before any engine, so an easily-falsified
+query never burns solver time.  When it falsifies at a positive radius,
+no target is bounded: the report lists no targets, and `--metrics` no
+improvement entries.  At eps 0 every target is listed with its exact
+forward margin: the objective at `forward`'s activations, rounded down.
 
 Otherwise targets are bounded in class order, sharing what does not depend
 on the target, built once per query: a relaxation's conic problem, or the
-oracle's layer-1 cells.  The bounding engines and `export` read the network
-stabilized over the region (`stabilize(net, region)`), and the objectives
-are built on it; the sampling attack, the default label, the report's
-`widths` and the forward check of every counterexample read the network
-stabilized over the cube.  Bounding stops as soon as the verdict cannot
+oracle's layer-1 cells.  Bounding stops as soon as the verdict cannot
 change: after a confirmed counterexample (any method), or after an
 `lp`/`sdp1`/`sdp1-tight` target that is not certified (these engines return
 no witness, so the verdict can then only be "unknown").  The remaining
@@ -49,6 +50,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -56,6 +58,7 @@ import numpy as np
 from bnncert.encode import (
     PerturbationRegion,
     VerificationInstance,
+    _round_toward,
     encode_lp,
     encode_milp,
     encode_standard,
@@ -72,7 +75,7 @@ from bnncert.model import (
     weight_sparsity,
 )
 from bnncert.oracle import exact_minimum, feasible_patterns, relative_improvement, sample_logits
-from bnncert.poly import MultilinearPoly
+from bnncert.poly import MultilinearPoly, Var
 from bnncert.sdp import (
     ConicProblem,
     assemble_moment_sdp,
@@ -154,12 +157,11 @@ def _sha256(path) -> str:
 
 def _prepare(
     args,
-) -> tuple[FoldedBnn, FoldedBnn, np.ndarray, int, PerturbationRegion, float]:
-    """The query: the stabilized net, the same net stabilized over the
-    region (`net` itself where a hidden layer would empty), the reference
-    input, the label, the region and its radius.  The bounding engines read
-    the second net; the sampling attack, the default label and every
-    forward check read the first."""
+) -> tuple[FoldedBnn, tuple[int, ...], np.ndarray, int, PerturbationRegion, float]:
+    """The query: the network every reader reads (the file's, stabilized
+    over the cube and then over the region, or over the cube alone where a
+    hidden layer would empty), the cube-stabilized network's widths for the
+    report, the reference input, the label, the region and its radius."""
     net = stabilize(fold_batchnorm(load_model(args.model)))
     inputs = load_inputs(args.input)
     if not (1 <= args.index <= inputs.shape[0]):
@@ -182,11 +184,12 @@ def _prepare(
     label = args.label if args.label is not None else forward(net, x0).label
     if not (1 <= label <= net.n_classes):
         raise ValueError(f"--label {label} outside 1..{net.n_classes}")
+    widths = net.widths
     try:
-        folded = stabilize(net, region)
+        net = stabilize(net, region)
     except ValueError:  # a hidden layer emptied out
-        folded = net
-    return net, folded, x0, label, region, eps
+        pass
+    return net, widths, x0, label, region, eps
 
 
 def _is_counterexample(
@@ -205,9 +208,12 @@ def _find_counterexample(
     logits: np.ndarray,
     true_label: int,
 ) -> Optional[np.ndarray]:
-    """The sampling attack: the first row of `sample_logits` whose label
-    differs and that `_is_counterexample` confirms."""
-    for x0 in points[np.argmax(logits, axis=1) + 1 != true_label]:
+    """The sampling attack: the first row of `sample_logits` that
+    `_is_counterexample` confirms, among the rows whose true-class logit is
+    at most some other logit.  Float ties are kept: there only `forward`
+    decides the label, exactly."""
+    rivals = np.count_nonzero(logits >= logits[:, true_label - 1, None], axis=1) > 1
+    for x0 in points[rivals]:
         if _is_counterexample(net, region, x0, true_label):
             return x0
     return None
@@ -352,34 +358,37 @@ def _collect_metrics(
 
 
 def run_verify(args) -> int:
-    net, folded, x0, label, region, eps = _prepare(args)
+    net, widths, x0, label, region, eps = _prepare(args)
     opts = SolveOptions(tol=args.tol, max_iter=args.max_iter)
     points, logits = sample_logits(net, region, SAMPLES, args.seed)
     counterexample = _find_counterexample(net, region, points, logits, label)
-    # each class's least sampled margin; at eps 0 the center's exact margin
+    # each class's least sampled margin
     upper = np.min(logits[:, label - 1, None] - logits, axis=0)
     targets: list[TargetReport] = []
     objectives: dict[int, MultilinearPoly] = {}
     size = None
 
     if eps == 0:
+        last = forward(net, x0).activations[-1].tolist()
+        at_x0 = {Var(net.depth, j): s for j, s in enumerate(last, start=1)}
         for k in range(1, net.n_classes + 1):
             if k == label:
                 continue
-            margin = float(upper[k - 1])
+            exact = Fraction(objective_targeted(net, label, k).evaluate(at_x0))
+            margin = _round_toward(exact.numerator, exact.denominator, -math.inf)
             status = (
-                "robust" if margin > 0
+                "robust" if exact > 0
                 else "falsified" if counterexample is not None
                 else "unknown"
             )
             targets.append(TargetReport(k, "exact-forward", margin, margin, status, 0.0))
     elif counterexample is None:
         objectives = {
-            k: objective_targeted(folded, label, k)
+            k: objective_targeted(net, label, k)
             for k in range(1, net.n_classes + 1)
             if k != label
         }
-        bound, size = _bounder(args.method, folded, region, objectives, opts, upper)
+        bound, size = _bounder(args.method, net, region, objectives, opts, upper)
         relaxed = _encoder(args.method) is not None
         decided = False
         for k, objective in objectives.items():
@@ -411,14 +420,14 @@ def run_verify(args) -> int:
         verdict = "unknown"
 
     metrics = (
-        _collect_metrics(folded, region, targets, objectives, upper, args.method, opts, size)
+        _collect_metrics(net, region, targets, objectives, upper, args.method, opts, size)
         if args.metrics
         else None
     )
     report = VerdictReport(
         model_path=str(args.model),
         model_sha256=_sha256(args.model),
-        widths=net.widths,
+        widths=widths,
         input_index=args.index,
         input_values=tuple(float(v) for v in x0),
         true_label=label,
@@ -439,7 +448,7 @@ def run_verify(args) -> int:
     if args.json:
         report.save(args.json)
 
-    print(f"model {args.model} (sha256 {report.model_sha256[:12]}...), widths {net.widths}")
+    print(f"model {args.model} (sha256 {report.model_sha256[:12]}...), widths {widths}")
     print(f"input #{args.index}, true label {label}, {args.norm} radius {eps:g}")
     for t in targets:
         if t.status == "skipped":
@@ -456,7 +465,7 @@ def run_verify(args) -> int:
 
 
 def run_export(args) -> int:
-    _, net, x0, label, region, eps = _prepare(args)
+    net, _, x0, label, region, eps = _prepare(args)
     if eps == 0:
         raise ValueError("export needs a positive radius")
     target = args.target

@@ -14,12 +14,20 @@ added once to the integer offset d and the sum W x, as in the unfolded
 net.  Every reader goes through two `FoldedBnn` methods: `preactivation`
 for the float value and `exact_bias` for the rational b + d.
 
+The network's value at a point is decided in one place, `forward`, and
+exactly, as every proof reads the network: each hidden sign is the sign of
+the exact pre-activation, with sign(0) := +1, and the label is the lowest
+index among the exact maxima of the output layer; the logits it reports
+are binary64.  Folds are exact, so `forward` on `stabilize(net, region)`
+equals `forward` on `net` at every point of the region.
+
 Class labels and neuron indices are 1-based throughout the package.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -215,10 +223,16 @@ class FoldedBnn:
 
     def preactivation(self, layer: int, x: np.ndarray) -> np.ndarray:
         """The float pre-activations of `layer` at the vector `x`, or at each
-        row of the matrix `x`: W x + b in layer 1, and (W x + d) + b deeper,
-        where x is +/-1, so the unfolded net's value: an exact integer sum,
-        then b added once."""
+        row of the matrix `x`.  Deeper than layer 1, x is +/-1 and the value
+        is (W x + d) + b, the unfolded net's: an exact integer sum, then b
+        added once, so its sign is exact.  In layer 1 at a vector it is the
+        exact sum W x + b correctly rounded (`math.fsum`), so its sign is
+        the exact sign and it is zero only at an exact zero; at a matrix it
+        is one matrix product, rounded in numpy's order."""
         x, w = np.asarray(x), self.weight(layer)
+        if layer == 1 and x.ndim == 1:
+            terms = zip((w * x).tolist(), self.bias(1).tolist())  # w x is exact
+            return np.array([math.fsum([*wx, b]) for wx, b in terms])
         z = w @ x if x.ndim == 1 else x @ w.T
         return (z if layer == 1 else z + self.offsets[layer - 1]) + self.bias(layer)
 
@@ -462,11 +476,29 @@ def _sign_pm1(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1, -1).astype(np.int64)
 
 
-def forward(net: FoldedBnn, x0: Sequence[float]) -> ForwardTrace:
-    """Run the network: x_i = sign(W_i x_{i-1} + b_i), logits affine, argmax label.
+def _exact_argmax(net: FoldedBnn, s: np.ndarray, logits: np.ndarray) -> int:
+    """The lowest class index among the exact maxima of W s + b + d, the
+    output layer at the +/-1 vector `s`, whose float logits are `logits`.
+    Rounding is monotone, so only classes whose logits tie at the maximum
+    are compared, in rationals."""
+    top = np.flatnonzero(logits == logits.max()).tolist()
+    if len(top) == 1:
+        return top[0] + 1
+    out = net.depth + 1
+    ws, b = (net.weight(out) @ s).tolist(), net.exact_bias(out)
+    # max keeps the first of equal maxima, the lowest index
+    return max(top, key=lambda k: ws[k] + b[k]) + 1
 
-    sign(0) := +1; exact zeros are flagged per neuron.  Argmax ties break to
-    the lowest class index.
+
+def forward(net: FoldedBnn, x0: Sequence[float]) -> ForwardTrace:
+    """Run the network: x_i = sign(W_i x_{i-1} + b_i), logits affine, argmax
+    label; the network's value at `x0`, which every reader takes from here.
+
+    Every sign is the sign of the exact pre-activation
+    (`FoldedBnn.preactivation`), with sign(0) := +1, and exact zeros are
+    flagged per neuron.  The logits are binary64; the label is the lowest
+    index among the exact maxima of the output layer, which the float
+    argmax gives except where float logits tie.
     """
     x = np.asarray(x0, dtype=float)
     if x.shape != (net.widths[0],):
@@ -480,25 +512,24 @@ def forward(net: FoldedBnn, x0: Sequence[float]) -> ForwardTrace:
         cur = _sign_pm1(z)
         activations.append(_freeze(cur))
     logits = net.preactivation(net.depth + 1, cur)
-    label = int(np.argmax(logits)) + 1
     return ForwardTrace(
         activations=tuple(activations),
         logits=_freeze(logits),
-        label=label,
+        label=_exact_argmax(net, cur, logits),
         zero_preactivation_flags=tuple(flags),
     )
 
 
 def forward_activations(net: FoldedBnn, xs: np.ndarray) -> tuple[np.ndarray, ...]:
     """Hidden activations of the rows of `xs`, one int64 matrix per layer,
-    with exactly the signs `forward` gives each row.
+    with exactly the signs `forward` gives each row: the exact ones.
 
-    Layer 1 is one matrix product.  Its sums may round in another order
-    than `forward`'s, but both lie within (n0 + 1) * eps/2 * (sum|x| + |b|)
-    of the exact value, so a sign can differ only where a pre-activation is
-    within twice that of zero; those rows are recomputed with `forward`'s
-    expression.  Deeper layers sum integers, which no order rounds, plus one
-    bias rounding (`FoldedBnn.preactivation`).
+    Layer 1 is one matrix product.  Its sums lie within (n0 + 1) * eps/2 *
+    (sum|x| + |b|) of the exact value, so a sign can differ from the exact
+    one only where a pre-activation is within that of zero; the rows with
+    one within 4 (n0 + 2) * eps/2 * (sum|x| + |b|) are recomputed exactly,
+    one row at a time.  Deeper layers sum integers, which no order rounds,
+    plus one bias rounding (`FoldedBnn.preactivation`).
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != net.widths[0]:
@@ -522,7 +553,9 @@ def forward_logits(net: FoldedBnn, xs: np.ndarray) -> np.ndarray:
     They equal `forward`'s byte for byte: both read
     `FoldedBnn.preactivation`, where W x_L + d is an int64 sum, which no
     order rounds, and the bias is added to it once.  So
-    `np.argmax(logits, axis=1) + 1` is `forward`'s label.
+    `np.argmax(logits, axis=1) + 1` is `forward`'s label on every row whose
+    largest logit is unique; where float logits tie at the maximum, only
+    `forward` decides the label, exactly.
     """
     last = forward_activations(net, xs)[-1]
     return net.preactivation(net.depth + 1, last)

@@ -32,7 +32,8 @@ encoding's region rows).
 The other side of the yardstick is sampled: `sample_logits` runs the
 network on the center and seeded region points in one batched pass.  Every
 row is a true execution, so a row's logit margin bounds the exact optimum
-from above and a row whose label differs is a counterexample.
+from above, up to the rounding of the logits, and a row of the region whose
+`forward` label differs is a counterexample.
 `relative_improvement` measures a relaxation against the sampled bound.
 """
 
@@ -517,7 +518,10 @@ def sample_logits(
     (none at radius 0).  The logits come from one batched pass and equal
     `forward`'s byte for byte, so every row is a true network execution and
     min_rows(logits[:, label-1] - logits[:, k-1]) is an upper bound on the
-    exact margin against target k.  Deterministic for a fixed seed.
+    exact margin against target k, up to the rounding of the logits and
+    their difference.  Where a row's float logits tie at the maximum, its
+    label is `forward`'s, decided exactly, not necessarily the float
+    argmax.  Deterministic for a fixed seed.
     """
     points = region.center[None, :]
     if region.radius > 0:

@@ -693,8 +693,9 @@ def _shifted_row(const, coeffs) -> tuple[dict[int, float], float]:
     """The row const + sum_v a_v x_v >= 0 over z = (x + 1)/2 in binary64:
     sum_v 2 a_v z_v >= sum_v a_v - const, each 2 a_v rounded to nearest and
     the right-hand side lowered by the most those roundings can take away
-    over [0, 1], then rounded down, so every z in [0, 1] that meets the
-    exact row meets the written one."""
+    over [0, 1], then rounded down.  So at every z in [0, 1] the written
+    row's slack is at least the exact one's: every z that meets the exact
+    row meets the written one."""
     written, rhs = {}, -Fraction(const)
     for idx, a in coeffs:
         a = Fraction(a)
@@ -712,7 +713,9 @@ def write_mps(instance: VerificationInstance, path) -> None:
     variables are declared integer (hence binary).  The leading comment block
     records the affine map and the objective constant.  Rows are all of type
     G (>=) after the shift, each rounded so that it keeps every exact point
-    (`_shifted_row`).  The region's box is written as the inputs' BOUNDS,
+    (`_shifted_row`), and the objective is rounded so that it lies nowhere
+    above the exact one on [0, 1]: a solver's optimum plus the constant is
+    at most the exact minimum.  The region's box is written as the inputs' BOUNDS,
     rounded outward, and not repeated as rows.
     """
     if instance.encoding_kind != "milp":
@@ -731,11 +734,17 @@ def write_mps(instance: VerificationInstance, path) -> None:
         for row, c in zip(msdp.rows, instance.constraints.inequalities)
         if c.family != "region"
     ]
-    c = _dense(len(variables), msdp.objective)
-    obj_const_z = float(msdp.objective_const) - float(np.sum(c))
+    # the objective goes in as the row -objective >= 0, whose written slack
+    # is nowhere below the exact one (`_shifted_row`): negated back, the
+    # written objective is nowhere above the exact one on [0, 1]
+    negated, obj_const_z = _shifted_row(
+        -msdp.objective_const, [(idx, -a) for idx, a in msdp.objective]
+    )
     binaries = set(instance.binary_vars)
     row_names = [f"R{r+1:06d}" for r in range(len(rows))]
-    entries = [[("OBJ", 2.0 * float(cj))] if cj != 0.0 else [] for cj in c]
+    entries: list[list] = [[] for _ in variables]
+    for idx, w in negated.items():
+        entries[idx - 1].append(("OBJ", -w))
     for name, (written, _) in zip(row_names, rows):
         for idx, w in written.items():
             entries[idx - 1].append((name, w))

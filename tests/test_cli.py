@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -968,3 +969,74 @@ def test_oracle_falsifies_the_tie_that_a_rounded_fold_hid(tmp_path):
     x = rep["counterexample"]
     assert in_region(PerturbationRegion.linf([-0.25], 0.5), x)
     assert forward(fold_batchnorm(load_model(model)), x).label == 1
+
+
+# -- one exact forward pass -----------------------------------------------------
+
+#: layer-1 neuron 1's exact pre-activation is 0 at the region's corner
+#: (0.5, 2^-54, 2^-54), so the region fold makes it constant +1; numpy's
+#: sum 0.5 + 2^-54 + 2^-54 - (0.5 + 2^-53) rounds to -2^-53
+CORNER_NET = FoldedBnn(
+    widths=(3, 2, 2),
+    weights=(np.array([[1, 1, 1], [1, -1, 0]]), np.array([[1, 0], [-1, 0]])),
+    biases=(np.array([-0.5000000000000001, -0.5009765625]), np.zeros(2)),
+)
+CORNER_X = np.array([0.5009765625, 0.0009765625000000555, 0.0009765625000000555])
+
+
+@pytest.mark.parametrize("method", ["oracle", "sdp1-tight", "lp"])
+def test_no_engine_certifies_a_region_whose_corner_changes_label(tmp_path, method):
+    """"robust" never sits beside a point of the region whose `forward`
+    label differs: at the corner, `forward` reads the exact sign, +1, and
+    keeps the center's label."""
+    rc = run(write_query(tmp_path, CORNER_NET, CORNER_X), "--eps", repr(2.0**-10),
+             "--method", method)
+    corner = [0.5, 2.0**-54, 2.0**-54]
+    assert PerturbationRegion.linf(CORNER_X, 2.0**-10).contains(corner)
+    label = forward(CORNER_NET, CORNER_X).label
+    assert not (rc == 0 and forward(CORNER_NET, corner).label != label)
+    assert forward(CORNER_NET, corner).label == 1
+
+
+def output_tie_net(first_bias, out_weights, out_biases):
+    """2-1-3-2 net: at (-0.9999, -0.9999) the layer-1 neuron is -1 and the
+    layer-2 signs are (-1, +1, +1)."""
+    return FoldedBnn(
+        widths=(2, 1, 3, 2),
+        weights=(np.array([[1, 1]]), np.array([[1], [-1], [1]]), np.array(out_weights)),
+        biases=(np.array([first_bias]), np.array([0.5, 0.5, 5]), np.array(out_biases)),
+    )
+
+
+def test_output_tie_at_eps_zero_is_decided_exactly(tmp_path):
+    """Both logits round to 1.1 at (-0.9999, -0.9999), but class 2's,
+    1 + 0.1000000000000001, exceeds class 1's, 1.1, by 1.39e-17 exactly:
+    the eps 0 margin is that exact value rounded down, and it certifies."""
+    net = output_tie_net(1.999, [[-1, 0, -1], [0, 0, 1]], [1.1, 0.1000000000000001])
+    x = np.array([-0.9999, -0.9999])
+    rc, rep = run_json(write_query(tmp_path, net, x), tmp_path, "--eps", "0", "--label", "2")
+    assert rc == 0
+    (target,) = rep["targets"]
+    margin = 1 + Fraction(0.1000000000000001) - Fraction(1.1)
+    assert 0 < target["lower_bound"] <= margin < np.nextafter(target["lower_bound"], 1)
+    trace = forward(net, x)
+    assert trace.logits[0] == trace.logits[1] and trace.label == 2
+    # over the region around (-0.95, -0.95) the engines certify that margin
+    files = write_query(tmp_path, net, np.array([-0.95, -0.95]))
+    for method in ("oracle", "lp"):
+        assert run(files, "--eps", "0.05", "--label", "2", "--method", method) == 0
+
+
+def test_reverse_output_tie_is_falsified(tmp_path):
+    """Class 2 exceeds class 1 by 8.3e-17 exactly on the cell where the
+    layer-1 neuron is -1, half the box, though their logits round to a
+    tie: the attack keeps float ties, and `forward` decides them."""
+    net = output_tie_net(1.9, [[0, 0, 1], [-1, 0, -1]], [0.1, 1.1])
+    files = write_query(tmp_path, net, np.array([-0.95, -0.95]))
+    rc, rep = run_json(files, tmp_path, "--eps", "0.05", "--method", "lp")
+    assert (rc, rep["true_label"]) == (1, 1)
+    x = rep["counterexample"]
+    assert in_region(PerturbationRegion.linf([-0.95, -0.95], 0.05), x)
+    assert forward(net, x).label == 2
+    for method in ("sdp1-tight", "oracle"):
+        assert run(files, "--eps", "0.05", "--method", method) == 1

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from bnncert import (
     Clique,
+    FoldedBnn,
     MultilinearPoly,
     PerturbationRegion,
     Var,
@@ -693,9 +694,10 @@ def test_write_mps_rounds_input_bounds_outward(example1, tmp_path):
         assert Fraction(np.nextafter(written_hi, 0)) < (hi + 1) / 2 <= Fraction(written_hi)
 
 
-def mps_rows(text):
+def mps_rows(text, kinds=("G",)):
     """(lhs, rhs) of a MILP's MPS file: lhs[row] lists its (column, value)
-    entries, rhs[row] its right-hand side (0 when absent), G rows only."""
+    entries, rhs[row] its right-hand side (0 when absent), for the rows of
+    the types `kinds` (G rows by default; N is the objective)."""
     lhs, rhs, section = {}, {}, None
     for line in text.splitlines():
         if line.startswith("*"):
@@ -704,7 +706,7 @@ def mps_rows(text):
             section = line.split()[0]
             continue
         parts = line.split()
-        if section == "ROWS" and parts[0] == "G":
+        if section == "ROWS" and parts[0] in kinds:
             lhs[parts[1]], rhs[parts[1]] = [], Fraction(0)
         elif section == "COLUMNS" and "'MARKER'" not in line and parts[1] in lhs:
             lhs[parts[1]].append((parts[0], Fraction(float(parts[2]))))
@@ -734,3 +736,26 @@ def test_write_mps_rows_hold_at_an_exact_point_of_the_region(example1, tmp_path)
     assert lhs
     for row, entries in lhs.items():
         assert sum(a * point[col] for col, a in entries) >= rhs[row], row
+
+
+def test_write_mps_objective_lies_below_the_exact_one(example1, tmp_path):
+    """Output biases 1 and 2^-70 give the objective the constant 1 - 2^-70,
+    which binary64 rounds up to 1.  The written objective is rounded down
+    instead: at every point with binary hidden values and inputs at the
+    exact box's corners it is at most the exact one, in rationals."""
+    net = FoldedBnn(
+        example1.widths, example1.weights, (*example1.biases[:-1], np.array([1.0, 2.0**-70]))
+    )
+    objective = objective_targeted(net, true_label=1, target=2)
+    assert objective.constant_term() == 1 - Fraction(2) ** -70
+    region = PerturbationRegion.linf([0.1 + 0.0625, 0.5, 0.0], 0.0625)
+    path = tmp_path / "objective.mps"
+    write_mps(encode_milp(net, region, objective), path)
+    lhs, rhs = mps_rows(path.read_text(), kinds=("N",))
+    coeffs, const = dict(lhs["OBJ"]), -rhs["OBJ"]  # RHS holds minus the constant
+    hidden = [Var(i, j) for i in range(1, net.depth + 1) for j in range(1, net.widths[i] + 1)]
+    for corner in itertools.product(*zip(*region.box())):
+        for signs in itertools.product((-1, 1), repeat=len(hidden)):
+            point = dict(zip(hidden, signs)) | {Var(0, k): v for k, v in enumerate(corner, 1)}
+            z = {f"Z{v.layer}_{v.index}": Fraction(x + 1) / 2 for v, x in point.items()}
+            assert const + sum(a * z[col] for col, a in coeffs.items()) <= objective.evaluate(point)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,7 @@ from bnncert import (
     weight_sparsity,
 )
 from bnncert.model import DEFAULT_BN_EPSILON, forward_activations, forward_logits
+from bnncert.oracle import sample_region
 
 from conftest import make_example1, random_net, random_region
 
@@ -667,8 +669,55 @@ def test_batched_activations_have_the_forward_signs(seed):
         trace = forward(net, x)
         assert all(np.array_equal(a, r) for a, r in zip(trace.activations, rows))
         assert logits.tobytes() == trace.logits.tobytes()
+        # and layer 1's are the signs of the exact sums
+        exact = [sum(map(Fraction, (wj * x).tolist()), Fraction(bj)) for wj, bj in zip(w, b)]
+        assert rows[0].tolist() == [1 if z >= 0 else -1 for z in exact]
 
 
 def test_batched_activations_reject_wrong_width(example1):
     with pytest.raises(ValueError, match="do not match"):
         forward_activations(example1, np.zeros((2, 2)))
+
+
+def test_region_fold_keeps_every_label_in_the_region():
+    """Folds are exact and `forward` reads exact signs, so `forward` on
+    `stabilize(net, region)` gives `net`'s label, and its logits byte for
+    byte, at every point of the region: here at every corner of the
+    region's inward float box and at seeded samples.  Half the layer-1
+    neurons take minus their least W x over the box's corners, correctly
+    rounded, as the bias, so they sit at or within rounding of zero on a
+    corner; some coordinates have a corner a few ulps of 1/2 off 0, so
+    float sums there lose the small terms, as in a sum 0.5 + 2^-54 +
+    2^-54.  Centers and radii in tenths round as well."""
+    rng = np.random.default_rng(0)
+    compared = folded = zeros = 0
+    for k in range(200):
+        scale = 8 if k % 2 else 10
+        n0 = int(rng.integers(1, 7))
+        widths = (n0, int(rng.integers(2, 5)), 2)
+        weights = [rng.choice([-1, 0, 1], size=(n, m)) for m, n in zip(widths, widths[1:])]
+        biases = [rng.integers(-scale, scale + 1, size=n) / scale for n in widths[1:]]
+        radius = int(rng.integers(1, scale)) / scale / 2
+        edge = rng.choice([-1, 1], size=n0) * (radius + rng.integers(1, 4, size=n0) * 2.0**-54)
+        center = rng.integers(-scale, scale + 1, size=n0) / scale
+        center = np.where(rng.integers(2, size=n0).astype(bool), edge, center)
+        region = getattr(PerturbationRegion, "linf" if k % 4 < 2 else "l2")(center, radius)
+        for j, w in enumerate(weights[0]):
+            if rng.integers(2):
+                corner = np.where(w > 0, region.lower, region.upper)
+                biases[0][j] = -math.fsum((w * corner).tolist())
+        net = FoldedBnn(widths=widths, weights=tuple(weights), biases=tuple(biases))
+        try:
+            out = stabilize(net, region)
+        except ValueError:
+            continue  # a layer emptied out; nothing to compare
+        compared += 1
+        folded += any("over the region" in line for line in out.log)
+        corners = list(itertools.product(*zip(region.lower, region.upper)))
+        for x in [*corners, *sample_region(region, 16, rng)]:
+            if region.contains(x):
+                trace, got = forward(net, x), forward(out, x)
+                zeros += bool(trace.zero_preactivation_flags[0].any())
+                assert got.label == trace.label, (k, x)
+                assert got.logits.tobytes() == trace.logits.tobytes(), (k, x)
+    assert compared >= 100 and folded >= 80 and zeros >= 200
