@@ -562,16 +562,33 @@ def forward_logits(net: FoldedBnn, xs: np.ndarray) -> np.ndarray:
 
 
 def forward_raw(raw: RawBnn, x0: Sequence[float]) -> int:
-    """Label under explicit batch-norm arithmetic (reference for fold tests)."""
+    """Label under explicit batch-norm arithmetic (reference for fold tests).
+
+    Coded apart from `forward`, to the same rules: layer 1's sum W x + b is
+    the exact one correctly rounded (`math.fsum` over the products, each
+    exact for a ternary w), a deeper sum is an integer plus one bias
+    rounding, and the label is the lowest index among the exact maxima of
+    the output layer, whose float logits are compared in rationals only
+    where they tie.  A batch-norm block normalizes in binary64, so on a net
+    with batch-norm this is a float reference, not an exact one.
+    """
     x = np.asarray(x0, dtype=float)
     for i in range(1, len(raw.widths)):
-        z = raw.weights[i - 1] @ x + raw.biases[i - 1]
+        w, b = raw.weights[i - 1], raw.biases[i - 1]
+        if i == 1:
+            z = np.array([math.fsum([*(row * x).tolist(), bk]) for row, bk in zip(w, b.tolist())])
+        else:
+            z = w @ x + b
         blk = raw.bn[i - 1]
         if blk is not None:
             z = blk.gamma * (z - blk.mu) / np.sqrt(blk.var + raw.bn_epsilon) - blk.beta
         if i == len(raw.widths) - 1:
-            return int(np.argmax(z)) + 1
-        x = _sign_pm1(z)
+            # no batch-norm here: w x is an exact integer, so z_k = w_k x + b_k
+            # rounded once, and equal logits are compared exactly
+            top = np.flatnonzero(z == z.max()).tolist()
+            exact = [Fraction(int(v)) + Fraction(bk) for v, bk in zip((w @ x).tolist(), b.tolist())]
+            return max(top, key=lambda k: exact[k]) + 1
+        x = np.where(z >= 0, 1.0, -1.0)
     raise AssertionError("unreachable")
 
 

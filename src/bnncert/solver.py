@@ -7,21 +7,24 @@ onto the cone product; the scaled dual variable is, by construction, always a
 member of the dual cone (clipping for the nonnegative rows, an eigenvalue
 floor for PSD blocks), so the final iterate doubles as a certificate:
 nonnegative multipliers for the scalar rows and one Gram matrix per clique
-block.  The PSD blocks are grouped by size; each iteration then projects
-every group with one stacked `eigh` (a moment relaxation has one to a few
-sizes), with the same result as a per-block loop.
+block.  The PSD blocks are grouped by size, and each group carries the index
+maps between the cone vector and its stacked matrices, built once per
+problem in `conic_setup`.  Each iteration then projects every group with
+one gather, one stacked `eigh`, one product and one scatter (a moment
+relaxation has one to a few sizes), bit for bit the per-block smat -> eigh
+-> svec loop; the affine step runs in buffers allocated once per solve.
 
 Everything that depends only on `A` -- the equilibration, the scaled matrix,
-the normal-equation factorization and the size groups -- is a `ConicSetup`,
-built once by `conic_setup` and shared by problems that differ only in their
-objective (the attack targets of one query).  All of it runs on numpy
-arrays: `A` is a `SparseMatrix` of sorted triplets.  A row of `A` that
-holds one entry (every PSD row of a moment relaxation, the LP's box and
-interval rows) adds only to the diagonal of A^T A, so A^T A is a diagonal
-plus the low-rank term of the other rows.  The matrix inversion lemma solves
-the normal equations through a dense matrix with one row per such row (the
-capacitance matrix, as in CDCS: Zheng et al. 2020), inverted once; see
-`_make_solver`.
+the normal-equation factorization and the size groups with their maps -- is
+a `ConicSetup`, built once by `conic_setup` and shared by problems that
+differ only in their objective (the attack targets of one query).  All of
+it runs on numpy arrays: `A` is a `SparseMatrix` of sorted triplets.  A row
+of `A` that holds one entry (every PSD row of a moment relaxation, the LP's
+box and interval rows) adds only to the diagonal of A^T A, so A^T A is a
+diagonal plus the low-rank term of the other rows.  The matrix inversion
+lemma solves the normal equations through a dense matrix with one row per
+such row (the capacitance matrix, as in CDCS: Zheng et al. 2020), inverted
+once; see `_make_solver`.
 
 A caller that only needs a verdict passes `solve_conic` a `settled`
 callback: at each convergence check whose float screen could certify, the
@@ -33,9 +36,11 @@ holds despite floating-point error: the certificate combination is expanded
 exactly, reduced modulo x^2 = 1, and the leftover polynomial is bounded
 coefficient-wise using |x| <= 1 for every variable.  The expansion runs in
 Python integers at one common scale (binary64 values are dyadic rationals),
-over the reduced monomials numbered once per call; a Gram entry's monomial
-is built and reduced by `poly.mono_mul` and `poly.reduce_mono`, the algebra
-of every exact polynomial.  Each Gram upper triangle becomes integers once,
+over numbered reduced monomials.  The Gram entries' monomials are numbered
+once per clique cover (`_gram_numbering`), so every target and settled
+check of one relaxation reads that numbering; a Gram entry's monomial is
+built and reduced by `poly.mono_mul` and `poly.reduce_mono`, the algebra of
+every exact polynomial.  Each Gram upper triangle becomes integers once,
 at that scale, and the expansion, the PSD proof and its disproof all read
 that one image: a block costs nothing when a fraction-free integer LDL^T
 proves it PSD, and pays an eigenvalue-deficit term otherwise; an exact
@@ -46,10 +51,12 @@ bit-identical output.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -58,7 +65,9 @@ from bnncert.poly import mono_mul, reduce_mono
 from bnncert.sdp import (
     ConicProblem,
     SparseMatrix,
+    _svec_map,
     assemble_moment_sdp,
+    # unused here; perfbench's tracer counts calls through solver.smat/svec
     smat,
     svec,
     to_conic,
@@ -152,32 +161,73 @@ class RigorousBound:
 # ---------------------------------------------------------------------------
 
 
-def _psd_groups(problem: ConicProblem) -> list[tuple[int, np.ndarray]]:
-    """PSD blocks grouped by size: (size, rows) with `rows[b]` the cone rows
-    of the group's b-th block, so `w[rows]` gathers the group's svecs."""
+@dataclass(frozen=True)
+class _PsdGroup:
+    """The PSD blocks of one size and the index maps of their projection.
+
+    `rows[b]` holds the cone rows of the group's b-th block.  On the way in,
+    `w[gather] / divisor` is the stack of the blocks' symmetric matrices:
+    entries (p, q) and (q, p) read the same svec row and divide by its svec
+    factor.  On the way back, `upper` and `lower` are the flat positions of
+    entries (p, q) and (q, p), p <= q, of each block's svec position in the
+    stacked matrices, in `rows` order, and `scale` the svec factor of each.
+    """
+
+    size: int
+    rows: np.ndarray
+    gather: np.ndarray
+    divisor: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+    scale: np.ndarray
+
+
+def _psd_groups(problem: ConicProblem) -> list[_PsdGroup]:
+    """PSD blocks grouped by size, each group with its projection maps."""
     starts: dict[int, list[int]] = {}
     for size, start in zip(problem.psd_sizes, problem.block_offsets()):
         starts.setdefault(size, []).append(start)
-    return [
-        (size, np.add.outer(offsets, np.arange(size * (size + 1) // 2)))
-        for size, offsets in starts.items()
-    ]
+    groups = []
+    for size, offsets in starts.items():
+        rows = np.add.outer(offsets, np.arange(size * (size + 1) // 2))
+        p, q, scale = _svec_map(size)
+        # the svec position of every matrix entry, (p, q) and (q, p) alike
+        position = np.empty((size, size), dtype=np.intp)
+        position[p, q] = position[q, p] = np.arange(p.size)
+        blocks = np.arange(len(offsets))[:, None] * (size * size)
+        groups.append(_PsdGroup(
+            size=size,
+            rows=rows,
+            gather=rows[:, position],
+            divisor=scale[position],
+            upper=blocks + (p * size + q),
+            lower=blocks + (q * size + p),
+            scale=scale,
+        ))
+    return groups
 
 
 def _project_cone(
-    w: np.ndarray, n_nonneg: int, groups: Sequence[tuple[int, np.ndarray]]
+    w: np.ndarray,
+    n_nonneg: int,
+    groups: Sequence[_PsdGroup],
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Projection onto (R+)^n_nonneg x PSD blocks; one stacked `eigh` per
-    group of equal-size blocks (see `_psd_groups`)."""
-    s = w.copy()
-    if n_nonneg:
-        np.maximum(w[:n_nonneg], 0.0, out=s[:n_nonneg])
-    for size, rows in groups:
-        lam, V = np.linalg.eigh(smat(w[rows], size))
+    """Projection onto (R+)^n_nonneg x PSD blocks, into `out` if given.
+
+    Per group of equal-size blocks (see `_psd_groups`, whose maps
+    `conic_setup` builds once per problem): one gather-and-divide into the
+    stacked matrices, one stacked `eigh`, one product V diag(max(lam, 0))
+    V^T and one symmetrized scatter back to svec form.  Bit for bit the
+    per-block smat -> eigh -> svec of (P + P^T) / 2.
+    """
+    s = np.empty_like(w) if out is None else out
+    np.maximum(w[:n_nonneg], 0.0, out=s[:n_nonneg])
+    for g in groups:
+        lam, V = np.linalg.eigh(w[g.gather] / g.divisor)
         np.maximum(lam, 0.0, out=lam)
-        P = (V * lam[:, None, :]) @ V.transpose(0, 2, 1)
-        P = (P + P.transpose(0, 2, 1)) * 0.5
-        s[rows] = svec(P)
+        P = ((V * lam[:, None, :]) @ V.transpose(0, 2, 1)).reshape(-1)
+        s[g.rows] = (P[g.upper] + P[g.lower]) * 0.5 * g.scale
     return s
 
 
@@ -370,9 +420,11 @@ def solve_conic(
     c = D * c0vec
 
     rho = 1.0
+    c_rho = c / rho
     y = np.zeros(n)
     s = _project_cone(b, problem.n_nonneg, groups)
     u = np.zeros(m)
+    v, w = np.empty(m), np.empty(m)
 
     bnorm = 1.0 + np.linalg.norm(b0)
     cnorm = 1.0 + np.linalg.norm(c0vec)
@@ -415,12 +467,17 @@ def solve_conic(
 
     status = "max_iter"
     for it in range(1, opts.max_iter + 1):
-        rhs = At @ (b - s - u) - c / rho
+        # in place, each difference in a fixed order: (b - s) - u, then
+        # A^T v - c/rho, then (b - Ay) - u
+        np.subtract(b, s, out=v)
+        np.subtract(v, u, out=v)
+        rhs = At @ v
+        np.subtract(rhs, c_rho, out=rhs)
         y = solve_normal(rhs)
-        Ay = A @ y
-        w = b - Ay - u
-        s = _project_cone(w, problem.n_nonneg, groups)
-        u = s - w  # = u + Ay + s - b
+        np.subtract(b, A @ y, out=w)
+        np.subtract(w, u, out=w)
+        _project_cone(w, problem.n_nonneg, groups, out=s)
+        np.subtract(s, w, out=u)  # = u + Ay + s - b
 
         if it % CHECK_EVERY and it != opts.max_iter:
             continue
@@ -438,9 +495,11 @@ def solve_conic(
             if pres > 10.0 * dres and rho < 1e6:
                 u *= 0.5
                 rho *= 2.0
+                c_rho = c / rho
             elif dres > 10.0 * pres and rho > 1e-6:
                 u *= 2.0
                 rho *= 0.5
+                c_rho = c / rho
 
     return result(status, it, point, residuals)
 
@@ -485,15 +544,44 @@ def _exact_psd_check(upper: Sequence[Sequence[int]]) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=8)
+def _gram_numbering(
+    cliques: tuple[Clique, ...]
+) -> tuple[Mapping, tuple[tuple[int, ...], ...]]:
+    """The reduced monomials of the Gram entries of `cliques`, numbered in
+    a read-only table whose slot 0 is the constant monomial, and per clique
+    the slot of every upper-triangle entry of its Gram matrix, row by row.
+
+    Every target and every settled check of one relaxation reads the same
+    clique cover, so the table is built once per cover; `_number_terms`
+    copies it before adding to it.
+    """
+    slots: dict = {(): 0}
+    gram_slots = []
+    for clique in cliques:
+        # entry (p, q) of the Gram matrix of (1, x_clique) multiplies x_p x_q
+        # (x_0 = 1, the monomial ())
+        xs = ((),) + tuple(((v, 1),) for v in clique.variables)
+        gram_slots.append(tuple(
+            slots.setdefault(reduce_mono(mono_mul(xs[p], xs[q])), len(slots))
+            for p in range(len(xs))
+            for q in range(p, len(xs))
+        ))
+    return MappingProxyType(slots), tuple(gram_slots)
+
+
 def _number_terms(objective, rows, cliques: Sequence[Clique]):
     """Number the reduced monomials of `objective`, of the constraint `rows`
-    and of the Gram entries of `cliques` (slot 0 is the constant monomial).
+    and of the Gram entries of `cliques` (slot 0 is the constant monomial),
+    starting from the cover's `_gram_numbering`.
 
     Returns the slot count, the objective's and each row's terms as (slot,
     exact coefficient), and per clique the slot of every upper-triangle
-    entry of its Gram matrix, row by row.
+    entry of its Gram matrix, row by row.  The slot order is immaterial to
+    the caller's sums.
     """
-    slots: dict = {(): 0}
+    gram_table, gram_slots = _gram_numbering(tuple(cliques))
+    slots = dict(gram_table)
 
     def slot(mono) -> int:
         return slots.setdefault(reduce_mono(mono), len(slots))
@@ -503,14 +591,6 @@ def _number_terms(objective, rows, cliques: Sequence[Clique]):
 
     objective_terms = terms(objective)
     row_terms = [terms(row) for row in rows]
-    gram_slots = []
-    for clique in cliques:
-        # entry (p, q) of the Gram matrix of (1, x_clique) multiplies x_p x_q
-        # (x_0 = 1, the monomial ())
-        xs = ((),) + tuple(((v, 1),) for v in clique.variables)
-        gram_slots.append(
-            [slot(mono_mul(xs[p], xs[q])) for p in range(len(xs)) for q in range(p, len(xs))]
-        )
     return len(slots), objective_terms, row_terms, gram_slots
 
 

@@ -424,6 +424,43 @@ def test_stabilize_folds_constants_into_biases_exactly():
     assert labels == [2, 1, 1, 1]
 
 
+@pytest.mark.parametrize(
+    "raw, x, label",
+    [
+        # layer-1 neuron 1's exact pre-activation is 0 here; numpy's sum
+        # 0.5 + 2^-54 + 2^-54 - (0.5 + 2^-53) rounds to -2^-53
+        (
+            RawBnn(
+                widths=(3, 2, 2),
+                weights=(np.array([[1, 1, 1], [1, -1, 0]]), np.array([[1, 0], [-1, 0]])),
+                biases=(np.array([-0.5000000000000001, -0.5009765625]), np.zeros(2)),
+                bn=(None, None),
+            ),
+            [0.5, 2.0**-54, 2.0**-54],
+            1,
+        ),
+        # both logits round to 1.1; class 2's exceeds class 1's by 1.39e-17
+        (
+            RawBnn(
+                widths=(2, 1, 3, 2),
+                weights=(np.array([[1, 1]]), np.array([[1], [-1], [1]]),
+                         np.array([[-1, 0, -1], [0, 0, 1]])),
+                biases=(np.array([1.999]), np.array([0.5, 0.5, 5]),
+                        np.array([1.1, 0.1000000000000001])),
+                bn=(None, None, None),
+            ),
+            [-0.9999, -0.9999],
+            2,
+        ),
+    ],
+    ids=["corner", "output-tie"],
+)
+def test_forward_raw_agrees_with_forward_without_batchnorm(raw, x, label):
+    """Without batch-norm the reference reads the exact layer-1 sign and
+    breaks float logit ties exactly, as `forward` does."""
+    assert forward_raw(raw, x) == forward(fold_batchnorm(raw), x).label == label
+
+
 def fold_into(b, d, hidden):
     """A net whose layer 2 has bias b, once |d| neurons of layer 1, each
     read with weight +1, fold to sign(d): a hidden layer when `hidden`, else

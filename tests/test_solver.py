@@ -426,7 +426,7 @@ def mixed_cone_point(seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_project_cone_matches_per_block_eigh(seed):
     n_nonneg, groups, w = mixed_cone_point(seed)
-    assert sorted(size for size, _ in groups) == [3, 10, 14]
+    assert sorted(g.size for g in groups) == [3, 10, 14]
     out = _project_cone(w, n_nonneg, groups)
     np.testing.assert_array_equal(out, project_cone_loop(w, n_nonneg, MIXED_SIZES))
 
@@ -435,12 +435,74 @@ def test_project_cone_lands_in_the_cone_and_is_idempotent():
     n_nonneg, groups, w = mixed_cone_point(3)
     once = _project_cone(w, n_nonneg, groups)
     assert np.all(once[:n_nonneg] >= 0.0)
-    for size, rows in groups:
-        blocks = smat(once[rows], size)
+    for g in groups:
+        blocks = smat(once[g.rows], g.size)
         lam_min = np.linalg.eigvalsh(blocks)[:, 0]
         assert np.all(lam_min >= -1e-12 * np.linalg.norm(blocks, axis=(1, 2)))
     twice = _project_cone(once, n_nonneg, groups)
     np.testing.assert_allclose(twice, once, rtol=0, atol=1e-12)
+
+
+def solve_conic_loop(problem, setup, max_iter):
+    """Reference: `solve_conic`'s iteration with no tolerance met, block by
+    block through smat, eigh and svec (`project_cone_loop`), with fresh
+    arrays and c / rho formed at every iteration.  Returns the unscaled
+    (y, s, z) after `max_iter` iterations and the final rho."""
+    E, D, A, At = setup.E, setup.D, setup.A, setup.At
+    b, c = E * problem.b, D * problem.c
+    rho = 1.0
+    s = project_cone_loop(b, problem.n_nonneg, problem.psd_sizes)
+    u = np.zeros(problem.n_rows)
+    bnorm = 1.0 + np.linalg.norm(problem.b)
+    cnorm = 1.0 + np.linalg.norm(problem.c)
+    for it in range(1, max_iter + 1):
+        y = setup.solve_normal(At @ (b - s - u) - c / rho)
+        w = b - A @ y - u
+        s = project_cone_loop(w, problem.n_nonneg, problem.psd_sizes)
+        u = s - w
+        if it % 200 == 0 and it < max_iter:  # residual balancing
+            pres = np.linalg.norm(problem.A @ (D * y) + s / E - problem.b) / bnorm
+            dres = np.linalg.norm(problem.c + setup.A0t @ (E * (rho * u))) / cnorm
+            if pres > 10.0 * dres and rho < 1e6:
+                u *= 0.5
+                rho *= 2.0
+            elif dres > 10.0 * pres and rho > 1e-6:
+                u *= 2.0
+                rho *= 0.5
+    return D * y, s / E, E * (rho * u), rho
+
+
+@pytest.mark.parametrize(
+    "seed, psd_sizes, max_iter",
+    [
+        (2, (9, 9, 5), 200),  # two blocks stacked in one group
+        (5, (20, 8), 300),  # rho halves at iteration 200
+    ],
+    ids=["stacked", "rho-halved"],
+)
+def test_solve_matches_the_per_block_loop_byte_for_byte(seed, psd_sizes, max_iter):
+    """The solve's cone maps, buffers and cached c / rho give the iterates
+    of the plain loop, bit for bit, on a region-folded 10-8-8-3 query."""
+    rng = np.random.default_rng(seed)
+    net = stabilize(random_net(rng, (10, 8, 8, 3)))
+    region = random_region(rng, 10, radii=(0.1, 0.2))
+    net = stabilize(net, region)
+    problem = to_conic(assemble_moment_sdp(
+        encode_tightened(net, region, objective_targeted(net, 1, 2))
+    ))
+    assert problem.psd_sizes == psd_sizes
+    setup = conic_setup(problem)
+    res = solve_conic(problem, SolveOptions(tol=1e-12, max_iter=max_iter), setup)
+    y, s, z, rho = solve_conic_loop(problem, setup, max_iter)
+    assert (res.status, res.iterations) == ("max_iter", max_iter)
+    assert (rho == 1.0) == (max_iter == 200)
+    sigmas, grams = problem.split_cone_vector(z)
+    slack_nonneg, slack_psd = problem.split_cone_vector(s)
+    assert res.y.tobytes() == y.tobytes()
+    assert res.sigmas.tobytes() == sigmas.tobytes()
+    assert res.slack_nonneg.tobytes() == slack_nonneg.tobytes()
+    assert [G.tobytes() for G in res.grams] == [G.tobytes() for G in grams]
+    assert [S.tobytes() for S in res.slack_psd] == [S.tobytes() for S in slack_psd]
 
 
 # -- exact layer: integer PSD proof and certificate expansion -------------------
@@ -883,6 +945,42 @@ def assert_matches_chain(cert, inst, cliques):
         chain_expansion(cert, inst, cliques)
     )
     return rb
+
+
+def bound_bits(rb):
+    return tuple(x.hex() for x in (rb.value, rb.anchor, rb.coefficient_residual,
+                                   *rb.eigenvalue_deficits))
+
+
+def test_rigorous_bound_reads_the_cover_numbered_once():
+    """Two targets of one relaxation share their cover's Gram numbering.
+    Each bound is, bit for bit, the one of a freshly numbered cover, and the
+    chain expansion's; again after another cover is numbered in between."""
+    net, region, label = seeded_query()
+    inst = encode_tightened(net, region, objective_targeted(net, label, 2))
+    msdp = assemble_moment_sdp(inst)
+    problem = to_conic(msdp)
+    setup = conic_setup(problem)
+    targets = []
+    for k in (2, 3):
+        f = objective_targeted(net, label, k)
+        res = solve_conic(problem.with_objective(f), SolveOptions(tol=1e-4, max_iter=150), setup)
+        targets.append((res, with_objective(inst, f)))
+    fresh = []
+    for res, target_inst in targets:
+        solver._gram_numbering.cache_clear()
+        fresh.append(bound_bits(assert_matches_chain(res, target_inst, msdp.cliques)))
+    solver._gram_numbering.cache_clear()
+    other_inst, other_cliques, other_res = query_certificate()
+    assert tuple(other_cliques) != tuple(msdp.cliques)
+    for number_other in (False, True):
+        if number_other:
+            rigorous_lower_bound(other_res, other_inst, other_cliques)
+        hits = solver._gram_numbering.cache_info().hits
+        bounds = [rigorous_lower_bound(res, target_inst, msdp.cliques)
+                  for res, target_inst in targets]
+        assert [bound_bits(rb) for rb in bounds] == fresh
+        assert solver._gram_numbering.cache_info().hits > hits
 
 
 def test_expansion_keeps_non_dyadic_objective_coefficients_exact():
