@@ -107,17 +107,16 @@ def sample_instance(rng: np.random.Generator, norm: str):
         W = net.weights[0]
         ratio = max(float(np.abs(r).sum() / np.linalg.norm(r)) for r in W)
         region = PerturbationRegion.l2(center, 0.55 * ratio)
-    objective = objective_targeted(net, label, target)
-    return net, region, label, target, objective
+    return net, region, objective_targeted(net, label, target)
 
 
-def ladder(net, region, label, target, objective, opts):
+def ladder(net, region, objective, opts):
     """(tau_lp, tau_sdp1, tau_tight, rig_tight, tau_exact)."""
-    lp = encode_lp(net, region, objective, true_label=label, target=target)
+    lp = encode_lp(net, region, objective)
     tau_lp = solve_lp(lp, opts).primal_objective
-    std = encode_standard(net, region, objective, true_label=label, target=target)
+    std = encode_standard(net, region, objective)
     tau_std = solve_conic(to_conic(assemble_moment_sdp(std)), opts).primal_objective
-    tight = encode_tightened(net, region, objective, true_label=label, target=target)
+    tight = encode_tightened(net, region, objective)
     msdp = assemble_moment_sdp(tight)
     r_tight = solve_conic(to_conic(msdp), opts)
     rig = rigorous_lower_bound(r_tight, tight, msdp.cliques).value
@@ -137,9 +136,7 @@ def showcase() -> None:
     print(f"{'eps':>5} {'tau_lp':>9} {'tau_sdp1':>9} {'tight':>9} {'rig_tight':>10} {'exact':>9}  verdict")
     for eps in (0.2, 0.7, 1.0):
         region = PerturbationRegion.linf(x0, eps)
-        tau_lp, tau_std, tau_tight, rig, tau_exact = ladder(
-            net, region, 2, 1, objective, SHOWCASE_OPTS
-        )
+        tau_lp, tau_std, tau_tight, rig, tau_exact = ladder(net, region, objective, SHOWCASE_OPTS)
         verdict = "robust (certified)" if rig > 0 else "not certified"
         print(
             f"{eps:>5.2f} {fmt(tau_lp)} {fmt(tau_std)} {fmt(tau_tight)} "
@@ -157,10 +154,8 @@ def random_table(n: int, seed: int, norm: str) -> int:
     )
     violations = 0
     for _ in range(n):
-        net, region, label, target, objective = sample_instance(rng, norm)
-        tau_lp, tau_std, tau_tight, rig, tau_exact = ladder(
-            net, region, label, target, objective, OPTS
-        )
+        net, region, objective = sample_instance(rng, norm)
+        tau_lp, tau_std, tau_tight, rig, tau_exact = ladder(net, region, objective, OPTS)
         tol = 1e-5
         ordered = (
             tau_lp - tol <= tau_tight

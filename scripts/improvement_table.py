@@ -99,23 +99,19 @@ def main(argv=None) -> int:
             region = PerturbationRegion.linf(center, eps)
             objective = objective_targeted(net, label, target)
 
-            lp = encode_lp(net, region, objective, true_label=label, target=target)
+            lp = encode_lp(net, region, objective)
             tau_lp = solve_lp(lp, OPTS).primal_objective
-            _, logits = sample_logits(net, region, args.samples, args.seed)
+            _, logits, _ = sample_logits(net, region, args.samples, args.seed)
             ub = float(np.min(logits[:, label - 1] - logits[:, target - 1]))
             if not ub - tau_lp > MIN_GAP:
                 no_gap += 1
                 continue
 
-            std = encode_standard(
-                net, region, objective, true_label=label, target=target
-            )
+            std = encode_standard(net, region, objective)
             tau_std = solve_conic(
                 to_conic(assemble_moment_sdp(std)), OPTS
             ).primal_objective
-            tight = encode_tightened(
-                net, region, objective, true_label=label, target=target
-            )
+            tight = encode_tightened(net, region, objective)
             tau_tight = solve_conic(
                 to_conic(assemble_moment_sdp(tight)), OPTS
             ).primal_objective

@@ -11,8 +11,9 @@ strictly positive rigorous bound for every target, "falsified" demands an
 explicit point whose forward label differs.  The region is an exact set
 (`PerturbationRegion`): every proof covers all of it, and a point counts as
 a counterexample, from the attack or from an engine alike, only when
-`contains` places it in the region, decided exactly, and `forward` changes
-its label (`_is_counterexample`).
+`contains` places it in the region, decided exactly, and its exact label
+differs (`_find_counterexample` for the attack's rows, `_is_counterexample`
+for an engine's point).
 
 Every reader of a query reads one network: the file's, stabilized over
 the cube and then over the region (`stabilize(net, region)`, left as it is
@@ -21,14 +22,16 @@ the file's network's at every point of the region; the report's `widths`
 are those of the network stabilized over the cube alone.
 
 Each query draws one seeded sample (`sample_logits`: the center plus
-`SAMPLES` region points, with their logits) and every sampling consumer
-reads it: the opening attack (`_find_counterexample`) and target k's
-sampled margin min(logit[label] - logit[k]) for `sample-ub` and
-`--metrics`.  The attack runs before any engine, so an easily-falsified
-query never burns solver time.  When it falsifies at a positive radius,
-no target is bounded: the report lists no targets, and `--metrics` no
-improvement entries.  At eps 0 every target is listed with its exact
-forward margin: the objective at `forward`'s activations, rounded down.
+`SAMPLES` region points, with the logits and exact labels of one
+`forward_rows` pass) and every sampling consumer reads it: the opening
+attack (`_find_counterexample`, the first row of the region whose label
+differs) and target k's sampled margin min(logit[label] - logit[k]) for
+`sample-ub` and `--metrics`.  The attack runs before any engine, so an
+easily-falsified query never burns solver time.  When it falsifies at a
+positive radius, no target is bounded: the report lists no targets, and
+`--metrics` no improvement entries.  At eps 0 every target is listed with
+its exact forward margin: the objective at `forward`'s activations,
+rounded down.
 
 Otherwise targets are bounded in class order, sharing what does not depend
 on the target, built once per query: a relaxation's conic problem, or the
@@ -195,27 +198,20 @@ def _prepare(
 def _is_counterexample(
     net: FoldedBnn, region: PerturbationRegion, x0: np.ndarray, true_label: int
 ) -> bool:
-    """The proof behind a "falsified" verdict, for the attack's points and
-    an engine's alike: `x0` lies in the region, decided exactly, and a
-    one-row run of the network's definition, `forward`, changes its label."""
+    """The proof behind an engine's "falsified" verdict: `x0` lies in the
+    region, decided exactly, and `forward` changes its label."""
     return region.contains(x0) and forward(net, x0).label != true_label
 
 
 def _find_counterexample(
-    net: FoldedBnn,
-    region: PerturbationRegion,
-    points: np.ndarray,
-    logits: np.ndarray,
-    true_label: int,
+    region: PerturbationRegion, points: np.ndarray, labels: np.ndarray, true_label: int
 ) -> Optional[np.ndarray]:
-    """The sampling attack: the first row of `sample_logits` that
-    `_is_counterexample` confirms, among the rows whose true-class logit is
-    at most some other logit.  Float ties are kept: there only `forward`
-    decides the label, exactly."""
-    rivals = np.count_nonzero(logits >= logits[:, true_label - 1, None], axis=1) > 1
-    for x0 in points[rivals]:
-        if _is_counterexample(net, region, x0, true_label):
-            return x0
+    """The sampling attack: the first row of `sample_logits` whose exact
+    label differs from `true_label` and that lies in the region, decided
+    exactly."""
+    for r in np.flatnonzero(labels != true_label):
+        if region.contains(points[r]):
+            return points[r]
     return None
 
 
@@ -360,8 +356,8 @@ def _collect_metrics(
 def run_verify(args) -> int:
     net, widths, x0, label, region, eps = _prepare(args)
     opts = SolveOptions(tol=args.tol, max_iter=args.max_iter)
-    points, logits = sample_logits(net, region, SAMPLES, args.seed)
-    counterexample = _find_counterexample(net, region, points, logits, label)
+    points, logits, labels = sample_logits(net, region, SAMPLES, args.seed)
+    counterexample = _find_counterexample(region, points, labels, label)
     # each class's least sampled margin
     upper = np.min(logits[:, label - 1, None] - logits, axis=0)
     targets: list[TargetReport] = []
@@ -477,19 +473,10 @@ def run_export(args) -> int:
         raise ValueError("--threshold applies to --kind mps only")
     objective = objective_targeted(net, label, target)
     if args.kind == "sdpa":
-        instance = _encoder(args.method)(
-            net, region, objective, true_label=label, target=target
-        )
+        instance = _encoder(args.method)(net, region, objective)
         export_sdpa(assemble_moment_sdp(instance), args.out)
     else:
-        instance = encode_milp(
-            net,
-            region,
-            objective,
-            feasibility_threshold=args.threshold,
-            true_label=label,
-            target=target,
-        )
+        instance = encode_milp(net, region, objective, feasibility_threshold=args.threshold)
         write_mps(instance, args.out)
     print(f"wrote {args.kind} file: {args.out} (true label {label}, target {target})")
     return 0

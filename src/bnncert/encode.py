@@ -243,15 +243,10 @@ class VerificationInstance:
     region: PerturbationRegion
     constraints: ConstraintSet
     encoding_kind: str
-    true_label: Optional[int] = None
-    target: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.encoding_kind not in ("standard", "tightened", "lp", "milp"):
             raise ValueError(f"unknown encoding kind {self.encoding_kind!r}")
-        if self.true_label is not None and self.target is not None:
-            if self.true_label == self.target:
-                raise ValueError("attack target must differ from the true label")
 
     @property
     def objective(self) -> MultilinearPoly:
@@ -419,12 +414,7 @@ def _check_objective(net: FoldedBnn, objective: MultilinearPoly) -> None:
 
 
 def encode_standard(
-    net: FoldedBnn,
-    region: PerturbationRegion,
-    objective: MultilinearPoly,
-    *,
-    true_label: Optional[int] = None,
-    target: Optional[int] = None,
+    net: FoldedBnn, region: PerturbationRegion, objective: MultilinearPoly
 ) -> VerificationInstance:
     """Quadratic sign-consistency encoding: x*(Wx'+b) >= 0 (with x^2 = 1)."""
     net.require_stabilized()
@@ -436,16 +426,11 @@ def encode_standard(
             ineqs.append(Constraint("std", i, row.var.index, x * row.z))
     ineqs.extend(_region_constraints(region))
     cs = ConstraintSet(tuple(ineqs), objective)
-    return VerificationInstance(net, region, cs, "standard", true_label, target)
+    return VerificationInstance(net, region, cs, "standard")
 
 
 def encode_tightened(
-    net: FoldedBnn,
-    region: PerturbationRegion,
-    objective: MultilinearPoly,
-    *,
-    true_label: Optional[int] = None,
-    target: Optional[int] = None,
+    net: FoldedBnn, region: PerturbationRegion, objective: MultilinearPoly
 ) -> VerificationInstance:
     """Four products per neuron: one-sided sign products plus row-bound products.
 
@@ -470,7 +455,7 @@ def encode_tightened(
             ineqs.append(Constraint("t2", i, j, (1 - x) * (row.row_bound + zeta)))
     ineqs.extend(_region_constraints(region))
     cs = ConstraintSet(tuple(ineqs), objective)
-    return VerificationInstance(net, region, cs, "tightened", true_label, target)
+    return VerificationInstance(net, region, cs, "tightened")
 
 
 def _lp_rows(
@@ -502,12 +487,7 @@ def _lp_rows(
 
 
 def encode_lp(
-    net: FoldedBnn,
-    region: PerturbationRegion,
-    objective: MultilinearPoly,
-    *,
-    true_label: Optional[int] = None,
-    target: Optional[int] = None,
+    net: FoldedBnn, region: PerturbationRegion, objective: MultilinearPoly
 ) -> VerificationInstance:
     """All-linear relaxation: envelopes, box rows, interval rows.
 
@@ -517,7 +497,7 @@ def encode_lp(
     net.require_stabilized()
     rows = _lp_rows(net, region, objective)
     cs = ConstraintSet(tuple(rows), objective)
-    return VerificationInstance(net, region, cs, "lp", true_label, target)
+    return VerificationInstance(net, region, cs, "lp")
 
 
 def encode_milp(
@@ -525,9 +505,6 @@ def encode_milp(
     region: PerturbationRegion,
     objective: MultilinearPoly,
     feasibility_threshold: Optional[float] = None,
-    *,
-    true_label: Optional[int] = None,
-    target: Optional[int] = None,
 ) -> VerificationInstance:
     """LP rows plus integrality marks; exact for the sign semantics.
 
@@ -552,7 +529,7 @@ def encode_milp(
         rows.append(Constraint("threshold", 0, 0, cut))
         reported = MultilinearPoly.zero()
     cs = ConstraintSet(tuple(rows), reported)
-    return VerificationInstance(net, region, cs, "milp", true_label, target)
+    return VerificationInstance(net, region, cs, "milp")
 
 
 # ---------------------------------------------------------------------------

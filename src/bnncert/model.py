@@ -14,11 +14,12 @@ added once to the integer offset d and the sum W x, as in the unfolded
 net.  Every reader goes through two `FoldedBnn` methods: `preactivation`
 for the float value and `exact_bias` for the rational b + d.
 
-The network's value at a point is decided in one place, `forward`, and
-exactly, as every proof reads the network: each hidden sign is the sign of
-the exact pre-activation, with sign(0) := +1, and the label is the lowest
-index among the exact maxima of the output layer; the logits it reports
-are binary64.  Folds are exact, so `forward` on `stabilize(net, region)`
+The network's value is decided in one place, `forward_rows`, for the
+rows of a matrix at once (`forward` is its one-row view), and exactly, as
+every proof reads the network: each hidden sign is the sign of the exact
+pre-activation, with sign(0) := +1, and the label is the lowest index
+among the exact maxima of the output layer; the logits it reports are
+binary64.  Folds are exact, so `forward` on `stabilize(net, region)`
 equals `forward` on `net` at every point of the region.
 
 Class labels and neuron indices are 1-based throughout the package.
@@ -40,14 +41,14 @@ if TYPE_CHECKING:
 __all__ = [
     "BatchNorm",
     "FoldedBnn",
+    "ForwardRows",
     "ForwardTrace",
     "RawBnn",
     "fold_batchnorm",
     "fold_signs",
     "forward",
-    "forward_activations",
-    "forward_logits",
     "forward_raw",
+    "forward_rows",
     "load_inputs",
     "load_model",
     "neuron_ranges",
@@ -266,6 +267,26 @@ class ForwardTrace:
 
     def any_zero_preactivation(self) -> bool:
         return any(bool(f.any()) for f in self.zero_preactivation_flags)
+
+
+@dataclass(frozen=True)
+class ForwardRows:
+    """`forward_rows` over the rows of a matrix: per hidden layer a matrix
+    of signs and one of zero flags, the logits and the labels, one row per
+    input; `row(r)` is the `ForwardTrace` of input r."""
+
+    activations: tuple[np.ndarray, ...]
+    logits: np.ndarray
+    labels: np.ndarray
+    zero_preactivation_flags: tuple[np.ndarray, ...]
+
+    def row(self, r: int) -> ForwardTrace:
+        return ForwardTrace(
+            activations=tuple(a[r] for a in self.activations),
+            logits=self.logits[r],
+            label=int(self.labels[r]),
+            zero_preactivation_flags=tuple(f[r] for f in self.zero_preactivation_flags),
+        )
 
 
 def row_norm1(matrix: np.ndarray) -> np.ndarray:
@@ -490,46 +511,21 @@ def _exact_argmax(net: FoldedBnn, s: np.ndarray, logits: np.ndarray) -> int:
     return max(top, key=lambda k: ws[k] + b[k]) + 1
 
 
-def forward(net: FoldedBnn, x0: Sequence[float]) -> ForwardTrace:
-    """Run the network: x_i = sign(W_i x_{i-1} + b_i), logits affine, argmax
-    label; the network's value at `x0`, which every reader takes from here.
+def forward_rows(net: FoldedBnn, xs: np.ndarray) -> ForwardRows:
+    """Run the network on each row of `xs`: x_i = sign(W_i x_{i-1} + b_i),
+    logits affine, argmax label; the network's value at each input, which
+    every reader takes from here (`forward` at one input).
 
-    Every sign is the sign of the exact pre-activation
-    (`FoldedBnn.preactivation`), with sign(0) := +1, and exact zeros are
-    flagged per neuron.  The logits are binary64; the label is the lowest
-    index among the exact maxima of the output layer, which the float
-    argmax gives except where float logits tie.
-    """
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (net.widths[0],):
-        raise ValueError(f"input length {x.shape} does not match n0 = {net.widths[0]}")
-    activations = []
-    flags = []
-    cur = x
-    for i in range(1, net.depth + 1):
-        z = net.preactivation(i, cur)
-        flags.append(_freeze(z == 0))
-        cur = _sign_pm1(z)
-        activations.append(_freeze(cur))
-    logits = net.preactivation(net.depth + 1, cur)
-    return ForwardTrace(
-        activations=tuple(activations),
-        logits=_freeze(logits),
-        label=_exact_argmax(net, cur, logits),
-        zero_preactivation_flags=tuple(flags),
-    )
-
-
-def forward_activations(net: FoldedBnn, xs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Hidden activations of the rows of `xs`, one int64 matrix per layer,
-    with exactly the signs `forward` gives each row: the exact ones.
-
-    Layer 1 is one matrix product.  Its sums lie within (n0 + 1) * eps/2 *
-    (sum|x| + |b|) of the exact value, so a sign can differ from the exact
-    one only where a pre-activation is within that of zero; the rows with
-    one within 4 (n0 + 2) * eps/2 * (sum|x| + |b|) are recomputed exactly,
-    one row at a time.  Deeper layers sum integers, which no order rounds,
-    plus one bias rounding (`FoldedBnn.preactivation`).
+    Every sign is the sign of the exact pre-activation, with sign(0) :=
+    +1, and exact zeros are flagged per neuron.  Layer 1 is one matrix
+    product, whose sums lie within (n0 + 1) * eps/2 * (sum|x| + |b|) of the
+    exact ones; a row with a pre-activation within 4 (n0 + 2) * eps/2 *
+    (sum|x| + |b|) of zero is recomputed exactly (`FoldedBnn.preactivation`
+    at the row).  Deeper sums are integers, which no order rounds, plus one
+    bias rounding, so the binary64 logits do not depend on the rows beside
+    them.  The label is the lowest index among the exact maxima of the
+    output layer: the float argmax, except on a row whose float logits tie
+    at the maximum, where the tied classes are compared in rationals.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != net.widths[0]:
@@ -537,40 +533,39 @@ def forward_activations(net: FoldedBnn, xs: np.ndarray) -> tuple[np.ndarray, ...
     z = net.preactivation(1, xs)
     slack = 2.0 * (xs.shape[1] + 2) * np.finfo(float).eps
     near = np.abs(z) <= slack * (np.abs(xs).sum(axis=1, keepdims=True) + np.abs(net.bias(1)))
-    cur = _sign_pm1(z)
-    for r in np.flatnonzero(near.any(axis=1)):
-        cur[r] = _sign_pm1(net.preactivation(1, xs[r]))
-    acts = [cur]
-    for i in range(2, net.depth + 1):
-        cur = _sign_pm1(net.preactivation(i, cur))
-        acts.append(cur)
-    return tuple(acts)
+    for r in near.any(axis=1).nonzero()[0]:
+        z[r] = net.preactivation(1, xs[r])
+    activations, flags = [], []
+    for i in range(2, net.depth + 2):
+        flags.append(_freeze(z == 0))
+        activations.append(_freeze(_sign_pm1(z)))
+        z = net.preactivation(i, activations[-1])
+    top = z == z.max(axis=1, keepdims=True)
+    labels = top.argmax(axis=1) + 1
+    for r in (top.sum(axis=1) > 1).nonzero()[0]:
+        labels[r] = _exact_argmax(net, activations[-1][r], z[r])
+    return ForwardRows(tuple(activations), _freeze(z), _freeze(labels), tuple(flags))
 
 
-def forward_logits(net: FoldedBnn, xs: np.ndarray) -> np.ndarray:
-    """Logits of the rows of `xs`, one row each, from `forward_activations`.
-
-    They equal `forward`'s byte for byte: both read
-    `FoldedBnn.preactivation`, where W x_L + d is an int64 sum, which no
-    order rounds, and the bias is added to it once.  So
-    `np.argmax(logits, axis=1) + 1` is `forward`'s label on every row whose
-    largest logit is unique; where float logits tie at the maximum, only
-    `forward` decides the label, exactly.
-    """
-    last = forward_activations(net, xs)[-1]
-    return net.preactivation(net.depth + 1, last)
+def forward(net: FoldedBnn, x0: Sequence[float]) -> ForwardTrace:
+    """`forward_rows` at the one input `x0`."""
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (net.widths[0],):
+        raise ValueError(f"input length {x.shape} does not match n0 = {net.widths[0]}")
+    return forward_rows(net, x[None, :]).row(0)
 
 
 def forward_raw(raw: RawBnn, x0: Sequence[float]) -> int:
     """Label under explicit batch-norm arithmetic (reference for fold tests).
 
-    Coded apart from `forward`, to the same rules: layer 1's sum W x + b is
-    the exact one correctly rounded (`math.fsum` over the products, each
-    exact for a ternary w), a deeper sum is an integer plus one bias
-    rounding, and the label is the lowest index among the exact maxima of
-    the output layer, whose float logits are compared in rationals only
-    where they tie.  A batch-norm block normalizes in binary64, so on a net
-    with batch-norm this is a float reference, not an exact one.
+    Coded apart from `forward_rows`, to the same rules: layer 1's sum
+    W x + b is the exact one correctly rounded (`math.fsum` over the
+    products, each exact for a ternary w), a deeper sum is an integer plus
+    one bias rounding, and the label is the lowest index among the exact
+    maxima of the output layer, whose float logits are compared in
+    rationals only where they tie.  A batch-norm block normalizes in
+    binary64, so on a net with batch-norm this is a float reference, not
+    an exact one.
     """
     x = np.asarray(x0, dtype=float)
     for i in range(1, len(raw.widths)):

@@ -30,10 +30,10 @@ system; the decider alone holds the region, so the walk skips the
 encoding's region rows).
 
 The other side of the yardstick is sampled: `sample_logits` runs the
-network on the center and seeded region points in one batched pass.  Every
-row is a true execution, so a row's logit margin bounds the exact optimum
-from above, up to the rounding of the logits, and a row of the region whose
-`forward` label differs is a counterexample.
+network on the center and seeded region points in one pass
+(`forward_rows`).  Every row is a true execution, so a row's logit margin
+bounds the exact optimum from above, up to the rounding of the logits, and
+a row of the region whose exact label differs is a counterexample.
 `relative_improvement` measures a relaxation against the sampled bound.
 """
 
@@ -47,7 +47,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from bnncert.encode import PerturbationRegion, VerificationInstance
-from bnncert.model import FoldedBnn, forward_logits
+from bnncert.model import FoldedBnn, forward_rows
 from bnncert.poly import MultilinearPoly, Var
 
 __all__ = [
@@ -491,11 +491,13 @@ def sample_region(
 ) -> np.ndarray:
     """`n` points of the region, one per row, drawn from `rng` in row order.
 
-    A linf point is drawn from the box's inward float copy [lower, upper],
-    so it lies in the region.  An l2 point is drawn in the ball, but
+    Where the region is its box, a linf region or an l2 ball that holds
+    every corner of its box (`_ball_holds_box`), a point is drawn from the
+    box's inward float copy [lower, upper], so it lies in the region.
+    Otherwise an l2 point is drawn in the ball and clipped to the cube, but
     rounding can put it an ulp outside; `PerturbationRegion.contains`
     tells."""
-    if region.kind == "linf":
+    if region.kind == "linf" or _ball_holds_box(region):
         return rng.uniform(region.lower, region.upper, size=(n, region.dim))
     dim = region.dim
     raw = rng.normal(size=(n, dim))
@@ -509,25 +511,35 @@ def sample_region(
     return np.clip(pts, -1.0, 1.0)
 
 
+def _ball_holds_box(region: PerturbationRegion) -> bool:
+    """Whether the l2 `region`'s ball holds its exact box, so that the
+    region is the box: sum_k max((lo_k - c_k)^2, (hi_k - c_k)^2) <= r^2,
+    in rationals."""
+    far = sum(
+        max((lo - c) ** 2, (hi - c) ** 2)
+        for lo, hi, c in zip(*region.box(), map(Fraction, region.center.tolist()))
+    )
+    return far <= Fraction(region.capped_radius) ** 2
+
+
 def sample_logits(
     net: FoldedBnn, region: PerturbationRegion, n_samples: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded region points, one per row, and their logits.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Seeded region points, one per row, their logits and their labels.
 
     Row 0 is the center; `n_samples` points of `sample_region` follow
-    (none at radius 0).  The logits come from one batched pass and equal
-    `forward`'s byte for byte, so every row is a true network execution and
+    (none at radius 0).  One `forward_rows` pass runs them all, so every
+    row is a true network execution: its label is the exact one, and
     min_rows(logits[:, label-1] - logits[:, k-1]) is an upper bound on the
-    exact margin against target k, up to the rounding of the logits and
-    their difference.  Where a row's float logits tie at the maximum, its
-    label is `forward`'s, decided exactly, not necessarily the float
-    argmax.  Deterministic for a fixed seed.
+    exact margin against target k, up to the rounding of the binary64
+    logits and their difference.  Deterministic for a fixed seed.
     """
     points = region.center[None, :]
     if region.radius > 0:
         drawn = sample_region(region, n_samples, np.random.default_rng(seed))
         points = np.vstack([points, drawn])
-    return points, forward_logits(net, points)
+    rows = forward_rows(net, points)
+    return points, rows.logits, rows.labels
 
 
 def relative_improvement(

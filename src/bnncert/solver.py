@@ -98,8 +98,6 @@ GRAM_PAIRS = 1 << 16
 class SolveOptions:
     tol: float = 1e-6
     max_iter: int = 50000
-    #: not read by the solver, whose iteration is deterministic
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0 < self.tol < math.inf:

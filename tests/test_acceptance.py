@@ -82,18 +82,17 @@ def random_instance(rng, kind):
         region = random_region(rng, net.input_dim, "linf")
     else:
         region = l2_region(net, rng)
-    objective = objective_targeted(net, label, target)
-    return net, region, label, target, objective
+    return net, region, objective_targeted(net, label, target)
 
 
-def solve_all_relaxations(net, region, label, target, objective):
+def solve_all_relaxations(net, region, objective):
     """(lp_result, std_result, tight_result, tight_instance, cliques)."""
-    lp = encode_lp(net, region, objective, true_label=label, target=target)
+    lp = encode_lp(net, region, objective)
     r_lp = solve_lp(lp, OPTS)
     cliques = build_cliques(net)
-    std = encode_standard(net, region, objective, true_label=label, target=target)
+    std = encode_standard(net, region, objective)
     r_std = solve_conic(to_conic(assemble_moment_sdp(std, cliques)), OPTS)
-    tight = encode_tightened(net, region, objective, true_label=label, target=target)
+    tight = encode_tightened(net, region, objective)
     r_tight = solve_conic(to_conic(assemble_moment_sdp(tight, cliques)), OPTS)
     return lp, r_lp, r_std, r_tight, tight, cliques
 
@@ -103,10 +102,8 @@ def check_sandwich(rng, kind, n_instances, budget_s):
     tau_tight <= tau_exact + 1e-5 on every instance."""
     t0 = time.monotonic()
     for _ in range(n_instances):
-        net, region, label, target, objective = random_instance(rng, kind)
-        _, r_lp, r_std, r_tight, _, _ = solve_all_relaxations(
-            net, region, label, target, objective
-        )
+        net, region, objective = random_instance(rng, kind)
+        _, r_lp, r_std, r_tight, _, _ = solve_all_relaxations(net, region, objective)
         assert r_lp.status == r_std.status == r_tight.status == "optimal"
         tau_exact = exact_verify(net, region, objective).value
         assert r_lp.primal_objective - 1e-5 <= r_tight.primal_objective
@@ -121,16 +118,14 @@ def check_rigorous(rng, kind, n_instances):
     budget by exactly s*delta (1e-12)."""
     delta = 1e-3
     for trial in range(n_instances):
-        net, region, label, target, objective = random_instance(rng, kind)
+        net, region, objective = random_instance(rng, kind)
         tau_exact = exact_verify(net, region, objective).value
         if trial % 2 == 0:
-            inst = encode_lp(net, region, objective, true_label=label, target=target)
+            inst = encode_lp(net, region, objective)
             res = solve_lp(inst, OPTS)
             bound = rigorous_lower_bound(res, inst)
         else:
-            inst = encode_tightened(
-                net, region, objective, true_label=label, target=target
-            )
+            inst = encode_tightened(net, region, objective)
             cliques = build_cliques(net)
             res = solve_conic(to_conic(assemble_moment_sdp(inst, cliques)), OPTS)
             bound = rigorous_lower_bound(res, inst, cliques)
@@ -246,7 +241,7 @@ def test_criterion_05_milp_pattern_exactness():
     for net, region, label, target in cases:
         assert net.hidden_count() <= 12
         objective = objective_targeted(net, label, target)
-        inst = encode_milp(net, region, objective, true_label=label, target=target)
+        inst = encode_milp(net, region, objective)
         encoded = {rec.pattern for rec in milp_feasible_patterns(inst)}
         assert encoded == {rec.pattern for rec in feasible_patterns(net, region)}
         exact = exact_verify(net, region, objective)
@@ -325,7 +320,7 @@ def test_criterion_09_solver_contract():
     region = PerturbationRegion.linf([0, 0.5, 0], 1.0)
     inst = encode_tightened(net, region, objective_targeted(net, 2, 1))
     conic = to_conic(assemble_moment_sdp(inst, build_cliques(net)))
-    opts = SolveOptions(seed=7)
+    opts = SolveOptions()
     a = solve_conic(conic, opts)
     b = solve_conic(conic, opts)
     assert a.y.tobytes() == b.y.tobytes()
@@ -342,9 +337,7 @@ def test_criterion_10_format_roundtrips(tmp_path):
     region = PerturbationRegion.linf([0, 0.5, 0], 1.0)
     objective = objective_targeted(net, 2, 1)
 
-    msdp = assemble_moment_sdp(
-        encode_tightened(net, region, objective, true_label=2, target=1)
-    )
+    msdp = assemble_moment_sdp(encode_tightened(net, region, objective))
     path = tmp_path / "round.dat-s"
     export_sdpa(msdp, path)
     parsed = read_sdpa(path)
@@ -370,7 +363,7 @@ def test_criterion_10_format_roundtrips(tmp_path):
             expected[(idx, k, p + 1, q + 1)] = 1.0
     assert parsed.entries == expected
 
-    inst = encode_milp(net, region, objective, true_label=2, target=1)
+    inst = encode_milp(net, region, objective)
     mps = tmp_path / "round.mps"
     write_mps(inst, mps)
     text = mps.read_text()

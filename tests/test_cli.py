@@ -589,8 +589,8 @@ def test_batched_attack_returns_the_loop_counterexample():
             for eps in (0.3, 0.7, 1.0):
                 region = getattr(PerturbationRegion, norm)(x, eps)
                 for seed in (0, 1):
-                    points, logits = sample_logits(net, region, cli.SAMPLES, seed)
-                    got = cli._find_counterexample(net, region, points, logits, label)
+                    points, _, labels = sample_logits(net, region, cli.SAMPLES, seed)
+                    got = cli._find_counterexample(region, points, labels, label)
                     want = attack_loop(net, region, label, cli.SAMPLES, seed)
                     assert (got is None) == (want is None)
                     if got is not None:
@@ -1030,7 +1030,7 @@ def test_output_tie_at_eps_zero_is_decided_exactly(tmp_path):
 def test_reverse_output_tie_is_falsified(tmp_path):
     """Class 2 exceeds class 1 by 8.3e-17 exactly on the cell where the
     layer-1 neuron is -1, half the box, though their logits round to a
-    tie: the attack keeps float ties, and `forward` decides them."""
+    tie: the attack reads the sample's exact labels."""
     net = output_tie_net(1.9, [[0, 0, 1], [-1, 0, -1]], [0.1, 1.1])
     files = write_query(tmp_path, net, np.array([-0.95, -0.95]))
     rc, rep = run_json(files, tmp_path, "--eps", "0.05", "--method", "lp")

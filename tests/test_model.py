@@ -25,7 +25,7 @@ from bnncert import (
     stabilize,
     weight_sparsity,
 )
-from bnncert.model import DEFAULT_BN_EPSILON, forward_activations, forward_logits
+from bnncert.model import DEFAULT_BN_EPSILON, forward_rows
 from bnncert.oracle import sample_region
 
 from conftest import make_example1, random_net, random_region
@@ -383,8 +383,7 @@ def test_stabilize_preserves_labels_at_ties():
             np.any(out.bias(i) == -row_norm1(out.weight(i))) for i in range(1, out.depth + 1)
         )
         np.testing.assert_array_equal(
-            np.argmax(forward_logits(out, grid), axis=1),
-            np.argmax(forward_logits(net, grid), axis=1),
+            forward_rows(out, grid).labels, forward_rows(net, grid).labels
         )
     assert compared >= 100 and kept_ties >= 10
 
@@ -424,35 +423,39 @@ def test_stabilize_folds_constants_into_biases_exactly():
     assert labels == [2, 1, 1, 1]
 
 
+#: layer-1 neuron 1's exact pre-activation is 0 at CORNER_X; numpy's sum
+#: 0.5 + 2^-54 + 2^-54 - (0.5 + 2^-53) rounds to -2^-53
+CORNER = RawBnn(
+    widths=(3, 2, 2),
+    weights=(np.array([[1, 1, 1], [1, -1, 0]]), np.array([[1, 0], [-1, 0]])),
+    biases=(np.array([-0.5000000000000001, -0.5009765625]), np.zeros(2)),
+    bn=(None, None),
+)
+CORNER_X = [0.5, 2.0**-54, 2.0**-54]
+#: both logits round to 1.1 at OUTPUT_TIE_X; class 2's exceeds class 1's
+#: by 1.39e-17
+OUTPUT_TIE = RawBnn(
+    widths=(2, 1, 3, 2),
+    weights=(np.array([[1, 1]]), np.array([[1], [-1], [1]]), np.array([[-1, 0, -1], [0, 0, 1]])),
+    biases=(np.array([1.999]), np.array([0.5, 0.5, 5]), np.array([1.1, 0.1000000000000001])),
+    bn=(None, None, None),
+)
+OUTPUT_TIE_X = [-0.9999, -0.9999]
+#: where the layer-1 neuron is -1, class 2 exceeds class 1 by 8.3e-17,
+#: though both logits round to 1.1; its pre-activation is exactly 0 at
+#: REVERSE_TIE_X
+REVERSE_TIE = RawBnn(
+    widths=(2, 1, 3, 2),
+    weights=(np.array([[1, 1]]), np.array([[1], [-1], [1]]), np.array([[0, 0, 1], [-1, 0, -1]])),
+    biases=(np.array([1.9]), np.array([0.5, 0.5, 5]), np.array([0.1, 1.1])),
+    bn=(None, None, None),
+)
+REVERSE_TIE_X = [-0.95, -0.95]
+
+
 @pytest.mark.parametrize(
     "raw, x, label",
-    [
-        # layer-1 neuron 1's exact pre-activation is 0 here; numpy's sum
-        # 0.5 + 2^-54 + 2^-54 - (0.5 + 2^-53) rounds to -2^-53
-        (
-            RawBnn(
-                widths=(3, 2, 2),
-                weights=(np.array([[1, 1, 1], [1, -1, 0]]), np.array([[1, 0], [-1, 0]])),
-                biases=(np.array([-0.5000000000000001, -0.5009765625]), np.zeros(2)),
-                bn=(None, None),
-            ),
-            [0.5, 2.0**-54, 2.0**-54],
-            1,
-        ),
-        # both logits round to 1.1; class 2's exceeds class 1's by 1.39e-17
-        (
-            RawBnn(
-                widths=(2, 1, 3, 2),
-                weights=(np.array([[1, 1]]), np.array([[1], [-1], [1]]),
-                         np.array([[-1, 0, -1], [0, 0, 1]])),
-                biases=(np.array([1.999]), np.array([0.5, 0.5, 5]),
-                        np.array([1.1, 0.1000000000000001])),
-                bn=(None, None, None),
-            ),
-            [-0.9999, -0.9999],
-            2,
-        ),
-    ],
+    [(CORNER, CORNER_X, 1), (OUTPUT_TIE, OUTPUT_TIE_X, 2)],
     ids=["corner", "output-tie"],
 )
 def test_forward_raw_agrees_with_forward_without_batchnorm(raw, x, label):
@@ -688,32 +691,81 @@ def test_offsets_are_integers_one_per_neuron(example1):
         FoldedBnn(*args, (np.ones(2, dtype=np.int64), zeros[1], zeros[2]))
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_batched_activations_have_the_forward_signs(seed):
+def exact_pass(raw, x):
+    """Hidden signs, zero flags and logits of `raw`, a net without
+    batch-norm, at `x`, from sums in rationals: each logit is its exact
+    value rounded once."""
+    values = [Fraction(v) for v in x]
+    signs, zeros = [], []
+    for w, b in zip(raw.weights, raw.biases):
+        z = [sum(map(Fraction, (row * values).tolist()), Fraction(bk)) for row, bk in zip(w, b)]
+        signs.append([1 if v >= 0 else -1 for v in z])
+        zeros.append([v == 0 for v in z])
+        values = signs[-1]
+    return signs[:-1], zeros[:-1], [float(v) for v in z]
+
+
+def seeded_rows(seed):
+    """A seeded 10-8-8-3 net and 300 inputs; rows 100..299 put one layer-1
+    pre-activation at (or within rounding of) zero, where a matrix
+    product's sums may round to the other side."""
     rng = np.random.default_rng(seed)
-    net = stabilize(random_net(rng, (10, 8, 8, 3)))
+    net = random_net(rng, (10, 8, 8, 3))
+    raw = RawBnn(net.widths, net.weights, net.biases, (None,) * (net.depth + 1))
     xs = rng.uniform(-1, 1, size=(300, 10))
-    # rows 100..299 put one layer-1 pre-activation at (or within rounding of)
-    # zero, where the batched sums may round differently
     w, b = net.weight(1), net.bias(1)
     for r in range(100, 300):
         j = r % w.shape[0]
         k = int(np.flatnonzero(w[j])[0])
         xs[r, k] -= (w[j] @ xs[r] + b[j]) / w[j, k]
-    assert any(forward(net, x).any_zero_preactivation() for x in xs[100:])
-    acts = forward_activations(net, xs)
-    for x, logits, *rows in zip(xs, forward_logits(net, xs), *acts):
-        trace = forward(net, x)
-        assert all(np.array_equal(a, r) for a, r in zip(trace.activations, rows))
-        assert logits.tobytes() == trace.logits.tobytes()
-        # and layer 1's are the signs of the exact sums
-        exact = [sum(map(Fraction, (wj * x).tolist()), Fraction(bj)) for wj, bj in zip(w, b)]
-        assert rows[0].tolist() == [1 if z >= 0 else -1 for z in exact]
+    return raw, xs
+
+
+def tie_rows(raw, x, radius):
+    """`x`, the corners of the linf box of `radius` around it and 64
+    seeded points of the box."""
+    region = PerturbationRegion.linf(x, radius)
+    corners = list(itertools.product(*zip(region.lower, region.upper)))
+    return raw, np.array([x, *corners, *sample_region(region, 64, np.random.default_rng(0))])
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        *(lambda seed=seed: seeded_rows(seed) for seed in range(3)),
+        lambda: tie_rows(CORNER, CORNER_X, 2.0**-10),
+        lambda: tie_rows(OUTPUT_TIE, OUTPUT_TIE_X, 1e-4),
+        lambda: tie_rows(REVERSE_TIE, REVERSE_TIE_X, 0.05),
+    ],
+    ids=["0", "1", "2", "corner", "output-tie", "reverse-tie"],
+)
+def test_batched_activations_have_the_forward_signs(case):
+    """`forward_rows` against two references coded apart from it: every
+    hidden sign and zero flag against sums in rationals, every logit
+    against its exact value rounded once, every label against
+    `forward_raw`.  The seeded rows put layer-1 pre-activations at or near
+    zero; the corner, output-tie and reverse-tie nets put one at an exact
+    zero that numpy's sum misses, and float logits in a tie that only the
+    exact values decide."""
+    raw, xs = case()
+    rows = forward_rows(fold_batchnorm(raw), xs)
+    float_ties = 0
+    for r, x in enumerate(xs):
+        signs, zeros, logits = exact_pass(raw, x)
+        assert [a[r].tolist() for a in rows.activations] == signs
+        assert [f[r].tolist() for f in rows.zero_preactivation_flags] == zeros
+        assert rows.logits[r].tolist() == logits
+        assert rows.labels[r] == forward_raw(raw, x)
+        float_ties += logits.count(max(logits)) > 1
+    if raw.widths[0] == 2:  # the two tie nets
+        assert float_ties
+    else:
+        assert any(f.any() for f in rows.zero_preactivation_flags)
 
 
 def test_batched_activations_reject_wrong_width(example1):
     with pytest.raises(ValueError, match="do not match"):
-        forward_activations(example1, np.zeros((2, 2)))
+        forward_rows(example1, np.zeros((2, 2)))
 
 
 def test_region_fold_keeps_every_label_in_the_region():

@@ -21,7 +21,7 @@ from bnncert import (
     sample_logits,
 )
 from bnncert import oracle
-from bnncert.model import forward_logits, stabilize
+from bnncert.model import forward_rows, stabilize
 from bnncert.oracle import (
     _cell_witness,
     milp_feasible_patterns,
@@ -59,7 +59,7 @@ def test_the_cap_counts_layer1_neurons_only():
     assert net.hidden_count() == 21
     region = PerturbationRegion.linf(np.zeros(3), 0.5)
     f = objective_targeted(net, 1, 2)
-    patterns = assert_milp_matches_oracle(net, region, f, 1, 2)
+    patterns = assert_milp_matches_oracle(net, region, f)
     assert exact_verify(net, region, f).n_feasible == len(patterns) > 0
 
 
@@ -76,7 +76,7 @@ def test_milp_walk_leaves_the_region_to_the_cell_decider(example1, x0_example, k
 
     monkeypatch.setattr(oracle, "_cell_witness", spy)
     region = getattr(PerturbationRegion, kind)(x0_example, 1.0)
-    inst = encode_milp(example1, region, objective1(example1), true_label=2, target=1)
+    inst = encode_milp(example1, region, objective1(example1))
     milp_feasible_patterns(inst)
     assert rows_seen
     assert all(len(rows) == 2 * example1.hidden_widths[0] for rows in rows_seen)
@@ -208,7 +208,7 @@ def test_l2_empty_cell_is_rejected():
     )
     expected = {((-1, -1),), ((-1, 1),), ((1, 1),)}
     assert {r.pattern for r in feasible_patterns(net, region)} == expected
-    inst = encode_milp(net, region, objective_targeted(net, 1, 2), true_label=1, target=2)
+    inst = encode_milp(net, region, objective_targeted(net, 1, 2))
     assert {r.pattern for r in milp_feasible_patterns(inst)} == expected
 
 
@@ -357,7 +357,7 @@ def test_milp_patterns_match_oracle_in_twenty_dimensions():
     net = random_net(rng, (20, 4, 8, 4))
     region = PerturbationRegion.linf(rng.uniform(-0.2, 0.2, 20), 0.1)
     assert stabilize(net, region).widths == net.widths
-    patterns = assert_milp_matches_oracle(net, region, objective_targeted(net, 1, 2), 1, 2)
+    patterns = assert_milp_matches_oracle(net, region, objective_targeted(net, 1, 2))
     assert len({p[0] for p in patterns}) == 7
 
 
@@ -381,9 +381,9 @@ def with_integer_deeper_biases(net, rng):
     return FoldedBnn(net.widths, net.weights, tuple(biases))
 
 
-def assert_milp_matches_oracle(net, region, f, true_label, target):
+def assert_milp_matches_oracle(net, region, f):
     """Equal pattern lists, both in layer-major order, -1 before +1."""
-    inst = encode_milp(net, region, f, true_label=true_label, target=target)
+    inst = encode_milp(net, region, f)
     oracle = [r.pattern for r in feasible_patterns(net, region)]
     milp = [r.pattern for r in milp_feasible_patterns(inst)]
     assert oracle == milp
@@ -408,7 +408,7 @@ def test_milp_patterns_match_oracle_example1(example1, x0_example, kind):
         (tie_net(), np.zeros(2), 0.05),
     ):
         region = getattr(PerturbationRegion, kind)(center, radius)
-        assert_milp_matches_oracle(net, region, objective_targeted(net, 2, 1), 2, 1)
+        assert_milp_matches_oracle(net, region, objective_targeted(net, 2, 1))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -424,7 +424,7 @@ def test_milp_patterns_match_oracle_random(seed):
     small = random_region(rng, 3, kind, radii=(0.02, 0.3))
     for net, region in itertools.product(nets, (region, small)):
         f = objective_targeted(net, 1, 2)
-        patterns = assert_milp_matches_oracle(net, region, f, 1, 2)
+        patterns = assert_milp_matches_oracle(net, region, f)
         # and the minimum over encoded patterns is the oracle's tau
         ex = exact_verify(net, region, f)
         milp_min = min(
@@ -489,8 +489,7 @@ def test_region_fold_keeps_every_sampled_label():
             continue
         points = sample_region(region, 10_000, np.random.default_rng(7))
         np.testing.assert_array_equal(
-            np.argmax(forward_logits(fold, points), axis=1),
-            np.argmax(forward_logits(net, points), axis=1),
+            forward_rows(fold, points).labels, forward_rows(net, points).labels
         )
 
 
@@ -515,7 +514,7 @@ def test_milp_patterns_match_oracle_wide(kind, seed, widths):
     small = random_region(rng, widths[0], kind, radii=(0.02, 0.3))
     for net, region in itertools.product(nets, (region, small)):
         assert 13 <= net.hidden_count() <= 16
-        patterns = assert_milp_matches_oracle(net, region, objective_targeted(net, 1, 2), 1, 2)
+        patterns = assert_milp_matches_oracle(net, region, objective_targeted(net, 1, 2))
         assert patterns
 
 
@@ -539,9 +538,7 @@ def test_milp_threshold_feasibility_matches_sign(example1, x0_example):
     """threshold = 0 cuts exactly the patterns with objective <= 0."""
     region = PerturbationRegion.linf(x0_example, 1.0)
     f = objective1(example1)
-    inst = encode_milp(
-        example1, region, f, feasibility_threshold=0.0, true_label=2, target=1
-    )
+    inst = encode_milp(example1, region, f, feasibility_threshold=0.0)
     cut_set = {r.pattern for r in milp_feasible_patterns(inst)}
     ex = exact_verify(example1, region, f)
     attack_exists = ex.tau <= 0
@@ -557,9 +554,11 @@ def sampled_margin(logits, label, k):
 def test_sample_upper_bound_point_region(example1, x0_example):
     """At radius 0 the sample is the center alone, with `forward`'s logits."""
     region = PerturbationRegion.linf(x0_example, 0.0)
-    points, logits = sample_logits(example1, region, 512, 0)
+    points, logits, labels = sample_logits(example1, region, 512, 0)
     assert points.tobytes() == x0_example[None, :].tobytes()
-    assert logits.tobytes() == forward(example1, x0_example).logits[None, :].tobytes()
+    trace = forward(example1, x0_example)
+    assert logits.tobytes() == trace.logits[None, :].tobytes()
+    assert labels.tolist() == [trace.label]
     assert sampled_margin(logits, 2, 1) == 3.0
 
 
@@ -568,7 +567,7 @@ def test_sample_upper_bound_is_deterministic(example1, x0_example):
         region = getattr(PerturbationRegion, norm)(x0_example, 1.0)
         a, b, c = (sample_logits(example1, region, 64, seed) for seed in (7, 7, 8))
         assert a[0].shape == (65, 3)
-        assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
+        assert all(u.tobytes() == v.tobytes() for u, v in zip(a, b))
         assert a[0].tobytes() != c[0].tobytes()
         # row 0 is the center, the rest is `sample_region`'s draw
         drawn = sample_region(region, 64, np.random.default_rng(7))
@@ -581,15 +580,39 @@ def test_sample_upper_bound_dominates_exact_optimum(seed):
     rng = np.random.default_rng(seed)
     net = random_net(rng, (3, 3, 2))
     region = random_region(rng, 3, "l2" if seed % 3 == 0 else "linf")
-    _, logits = sample_logits(net, region, 64, seed)
+    _, logits, _ = sample_logits(net, region, 64, seed)
     ex = exact_verify(net, region, objective_targeted(net, 1, 2))
     assert sampled_margin(logits, 1, 2) >= float(ex.tau) - 1e-12
 
 
 def test_sample_upper_bound_l2_samples_stay_in_ball(example1, x0_example):
     region = PerturbationRegion.l2(x0_example, 0.3)
-    points, _ = sample_logits(example1, region, 128, 0)
+    points, _, _ = sample_logits(example1, region, 128, 0)
     assert all(region.contains(x) for x in points)
+
+
+def on_a_face(points):
+    return float(np.mean(np.any(np.abs(points) == 1, axis=1)))
+
+
+def test_l2_ball_that_holds_its_box_is_sampled_as_the_box(x0_example):
+    """A ball that holds every corner of its box is that box: at an
+    infinite radius the cube, and in one dimension always, where the
+    far corner lies on the sphere.  Its points are the linf twin's draw,
+    none of them on a cube face; a ball clipped to the cube put most of
+    them there.  A ball that only cuts its box keeps that draw."""
+    for center, radius in ((x0_example, np.inf), (x0_example, 6.0), ([0.25], 0.5)):
+        region = PerturbationRegion.l2(center, radius)
+        twin = PerturbationRegion.linf(center, radius)
+        points = sample_region(region, 512, np.random.default_rng(0))
+        assert points.tobytes() == sample_region(twin, 512, np.random.default_rng(0)).tobytes()
+        assert all(region.contains(x) for x in points)
+        assert on_a_face(points) == 0
+    # at radius 1.2 the far corner (-1, -0.5, 1) lies sqrt(3.44) away
+    region = PerturbationRegion.l2(x0_example, 1.2)
+    points = sample_region(region, 512, np.random.default_rng(0))
+    assert all(region.contains(x) for x in points)
+    assert 0.2 < on_a_face(points) < 1
 
 
 def test_relative_improvement_endpoints():
@@ -601,7 +624,8 @@ def test_relative_improvement_endpoints():
 
 
 def test_batched_sample_bound_equals_the_per_sample_loop():
-    """Each row's batched logits are `forward`'s, byte for byte."""
+    """Each row's batched logits are `forward`'s, byte for byte, and its
+    label is `forward`'s."""
     queries = [(make_example1(), np.array([0.0, 0.5, 0.0]))]
     rng = np.random.default_rng(11)
     for _ in range(3):
@@ -610,6 +634,7 @@ def test_batched_sample_bound_equals_the_per_sample_loop():
         for norm in ("linf", "l2"):
             region = getattr(PerturbationRegion, norm)(x, 0.6)
             for seed in (0, 3, 8):
-                points, logits = sample_logits(net, region, 200, seed)
-                for point, row in zip(points, logits):
-                    assert row.tobytes() == forward(net, point).logits.tobytes()
+                points, logits, labels = sample_logits(net, region, 200, seed)
+                for point, row, label in zip(points, logits, labels):
+                    trace = forward(net, point)
+                    assert row.tobytes() == trace.logits.tobytes() and label == trace.label
